@@ -22,13 +22,7 @@ import sys
 
 import numpy as np
 
-from .constraints import (
-    AffineConstraint1,
-    AffineConstraint2,
-    RankDecisionError,
-    nonholonomic_check,
-    nonholonomic_check_curve,
-)
+from .constraints import RankDecisionError, nonholonomic_check, nonholonomic_check_curve
 from .fields import (
     FieldDomainError,
     lagrangian_phase_residual,
@@ -42,6 +36,7 @@ from .fields import (
 from .formats import (
     ProblemSpec,
     SpecError,
+    builtin_constraint,
     format_float as _f,
     read_constraint_spec,
     read_fiber_metric_table,
@@ -199,15 +194,21 @@ def _graph_grid_from_spec(spec: ProblemSpec) -> GraphGrid:
     return GraphGrid.from_boundary(tuple(domain), int(shape[0]), int(shape[1]), height)
 
 
-def _constraint_from_spec(spec: ProblemSpec):
+def _constraint_from_spec(spec: ProblemSpec, grid):
+    """The spec's constraint, checked against the grid it applies to."""
     tokens = spec.tokens("constraint")
     if tokens and tokens[0] == "builtin":
-        from .formats import _BUILTIN_CONSTRAINTS
-
-        if len(tokens) != 2 or tokens[1] not in _BUILTIN_CONSTRAINTS:
+        if len(tokens) != 2:
             raise SpecError("constraint", f"unknown builtin {tokens[1:]}")
-        return _BUILTIN_CONSTRAINTS[tokens[1]](2)
-    return read_constraint_spec(spec.get_path("constraint"))
+        constraint = builtin_constraint(tokens[1], grid.dim)
+    else:
+        constraint = read_constraint_spec(spec.get_path("constraint"))
+    kind = "surface" if isinstance(grid, SurfaceGrid) else "curve"
+    if constraint.degree != (2 if kind == "surface" else 1):
+        raise SpecError("constraint", f"{kind} grids need a {kind} constraint")
+    if constraint.dim != grid.dim:
+        raise SpecError("constraint", f"dimension {constraint.dim}, grid dimension {grid.dim}")
+    return constraint
 
 
 def _bivector_lagrangian_from_spec(spec: ProblemSpec, dim: int):
@@ -260,23 +261,18 @@ def _spec_plateau(spec: ProblemSpec, lines, tol, max_iter):
 
 def _spec_nonholonomic(spec: ProblemSpec, lines, tol):
     grid = read_grid(spec.get_path("grid"))
-    constraint = _constraint_from_spec(spec)
+    constraint = _constraint_from_spec(spec, grid)
     constraint_tol = tol if tol is not None else spec.get_float("constraint-tol")
     force_tol = tol if tol is not None else spec.get_float("force-tol", constraint_tol)
     if isinstance(grid, SurfaceGrid):
-        if not isinstance(constraint, AffineConstraint2):
-            raise SpecError("constraint", "surface grids need a surface constraint")
         L = _bivector_lagrangian_from_spec(spec, grid.dim)
         lines.append(f"shape: {grid.points.shape[0]} {grid.points.shape[1]}")
-        report = nonholonomic_check(L, grid, constraint, constraint_tol, force_tol)
     else:
-        if not isinstance(constraint, AffineConstraint1):
-            raise SpecError("constraint", "curve grids need a curve constraint")
         L = quadratic_curve_lagrangian(
             grid.dim, omega=spec.get_float("omega", 0.0), mass=spec.get_float("mass", 1.0)
         )
         lines.append(f"shape: {grid.points.shape[0]}")
-        report = nonholonomic_check_curve(L, grid, constraint, constraint_tol, force_tol)
+    report = nonholonomic_check(L, grid, constraint, constraint_tol, force_tol)
     _render_check(lines, report)
     return report.passed, None
 
@@ -326,9 +322,7 @@ def _spec_classical(spec: ProblemSpec, lines, tol):
     lines.append(f"shape: {grid.points.shape[0]}")
     tolerance = tol if tol is not None else spec.get_float("tol", 1e-10)
     if spec.has("constraint"):
-        constraint = _constraint_from_spec(spec)
-        if not isinstance(constraint, AffineConstraint1):
-            raise SpecError("constraint", "classical-el needs a curve constraint")
+        constraint = _constraint_from_spec(spec, grid)
         report = nonholonomic_check_curve(
             L, grid, constraint, tolerance, spec.get_float("force-tol", tolerance)
         )

@@ -44,6 +44,7 @@ from .variational import CurveGrid, SurfaceGrid
 __all__ = [
     "ProblemSpec",
     "SpecError",
+    "builtin_constraint",
     "format_float",
     "read_constraint_spec",
     "read_fiber_metric_table",
@@ -192,10 +193,16 @@ def read_grid(path):
     raise SpecError("kind", f"unknown grid kind {kind!r}")
 
 
-_BUILTIN_CONSTRAINTS = {
-    "example7": lambda dim: symmetric_slope_constraint(),
-    "first-axis-drift": first_axis_drift_constraint,
-}
+def builtin_constraint(name: str, dim: int | None):
+    """A builtin constraint by its spec name: ``example7`` (dimension 3)
+    or ``first-axis-drift`` (any dimension, 2 when ``dim`` is None)."""
+    if name == "example7" and dim in (None, 3):
+        return symmetric_slope_constraint()
+    if name == "first-axis-drift":
+        return first_axis_drift_constraint(2 if dim is None else dim)
+    if name == "example7":
+        raise SpecError("builtin", f"example7 is a constraint in dimension 3, not {dim}")
+    raise SpecError("builtin", f"unknown name {name!r}; known: example7, first-axis-drift")
 
 
 def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
@@ -251,9 +258,8 @@ def read_constraint_spec(path):
         elif key == "dimension":
             dim = int(_parse_floats("dimension", rest, 1)[0])
         elif key == "builtin":
-            if len(rest) != 1 or rest[0] not in _BUILTIN_CONSTRAINTS:
-                known = ", ".join(sorted(_BUILTIN_CONSTRAINTS))
-                raise SpecError("builtin", f"unknown name {rest}; known: {known}")
+            if len(rest) != 1:
+                raise SpecError("builtin", f"line {number}: expected one name, got {rest}")
             builtin = rest[0]
         elif key == "section":
             if section_tokens is not None:
@@ -266,7 +272,7 @@ def read_constraint_spec(path):
     if builtin is not None:
         if section_tokens is not None or generator_tokens:
             raise SpecError("builtin", "builtin constraints take no explicit components")
-        return _BUILTIN_CONSTRAINTS[builtin](dim if dim is not None else 2)
+        return builtin_constraint(builtin, dim)
     if dim is None:
         raise SpecError("dimension", "missing required field")
     if section_tokens is None:

@@ -8,6 +8,7 @@ import pytest
 import wedgemech.cli as cli
 from wedgemech.cli import main
 from wedgemech.formats import read_grid, write_grid
+from wedgemech.scenarios import scenario_names
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
 
@@ -30,6 +31,17 @@ def test_scenario_report_matches_stored_golden(capsys):
     out = capsys.readouterr().out
     with open(os.path.join(cli._GOLDEN_DIR, "free-line.txt"), encoding="ascii") as handle:
         assert handle.read() == out
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_scenario_matches_its_stored_golden(name, capsys):
+    command = next(c for c in cli.COMMANDS if name in scenario_names(c))
+    code = main([command, "--scenario", name])
+    out = capsys.readouterr().out
+    with open(os.path.join(cli._GOLDEN_DIR, f"{name}.txt"), encoding="ascii") as handle:
+        assert out == handle.read()
+    assert code == (0 if out.endswith("result: PASS\n") else 2)
+    assert out.endswith(("result: PASS\n", "result: FAIL\n"))
 
 
 def test_golden_mismatch_exits_two(monkeypatch, tmp_path, capsys):
@@ -202,6 +214,52 @@ def test_spec_classical_with_constraint(tmp_path, capsys):
         )
         assert main(["classical-el", "--spec", spec]) == code
         capsys.readouterr()
+
+
+def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
+    line3 = CurveGrid.sample(lambda t: (t, 0.7, -0.2), 0.0, 1.0, 101)
+    write_grid(tmp_path / "line3.grid", line3)
+    for command, kind, field in [
+        ("classical-el", "classical-el", "curve"),
+        ("nonholonomic-check", "nonholonomic-check", "grid"),
+    ]:
+        spec = _spec(
+            tmp_path,
+            "c3.spec",
+            f"kind {kind}\n{field} line3.grid\nconstraint builtin first-axis-drift\n"
+            "tol 1e-10\nconstraint-tol 1e-10\n",
+        )
+        assert main([command, "--spec", spec]) == 0
+        assert capsys.readouterr().out.endswith("result: PASS\n")
+    # a constraint file of another dimension is a spec error, not a traceback
+    (tmp_path / "drift2.constraint").write_text(
+        "kind curve\ndimension 2\nbuiltin first-axis-drift\n"
+    )
+    spec = _spec(
+        tmp_path, "c2.spec", "kind classical-el\ncurve line3.grid\nconstraint drift2.constraint\n"
+    )
+    assert main(["classical-el", "--spec", spec]) == 1
+    assert "spec error" in capsys.readouterr().err
+
+
+def test_spec_constraint_spanning_the_fiber(tmp_path, capsys):
+    # generators e1 and e2 span the whole plane: no annihilator is left
+    (tmp_path / "full.constraint").write_text(
+        "kind curve\ndimension 2\nsection 1 1\ngenerator 1 1\ngenerator 2 1\n"
+    )
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.5 * t), 0.0, 1.0, 41))
+    spec = _spec(
+        tmp_path,
+        "full.spec",
+        "kind nonholonomic-check\ngrid line.grid\nconstraint full.constraint\n"
+        "constraint-tol 1e-10\n",
+    )
+    code = main(["nonholonomic-check", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    assert "constraint-max: 0\n" in captured.out
+    assert "multiplier-range" not in captured.out
 
 
 def test_spec_kind_command_mismatch(tmp_path, capsys):

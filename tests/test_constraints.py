@@ -24,9 +24,7 @@ from wedgemech.constraints import (
     AffineConstraint2,
     RankDecisionError,
     annihilator_basis,
-    annihilator_basis_curve,
-    constraint_residual_curve,
-    constraint_residual_surface,
+    constraint_residual,
     dalembert_decompose,
     first_axis_drift_constraint,
     nonholonomic_check,
@@ -35,7 +33,7 @@ from wedgemech.constraints import (
 )
 from wedgemech.fields import plateau_lagrangian, quadratic_curve_lagrangian
 from wedgemech.geometry import Bivector, contract, index_pairs, pair_count, wedge
-from wedgemech.variational import CurveGrid, SurfaceGrid, wedge_prolongation
+from wedgemech.variational import CurveGrid, SurfaceGrid, delta_L_surface, wedge_prolongation
 
 
 def contraction_matrix(generators, dim):
@@ -95,11 +93,9 @@ def test_annihilator_matches_nullspace_oracle():
 
 def test_annihilator_without_generators():
     assert np.array_equal(annihilator_basis([], dim=3), np.eye(3))
-    assert np.array_equal(annihilator_basis_curve([], dim=2), np.eye(2))
+    assert np.array_equal(annihilator_basis([], dim=2), np.eye(2))
     with pytest.raises(ValueError):
         annihilator_basis([])
-    with pytest.raises(ValueError):
-        annihilator_basis_curve([])
 
 
 def test_annihilator_mixed_dimensions():
@@ -175,7 +171,7 @@ def test_dalembert_decompose_edge_cases():
 
 def test_membership_residual_plane_graph():
     grid = graph_grid(lambda x, y: x + y + 1.0)
-    res = constraint_residual_surface(grid, symmetric_slope_constraint())
+    res, _ = constraint_residual(grid, symmetric_slope_constraint())
     assert res.shape == (31, 31, 1)
     assert res.max() < 1e-12
 
@@ -183,7 +179,7 @@ def test_membership_residual_plane_graph():
 def test_membership_residual_detects_slope_mismatch():
     # z = x: slopes are (1, 0), so eta(w - a) = (z_y - z_x)/sqrt(2) = -1/sqrt(2)
     grid = graph_grid(lambda x, y: x)
-    res = constraint_residual_surface(grid, symmetric_slope_constraint())
+    res, _ = constraint_residual(grid, symmetric_slope_constraint())
     assert abs(res.max() - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
@@ -192,7 +188,7 @@ def test_membership_subtracts_the_section():
     # lie in V; a vanishing residual therefore pins the w - a convention
     grid = graph_grid(lambda x, y: (x + y) ** 2)
     constraint = symmetric_slope_constraint()
-    res = constraint_residual_surface(grid, constraint)
+    res, _ = constraint_residual(grid, constraint)
     assert res.max() < 1e-12
     eta = constraint.annihilator_at(np.zeros(3))[0]
     w = Bivector(wedge_prolongation(grid)[16, 16], 3)
@@ -203,7 +199,7 @@ def test_constraint_dimension_mismatch():
     grid = graph_grid(lambda x, y: x + y)
     c = AffineConstraint2(4, Bivector(np.zeros(6), 4), [])
     with pytest.raises(ValueError, match="dimension"):
-        constraint_residual_surface(grid, c)
+        constraint_residual(grid, c)
     with pytest.raises(ValueError, match="dimension"):
         nonholonomic_check(plateau_lagrangian(), grid, c, 1e-6)
 
@@ -347,6 +343,38 @@ def test_curve_force_balance_detects_transverse_force():
 
 def test_curve_membership_residual_values():
     grid = CurveGrid.sample(lambda t: (t, t), 0.0, 1.0, 21)
-    res = constraint_residual_curve(grid, first_axis_drift_constraint())
+    res, _ = constraint_residual(grid, first_axis_drift_constraint())
     assert res.shape == (19, 1)
     assert np.allclose(res, 1.0, atol=1e-12)
+
+
+def test_generators_spanning_the_fiber_leave_membership_vacuous():
+    # e1^e2 and e1^e3 contract to a full-rank map in dimension 3: no
+    # one-form annihilates both, so the whole defect is orthogonal
+    e = np.eye(3)
+    generators = [wedge(e[0], e[1]), wedge(e[0], e[2])]
+    spanning = AffineConstraint2(3, Bivector(np.zeros(3), 3), generators)
+    grid = graph_grid(lambda x, y: (x + y) ** 2, n=17)
+    report = nonholonomic_check(plateau_lagrangian(), grid, spanning, 1e-6, 5e-3)
+    assert report.constraint_residuals.shape == (15, 15, 0)
+    assert report.constraint_max == 0.0 and report.constraint_passed
+    assert report.multipliers.shape == (15, 15, 0)
+    assert report.multiplier_stats().shape == (0, 2)
+    delta = delta_L_surface(plateau_lagrangian(), grid).values
+    assert np.array_equal(report.orthogonal_norms, np.abs(delta).max(axis=-1))
+
+
+def test_annihilator_dimension_change_between_nodes_is_reported():
+    # e1^e2 + x1 e3^e4 is nondegenerate (no annihilator) for x1 != 0 and
+    # leaves dx3, dx4 at x1 = 0, which the grid's middle row crosses
+    e = np.eye(4)
+    constraint = AffineConstraint2(
+        4,
+        Bivector(np.zeros(6), 4),
+        [lambda x: wedge(e[0], e[1]) + x[0] * wedge(e[2], e[3])],
+    )
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0, 0.0), (-1.0, 1.0, 9), (0.0, 1.0, 5))
+    with pytest.raises(RankDecisionError, match=r"changes from 0 to 2 at x = \[0\.0, 0\.25"):
+        constraint_residual(grid, constraint)
+    with pytest.raises(RankDecisionError, match="annihilator dimension"):
+        nonholonomic_check(plateau_lagrangian(4), grid, constraint, 1e-6)
