@@ -191,7 +191,13 @@ def _graph_grid_from_spec(spec: ProblemSpec) -> GraphGrid:
         height = _BOUNDARY_HEIGHTS[name]
     else:
         raise SpecError("boundary", f"unknown boundary family {name!r}")
-    return GraphGrid.from_boundary(tuple(domain), int(shape[0]), int(shape[1]), height)
+    if shape.min() < 5:
+        raise SpecError("shape", f"need at least 5 nodes per axis, got {shape[0]} {shape[1]}")
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):  # non-finite heights are rejected
+            return GraphGrid.from_boundary(tuple(domain), int(shape[0]), int(shape[1]), height)
+    except ValueError as err:  # a degenerate rectangle, or heights not finite on it
+        raise SpecError("domain", f"{err} (boundary {name})") from err
 
 
 def _constraint_from_spec(spec: ProblemSpec, grid):

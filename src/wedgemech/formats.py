@@ -130,6 +130,13 @@ def _parse_floats(field: str, tokens, count: int | None = None) -> np.ndarray:
     return values
 
 
+def _parse_indices(field: str, tokens, number: int) -> list:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as err:
+        raise SpecError(field, f"line {number}: indices must be integers, got {tokens}") from err
+
+
 def read_grid(path):
     """Read a grid file back into a `SurfaceGrid` or `CurveGrid`."""
     meta = {}
@@ -164,7 +171,7 @@ def read_grid(path):
         for number, tokens in rows:
             if len(tokens) != m + 2:
                 raise SpecError("rows", f"line {number}: expected {m + 2} columns")
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = _parse_indices("rows", tokens[:2], number)
             if not (0 <= i < nt and 0 <= j < ns):
                 raise SpecError("rows", f"line {number}: index ({i}, {j}) outside shape")
             points[i, j] = _parse_floats("rows", tokens[2:], m)
@@ -183,7 +190,7 @@ def read_grid(path):
         for number, tokens in rows:
             if len(tokens) != m + 1:
                 raise SpecError("rows", f"line {number}: expected {m + 1} columns")
-            i = int(tokens[0])
+            (i,) = _parse_indices("rows", tokens[:1], number)
             if not 0 <= i < n:
                 raise SpecError("rows", f"line {number}: index {i} outside shape")
             points[i] = _parse_floats("rows", tokens[1:], m)
@@ -310,7 +317,7 @@ def read_fiber_metric_table(path) -> FiberMetric:
                 raise SpecError("dimension", "must precede entry rows")
             if len(tokens) != 6:
                 raise SpecError("entry", f"line {number}: expected 4 indices and a value")
-            idx = [int(t) - 1 for t in tokens[1:5]]
+            idx = [k - 1 for k in _parse_indices("entry", tokens[1:5], number)]
             if any(not 0 <= k < dim for k in idx):
                 raise SpecError("entry", f"line {number}: index out of range")
             value = _parse_floats("entry", tokens[5:], 1)[0]

@@ -1,10 +1,13 @@
 """End-to-end command-line runs: exit codes, reports, goldens, spec files."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wedgemech
 import wedgemech.cli as cli
 from wedgemech.cli import main
 from wedgemech.formats import read_grid, write_grid
@@ -289,6 +292,25 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, fragments",
+    [
+        ("domain 0 1 0 1\nshape 3 3\nboundary constant 0\n", ("shape:",)),
+        # Scherk heights are log(cos y / cos x): not finite past |x| = pi/2
+        ("domain -1.6 1.6 -1.6 1.6\nshape 9 9\nboundary scherk\n", ("domain:", "scherk", "finite")),
+        ("domain 0 0 0 1\nshape 9 9\nboundary constant 0\n", ("domain:", "degenerate")),
+    ],
+    ids=["shape", "scherk-past-pi-half", "degenerate-domain"],
+)
+def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragments):
+    spec = _spec(tmp_path, "p.spec", "kind plateau\n" + body)
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: ")
+    assert all(fragment in err for fragment in fragments)
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_scenario_listing_by_command():
     from wedgemech.scenarios import scenario_names
 
@@ -298,3 +320,14 @@ def test_scenario_listing_by_command():
     assert set(scenario_names()) == {
         name for cmd in cli.COMMANDS for name in scenario_names(cmd)
     }
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # the Poisson solver imports scipy.fft on first use; loading it with the
+    # command line would add about 0.1 s to every run, solve or not
+    src = os.path.dirname(os.path.dirname(wedgemech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, wedgemech.cli; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -64,6 +64,7 @@ def _write(path, text):
         (lambda lines: lines[:-1], "shape"),
         (lambda lines: lines[:3] + ["k j x1 x2 x3"] + lines[4:], "header"),
         (lambda lines: lines[:-1] + ["9 9 0 0 0"], "rows"),
+        pytest.param(lambda lines: lines[:-1] + ["4 1.5 0 0 0"], "rows", id="rows-non-integer"),
         (lambda lines: ["# kind blob"] + lines[1:], "kind"),
         (lambda lines: [lines[0]] + lines, "kind"),
     ],
@@ -92,6 +93,12 @@ def test_read_grid_detects_missing_node(tmp_path):
 def test_read_grid_curve_header_check(tmp_path):
     text = "# kind curve\n# shape 2\n# step 0.5\nj x1\n0 1.0\n1 2.0\n"
     with pytest.raises(SpecError, match="header"):
+        read_grid(_write(tmp_path / "c.grid", text))
+
+
+def test_read_grid_curve_index_must_be_integer(tmp_path):
+    text = "# kind curve\n# shape 2\n# step 0.5\ni x1\n0 1.0\n1.5 2.0\n"
+    with pytest.raises(SpecError, match="rows: line 6: indices must be integers"):
         read_grid(_write(tmp_path / "c.grid", text))
 
 
@@ -181,6 +188,7 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
         ("dimension 2\nentry 1 2 1 3 1.0\n", "entry"),
         ("dimension 2\nentry 1 2 1 2 1.0\nentry 2 1 1 2 1.0\n", "entry"),
         ("dimension 2\nentry 1 2 1 2\n", "entry"),
+        ("dimension 2\nentry 1 2 1.5 2 1.0\n", "entry"),
         ("dimension 2\nrow 1 2 1 2 1.0\n", "row"),
     ],
 )

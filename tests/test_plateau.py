@@ -16,6 +16,7 @@ finite difference of the residual in a random direction.
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from wedgemech.fields import plateau_lagrangian
 from wedgemech.plateau import (
@@ -154,6 +155,28 @@ def test_initial_guess_maximum_principle():
     assert interior.max() <= bz.max() + 1e-12
 
 
+def test_harmonic_fill_matches_sparse_direct_solve():
+    # rectangular block with hx != hy, so each axis carries its own eigenvalues
+    domain, nx, ny = (0.0, 1.0, 0.0, 3.0), 17, 33
+    g = GraphGrid.from_boundary(domain, nx, ny, lambda X, Y: np.sin(2.0 * X) * np.exp(Y / 3.0) + X * Y)
+    assert g.hx != g.hy
+    mi, mj = nx - 2, ny - 2
+
+    def second_difference(m, h):
+        return scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m)) / h**2
+
+    laplacian = (scipy.sparse.kron(second_difference(mi, g.hx), scipy.sparse.identity(mj))
+                 + scipy.sparse.kron(scipy.sparse.identity(mi), second_difference(mj, g.hy)))
+    rhs = np.zeros((mi, mj))
+    rhs[0, :] -= g.z[0, 1:-1] / g.hx**2
+    rhs[-1, :] -= g.z[-1, 1:-1] / g.hx**2
+    rhs[:, 0] -= g.z[1:-1, 0] / g.hy**2
+    rhs[:, -1] -= g.z[1:-1, -1] / g.hy**2
+    reference = scipy.sparse.linalg.spsolve(laplacian.tocsc(), rhs.ravel()).reshape(mi, mj)
+    fill = initial_guess(g).z[1:-1, 1:-1]
+    assert np.abs(fill - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 def test_solve_plane_recovers_exactly():
     plane = lambda X, Y: 2.0 * X - 0.5 * Y + 1.0
     g = GraphGrid.from_boundary((0.0, 1.0, 0.0, 1.0), 33, 33, plane)
@@ -181,6 +204,22 @@ def test_solve_scherk_benchmark():
     for r_k, r_next in zip(trace, trace[1:]):
         if r_k < 1e-3:
             assert r_next <= 10.0 * r_k**2
+    # a mild patch takes every Newton step by preconditioned GMRES
+    assert result.linear_iters.shape == (result.iterations,)
+    assert np.all(result.linear_iters > 0)
+
+
+def test_steep_scherk_falls_back_to_direct_steps():
+    # GMRES needs far more than one restart cycle at half-width 1.45, so the
+    # steps go to the pivot-guarded factorization and the solve still converges
+    domain = (-1.45, 1.45, -1.45, 1.45)
+    result = solve_plateau(GraphGrid.from_boundary(domain, 65, 65, scherk))
+    assert result.converged
+    assert result.final_residual <= 1e-10
+    assert result.linear_iters.shape == (result.iterations,)
+    assert np.all(result.linear_iters == 0)
+    exact = GraphGrid.sample(domain, 65, 65, scherk)
+    assert np.abs(result.grid.z - exact.z).max() < 5e-3
 
 
 def test_converged_solve_passes_el_check():
