@@ -36,6 +36,8 @@ from .fields import (
 from .formats import (
     ProblemSpec,
     SpecError,
+    _parse_counts,
+    _parse_floats,
     builtin_constraint,
     format_float as _f,
     read_constraint_spec,
@@ -169,33 +171,33 @@ def _graph_grid_from_spec(spec: ProblemSpec) -> GraphGrid:
         if not spec.has(field):
             raise SpecError(field, "missing (give grid PATH, or domain/shape/boundary)")
     domain = spec.get_floats("domain", 4)
-    shape = spec.get_floats("shape", 2).astype(int)
+    shape = _parse_counts("shape", spec.tokens("shape"), 2)
     tokens = spec.tokens("boundary")
     name = tokens[0]
     if name == "affine":
-        a, b, c = (float(t) for t in tokens[1:4]) if len(tokens) == 4 else (None, None, None)
-        if a is None:
+        if len(tokens) != 4:
             raise SpecError("boundary", "affine takes three coefficients: a b c")
+        a, b, c = _parse_floats("boundary", tokens[1:])
         height = lambda X, Y: a * X + b * Y + c
     elif name == "diagonal-plane":
         if len(tokens) != 3:
             raise SpecError("boundary", "diagonal-plane takes two coefficients: a b")
-        a, b = float(tokens[1]), float(tokens[2])
+        a, b = _parse_floats("boundary", tokens[1:])
         height = lambda X, Y: a * (X + Y) + b
     elif name == "constant":
         if len(tokens) != 2:
             raise SpecError("boundary", "constant takes one value")
-        c = float(tokens[1])
+        (c,) = _parse_floats("boundary", tokens[1:])
         height = lambda X, Y: np.full_like(X, c)
     elif name in _BOUNDARY_HEIGHTS:
         height = _BOUNDARY_HEIGHTS[name]
     else:
         raise SpecError("boundary", f"unknown boundary family {name!r}")
-    if shape.min() < 5:
+    if min(shape) < 5:
         raise SpecError("shape", f"need at least 5 nodes per axis, got {shape[0]} {shape[1]}")
     try:
         with np.errstate(invalid="ignore", divide="ignore"):  # non-finite heights are rejected
-            return GraphGrid.from_boundary(tuple(domain), int(shape[0]), int(shape[1]), height)
+            return GraphGrid.from_boundary(tuple(domain), *shape, height)
     except ValueError as err:  # a degenerate rectangle, or heights not finite on it
         raise SpecError("domain", f"{err} (boundary {name})") from err
 

@@ -28,6 +28,7 @@ requirements live with the commands.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -80,54 +81,67 @@ class SpecError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+# index columns that open each grid kind's table, one per parameter axis
+_GRID_INDEX_COLUMNS = {"surface": ("i", "j"), "curve": ("i",)}
+
+
 def format_float(value) -> str:
     return format(float(value), ".17g")
 
 
 def _content_lines(path):
     with open(path, "r", encoding="ascii") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line:
-                yield number, line
+        try:
+            for number, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if line:
+                    yield number, line
+        except UnicodeDecodeError as err:
+            raise SpecError("encoding", f"{os.path.basename(path)} is not ASCII text "
+                                        f"(byte {err.object[err.start]:#04x})") from err
 
 
 def write_grid(path, grid) -> None:
     """Write a surface or curve sample table."""
-    lines = []
     if isinstance(grid, SurfaceGrid):
-        nt, ns, m = grid.points.shape
-        lines.append("# kind surface")
-        lines.append(f"# shape {nt} {ns}")
-        lines.append(f"# step {format_float(grid.dt)} {format_float(grid.ds)}")
-        lines.append("i j " + " ".join(f"x{k + 1}" for k in range(m)))
-        for i in range(nt):
-            for j in range(ns):
-                coords = " ".join(format_float(v) for v in grid.points[i, j])
-                lines.append(f"{i} {j} {coords}")
+        kind, steps = "surface", (grid.dt, grid.ds)
     elif isinstance(grid, CurveGrid):
-        n, m = grid.points.shape
-        lines.append("# kind curve")
-        lines.append(f"# shape {n}")
-        lines.append(f"# step {format_float(grid.dt)}")
-        lines.append("i " + " ".join(f"x{k + 1}" for k in range(m)))
-        for i in range(n):
-            coords = " ".join(format_float(v) for v in grid.points[i])
-            lines.append(f"{i} {coords}")
+        kind, steps = "curve", (grid.dt,)
     else:
         raise TypeError(f"cannot serialize {type(grid).__name__} as a grid file")
+    shape, m = grid.points.shape[:-1], grid.points.shape[-1]
+    head = [
+        f"# kind {kind}",
+        "# shape " + " ".join(str(n) for n in shape),
+        "# step " + " ".join(format_float(h) for h in steps),
+        " ".join(_GRID_INDEX_COLUMNS[kind] + tuple(f"x{k + 1}" for k in range(m))),
+    ]
+    # one %-format per row: "%.17g" renders a double exactly as format_float does
+    row = " ".join(["%d"] * len(shape) + ["%.17g"] * m)
+    columns = [*np.indices(shape).reshape(len(shape), -1), *grid.points.reshape(-1, m).T]
+    rows = map(row.__mod__, zip(*(column.tolist() for column in columns)))
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join([*head, *rows]) + "\n")
 
 
-def _parse_floats(field: str, tokens, count: int | None = None) -> np.ndarray:
+def _parse_floats(field: str, tokens, count: int | None = None,
+                  number: int | None = None) -> np.ndarray:
+    where = "" if number is None else f"line {number}: "
     try:
         values = np.array([float(t) for t in tokens])
     except ValueError as err:
-        raise SpecError(field, f"expected numbers, got {tokens}") from err
+        raise SpecError(field, f"{where}expected numbers, got {tokens}") from err
     if count is not None and values.size != count:
-        raise SpecError(field, f"expected {count} values, got {values.size}")
+        raise SpecError(field, f"{where}expected {count} values, got {values.size}")
     return values
+
+
+def _parse_counts(field: str, tokens, count: int) -> tuple:
+    """Whole numbers such as node counts; ``5`` and ``5.0`` read alike, ``5.5`` and ``nan`` fail."""
+    values = _parse_floats(field, tokens, count)
+    if not all(float(v).is_integer() for v in values):  # also refuses nan and inf
+        raise SpecError(field, f"expected integers, got {tokens}")
+    return tuple(int(v) for v in values)
 
 
 def _parse_indices(field: str, tokens, number: int) -> list:
@@ -137,11 +151,58 @@ def _parse_indices(field: str, tokens, number: int) -> list:
         raise SpecError(field, f"line {number}: indices must be integers, got {tokens}") from err
 
 
+def _outside_shape(number: int, index) -> SpecError:
+    node = f"({', '.join(map(str, index))})" if len(index) > 1 else str(index[0])
+    return SpecError("rows", f"line {number}: index {node} outside shape")
+
+
+def _row_fault(numbers, lines, shape, m) -> SpecError:
+    """The error of the first row that does not parse, walking them one by one."""
+    k = len(shape)
+    for number, line in zip(numbers, lines):
+        tokens = line.split()
+        if len(tokens) != k + m:
+            return SpecError("rows", f"line {number}: expected {k + m} columns")
+        index = _parse_indices("rows", tokens[:k], number)
+        if not all(0 <= i < n for i, n in zip(index, shape)):
+            return _outside_shape(number, index)
+        _parse_floats("rows", tokens[k:], m, number)
+    return SpecError("rows", f"table does not parse as {k} integer and {m} number columns")
+
+
+def _read_table(numbers, lines, shape: tuple, m: int) -> np.ndarray:
+    """Node coordinates, ``shape + (m,)``, from rows of ``len(shape)`` indices and ``m`` numbers.
+
+    The rows are parsed in one bulk call; only when that fails are they
+    walked again one by one, to name the line at fault.
+    """
+    k = len(shape)
+    if len(lines) != math.prod(shape):
+        raise SpecError("shape", f"declares {math.prod(shape)} rows, table has {len(lines)}")
+    dtype = [("index", np.int64, (k,)), ("values", float, (m,))]
+    try:  # ndmin: a one-row table is still a table
+        table = np.loadtxt(lines, dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
+    except ValueError:
+        raise _row_fault(numbers, lines, shape, m) from None
+    index = table["index"]
+    outside = ((index < 0) | (index >= shape)).any(axis=1)
+    if outside.any():
+        row = int(outside.argmax())
+        raise _outside_shape(numbers[row], index[row].tolist())
+    if min(shape) < 5:  # the grid classes need 5 samples per axis
+        raise SpecError("shape", f"need at least 5 nodes per axis, got {' '.join(map(str, shape))}")
+    points = np.full(shape + (m,), np.nan)
+    points[tuple(index.T)] = table["values"]
+    if not np.isfinite(points).all():
+        raise SpecError("rows", "some nodes are missing or non-finite")
+    return points
+
+
 def read_grid(path):
     """Read a grid file back into a `SurfaceGrid` or `CurveGrid`."""
     meta = {}
     header = None
-    rows = []
+    numbers, lines = [], []
     for number, line in _content_lines(path):
         if line.startswith("#"):
             tokens = line[1:].split()
@@ -153,51 +214,28 @@ def read_grid(path):
         elif header is None:
             header = line.split()
         else:
-            rows.append((number, line.split()))
+            numbers.append(number)
+            lines.append(line)
     for key in ("kind", "shape", "step"):
         if key not in meta:
             raise SpecError(key, "missing metadata line")
     kind = " ".join(meta["kind"])
+    if kind not in _GRID_INDEX_COLUMNS:
+        raise SpecError("kind", f"unknown grid kind {kind!r}")
+    names = list(_GRID_INDEX_COLUMNS[kind])
+    k = len(names)
+    shape = _parse_counts("shape", meta["shape"], k)
+    steps = _parse_floats("step", meta["step"], k)
+    if not (np.isfinite(steps) & (steps > 0.0)).all():
+        raise SpecError("step", f"grid steps must be positive and finite, got {meta['step']}")
+    # a surface spans at least 2 coordinates, a curve at least 1
+    if header is None or header[:k] != names or len(header) < 2 * k:
+        raise SpecError("header", f"{kind} tables start with columns {' '.join(names)!r}, "
+                                  f"then at least {k} coordinate(s)")
+    points = _read_table(numbers, lines, shape, len(header) - k)
     if kind == "surface":
-        shape = _parse_floats("shape", meta["shape"], 2).astype(int)
-        nt, ns = int(shape[0]), int(shape[1])
-        steps = _parse_floats("step", meta["step"], 2)
-        if header is None or len(header) < 3 or header[:2] != ["i", "j"]:
-            raise SpecError("header", "surface tables start with columns 'i j'")
-        m = len(header) - 2
-        if len(rows) != nt * ns:
-            raise SpecError("shape", f"declares {nt * ns} rows, table has {len(rows)}")
-        points = np.full((nt, ns, m), np.nan)
-        for number, tokens in rows:
-            if len(tokens) != m + 2:
-                raise SpecError("rows", f"line {number}: expected {m + 2} columns")
-            i, j = _parse_indices("rows", tokens[:2], number)
-            if not (0 <= i < nt and 0 <= j < ns):
-                raise SpecError("rows", f"line {number}: index ({i}, {j}) outside shape")
-            points[i, j] = _parse_floats("rows", tokens[2:], m)
-        if not np.isfinite(points).all():
-            raise SpecError("rows", "some nodes are missing or non-finite")
         return SurfaceGrid(float(steps[0]), float(steps[1]), points)
-    if kind == "curve":
-        n = int(_parse_floats("shape", meta["shape"], 1)[0])
-        step = float(_parse_floats("step", meta["step"], 1)[0])
-        if header is None or len(header) < 2 or header[0] != "i":
-            raise SpecError("header", "curve tables start with column 'i'")
-        m = len(header) - 1
-        if len(rows) != n:
-            raise SpecError("shape", f"declares {n} rows, table has {len(rows)}")
-        points = np.full((n, m), np.nan)
-        for number, tokens in rows:
-            if len(tokens) != m + 1:
-                raise SpecError("rows", f"line {number}: expected {m + 1} columns")
-            (i,) = _parse_indices("rows", tokens[:1], number)
-            if not 0 <= i < n:
-                raise SpecError("rows", f"line {number}: index {i} outside shape")
-            points[i] = _parse_floats("rows", tokens[1:], m)
-        if not np.isfinite(points).all():
-            raise SpecError("rows", "some nodes are missing or non-finite")
-        return CurveGrid(step, points)
-    raise SpecError("kind", f"unknown grid kind {kind!r}")
+    return CurveGrid(float(steps[0]), points)
 
 
 def builtin_constraint(name: str, dim: int | None):
@@ -263,7 +301,7 @@ def read_constraint_spec(path):
                 raise SpecError("kind", f"line {number}: expected surface or curve")
             kind = rest[0]
         elif key == "dimension":
-            dim = int(_parse_floats("dimension", rest, 1)[0])
+            dim = _parse_counts("dimension", rest, 1)[0]
         elif key == "builtin":
             if len(rest) != 1:
                 raise SpecError("builtin", f"line {number}: expected one name, got {rest}")
@@ -311,7 +349,7 @@ def read_fiber_metric_table(path) -> FiberMetric:
             continue
         tokens = line.split()
         if tokens[0] == "dimension":
-            dim = int(_parse_floats("dimension", tokens[1:], 1)[0])
+            dim = _parse_counts("dimension", tokens[1:], 1)[0]
         elif tokens[0] == "entry":
             if dim is None:
                 raise SpecError("dimension", "must precede entry rows")
@@ -381,10 +419,9 @@ class ProblemSpec:
         return float(_parse_floats(field, self.tokens(field), 1)[0])
 
     def get_int(self, field: str, default=None) -> int:
-        value = self.get_float(field, default)
-        if value != int(value):
-            raise SpecError(field, f"expected an integer, got {value}")
-        return int(value)
+        if field not in self.entries and default is not None:
+            return int(default)
+        return _parse_counts(field, self.tokens(field), 1)[0]
 
     def get_floats(self, field: str, count: int | None = None) -> np.ndarray:
         return _parse_floats(field, self.tokens(field), count)
@@ -399,9 +436,9 @@ class ProblemSpec:
         tokens = self.tokens(field)
         family = tokens[0]
         if family == "euclidean":
-            return Metric.euclidean(int(_parse_floats(field, tokens[1:], 1)[0]))
+            return Metric.euclidean(_parse_counts(field, tokens[1:], 1)[0])
         if family == "minkowski":
-            return Metric.minkowski(int(_parse_floats(field, tokens[1:], 1)[0]))
+            return Metric.minkowski(_parse_counts(field, tokens[1:], 1)[0])
         if family == "explicit":
             values = _parse_floats(field, tokens[1:])
             m = int(round(np.sqrt(values.size)))

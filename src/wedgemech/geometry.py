@@ -252,9 +252,11 @@ class Metric:
         if float(np.abs(g - g.T).max()) > 1e-12 * scale:
             raise ValueError("metric matrix is not symmetric")
         g = (g + g.T) / 2.0
-        if abs(np.linalg.det(g)) <= _DEGENERACY_TOL:
-            raise ValueError("metric is degenerate (|det| <= 1e-12)")
-        negatives = int(np.sum(np.linalg.eigvalsh(g) < 0.0))
+        eig = np.linalg.eigvalsh(g)
+        # relative to the largest eigenvalue, so rescaling a metric keeps its verdict
+        if np.abs(eig).min() <= _DEGENERACY_TOL * np.abs(eig).max():
+            raise ValueError("metric is degenerate (min |eigenvalue| <= 1e-12 max |eigenvalue|)")
+        negatives = int(np.sum(eig < 0.0))
         expected = {"euclidean": 0, "lorentz": 1}.get(self.signature)
         if expected is None:
             raise ValueError(f"unknown signature tag {self.signature!r}")

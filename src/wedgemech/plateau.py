@@ -13,7 +13,9 @@ solver.  The Newton steps are solved by GMRES preconditioned by that
 Laplacian inverse; a step GMRES cannot finish in one restart cycle (steep
 slopes) falls back to a sparse LU factorization for the rest of the
 solve.  There a pivot falling below 1e-12 aborts the solve rather than
-returning garbage.
+returning garbage.  scipy (fft, sparse matrices, GMRES, LU) is imported
+inside the functions that use it, so only a solve pays its import, not
+every command that loads this module.
 
 The divergence form div(grad z / sqrt(1 + |grad z|^2)) equals the
 quasilinear form divided by W^3, W^2 = 1 + z_x^2 + z_y^2; it is exposed
@@ -34,8 +36,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constraints import ConstraintCheckReport, nonholonomic_check, symmetric_slope_constraint
 from .fields import plateau_lagrangian
@@ -190,6 +190,8 @@ def divergence_form_residual(grid: GraphGrid) -> np.ndarray:
 
 
 def _factorize(matrix, context: str):
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # exactly singular
@@ -213,7 +215,8 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     SIAM J. Numer. Anal. 7, 1970).  The last block's operator is cached, so
     the harmonic fill and the Newton preconditioner of one solve share it.
     """
-    from scipy.fft import dstn, idstn  # importing scipy.fft costs ~0.1 s; only solves pay it
+    from scipy.fft import dstn, idstn  # scipy is imported by solves only
+    from scipy.sparse.linalg import LinearOperator
 
     def axis(m, h):
         return (2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 2.0) / h**2
@@ -243,6 +246,8 @@ def initial_guess(grid: GraphGrid) -> GraphGrid:
 
 def _newton_matrix(z: np.ndarray, hx: float, hy: float):
     """Exact nine-point Jacobian of the quasilinear stencil, interior unknowns."""
+    from scipy.sparse import coo_matrix
+
     nx, ny = z.shape
     mi, mj = nx - 2, ny - 2
     zx, zy, zxx, zyy, zxy = _stencil_pieces(z, hx, hy)
@@ -274,7 +279,7 @@ def _newton_matrix(z: np.ndarray, hx: float, hy: float):
         rows.append(idx[ri, rj].ravel())
         cols.append(idx[ci, cj].ravel())
         vals.append(value[ri, rj].ravel())
-    return scipy.sparse.coo_matrix(
+    return coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mi * mj, mi * mj),
     )
@@ -290,6 +295,8 @@ def _krylov_step(jac, residual: np.ndarray, precond):
     roundoff floor (about eps * cond J) on fine grids and would reject
     good steps.
     """
+    from scipy.sparse.linalg import gmres
+
     r = residual.ravel()
     calls = []
     step, _ = gmres(jac, -r, M=precond, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,

@@ -299,8 +299,14 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
         # Scherk heights are log(cos y / cos x): not finite past |x| = pi/2
         ("domain -1.6 1.6 -1.6 1.6\nshape 9 9\nboundary scherk\n", ("domain:", "scherk", "finite")),
         ("domain 0 0 0 1\nshape 9 9\nboundary constant 0\n", ("domain:", "degenerate")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary constant abc\n", ("boundary:", "abc")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary affine 1 x 0\n", ("boundary:", "'x'")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary diagonal-plane 1 1,5\n", ("boundary:", "1,5")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary affine 1 2\n", ("boundary:", "three")),
+        ("domain 0 1 0 1\nshape 9 nan\nboundary constant 0\n", ("shape:", "integers")),
     ],
-    ids=["shape", "scherk-past-pi-half", "degenerate-domain"],
+    ids=["shape", "scherk-past-pi-half", "degenerate-domain", "constant-non-numeric",
+         "affine-non-numeric", "diagonal-plane-non-numeric", "affine-too-few", "shape-nan"],
 )
 def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragments):
     spec = _spec(tmp_path, "p.spec", "kind plateau\n" + body)
@@ -309,6 +315,17 @@ def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragmen
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_spec_plateau_grid_file_below_minimum_size(tmp_path, capsys):
+    lines = ["# kind surface", "# shape 3 3", "# step 0.5 0.5", "i j x1 x2 x3"]
+    lines += [f"{i} {j} {i / 2} {j / 2} 0" for i in range(3) for j in range(3)]
+    (tmp_path / "small.grid").write_text("\n".join(lines) + "\n")
+    spec = _spec(tmp_path, "p.spec", "kind plateau\ngrid small.grid\n")
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: shape: need at least 5 nodes per axis")
+    assert "Traceback" not in err
 
 
 def test_scenario_listing_by_command():
@@ -331,3 +348,26 @@ def test_cli_import_leaves_scipy_fft_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_scipy_loads_only_for_solves():
+    # every command but the Plateau solve runs on numpy alone; scipy's import
+    # would otherwise be most of a check's wall time
+    src = os.path.dirname(os.path.dirname(wedgemech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import contextlib, io, sys\n"
+        "import wedgemech.cli as cli\n"
+        "def scipy_loaded():\n"
+        "    return any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)\n"
+        "print(scipy_loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    check = cli.main(['nonholonomic-check', '--scenario', 'example7-plane'])\n"
+        "print(check, scipy_loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    solve = cli.main(['plateau-solve', '--scenario', 'plane'])\n"
+        "print(solve, scipy_loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split("\n")[:3] == ["False", "0 False", "0 True"]

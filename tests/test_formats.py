@@ -67,6 +67,14 @@ def _write(path, text):
         pytest.param(lambda lines: lines[:-1] + ["4 1.5 0 0 0"], "rows", id="rows-non-integer"),
         (lambda lines: ["# kind blob"] + lines[1:], "kind"),
         (lambda lines: [lines[0]] + lines, "kind"),
+        pytest.param(lambda lines: [l.replace("# step 0.25", "# step -0.25") for l in lines],
+                     "step", id="step-negative"),
+        pytest.param(lambda lines: [l.replace("# step 0.25", "# step nan") for l in lines],
+                     "step", id="step-nan"),
+        pytest.param(lambda lines: [l.replace("# shape 5", "# shape 5.5") for l in lines],
+                     "shape", id="shape-fraction"),
+        pytest.param(lambda lines: [l.replace("# shape 5", "# shape nan") for l in lines],
+                     "shape", id="shape-nan"),
     ],
 )
 def test_read_grid_names_offending_field(tmp_path, mutate, field):
@@ -100,6 +108,89 @@ def test_read_grid_curve_index_must_be_integer(tmp_path):
     text = "# kind curve\n# shape 2\n# step 0.5\ni x1\n0 1.0\n1.5 2.0\n"
     with pytest.raises(SpecError, match="rows: line 6: indices must be integers"):
         read_grid(_write(tmp_path / "c.grid", text))
+
+
+def _node_by_node(kind, shape, steps, points):
+    """A grid file rendered one node and one `format_float` value at a time."""
+    names = ["i", "j"][: len(shape)] + [f"x{k + 1}" for k in range(points.shape[-1])]
+    lines = [
+        f"# kind {kind}",
+        "# shape " + " ".join(str(n) for n in shape),
+        "# step " + " ".join(format_float(h) for h in steps),
+        " ".join(names),
+    ]
+    for index in np.ndindex(*shape):
+        lines.append(" ".join([str(i) for i in index] + [format_float(v) for v in points[index]]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["surface", "curve"])
+def test_write_grid_matches_node_by_node_formatting(tmp_path, kind):
+    rng = np.random.default_rng(17)
+    shape = (6, 5) if kind == "surface" else (7,)
+    points = rng.standard_normal(shape + (3,)) * 10.0 ** rng.integers(-300, 300, shape + (3,))
+    points.flat[:5] = [-0.0, 5e-324, 1e308, -1e308, 0.1]
+    steps = (0.1, 1.0 / 3.0) if kind == "surface" else (1.0 / 3.0,)
+    grid = SurfaceGrid(*steps, points) if kind == "surface" else CurveGrid(*steps, points)
+    path = tmp_path / "g.grid"
+    write_grid(path, grid)
+    assert path.read_bytes() == _node_by_node(kind, shape, steps, points).encode("ascii")
+    assert np.array_equal(read_grid(path).points, points)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0 2 0 0", "line 7: expected 5 columns"),
+        ("0 2 0 abc 0", "line 7: expected numbers"),
+        ("1.0 2 0 0 0", "line 7: indices must be integers"),
+        ("100000000000000000000000000000 2 0 0 0",
+         "line 7: index (100000000000000000000000000000, 2) outside shape"),
+        ("5 2 0 0 0", "line 7: index (5, 2) outside shape"),
+        ("0 -1 0 0 0", "line 7: index (0, -1) outside shape"),
+    ],
+    ids=["columns", "coordinate", "float-index", "index-past-int64", "outside", "negative"],
+)
+def test_read_grid_row_rejection_names_the_line(tmp_path, row, message):
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (0.0, 1.0, 5), (0.0, 1.0, 5))
+    write_grid(tmp_path / "ok.grid", grid)
+    lines = (tmp_path / "ok.grid").read_text().splitlines()
+    lines[6] = row  # the third row, file line 7
+    with pytest.raises(SpecError) as err:
+        read_grid(_write(tmp_path / "bad.grid", "\n".join(lines) + "\n"))
+    assert err.value.field == "rows"
+    assert str(err.value).startswith("rows: " + message)
+
+
+def test_read_grid_rows_that_only_the_bulk_parser_refuses(tmp_path):
+    # float() reads "1_0" but the table parser does not: the row walk finds
+    # no fault, and the table is still refused
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (0.0, 1.0, 5), (0.0, 1.0, 5))
+    write_grid(tmp_path / "ok.grid", grid)
+    lines = (tmp_path / "ok.grid").read_text().splitlines()
+    lines[6] = "0 2 1_0 0 0"
+    with pytest.raises(SpecError, match="rows: table does not parse"):
+        read_grid(_write(tmp_path / "bad.grid", "\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("surface", (3, 3)), ("surface", (5, 4)), ("curve", (4,)), ("curve", (1,)),
+     ("surface", (0, 5))],
+)
+def test_read_grid_below_minimum_size_is_a_shape_error(tmp_path, kind, shape):
+    steps = (0.5,) * len(shape)
+    text = _node_by_node(kind, shape, steps, np.zeros(shape + (3,)))
+    with pytest.raises(SpecError) as err:
+        read_grid(_write(tmp_path / "small.grid", text))
+    assert err.value.field == "shape"
+    assert "need at least 5 nodes per axis" in str(err.value)
+
+
+def test_read_grid_surface_needs_two_coordinates(tmp_path):
+    text = _node_by_node("surface", (5, 5), (0.25, 0.25), np.zeros((5, 5, 1)))
+    with pytest.raises(SpecError, match="header"):
+        read_grid(_write(tmp_path / "flat.grid", text))
 
 
 def test_constraint_spec_builtin_surface(tmp_path):
@@ -155,6 +246,7 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
         ("dimension 3\nsection 1 2 1.0\nbuiltin example7\n", "builtin"),  # mixed forms
         ("builtin nope\n", "builtin"),
         ("kind ribbon\n", "kind"),
+        ("dimension nan\nsection 1 2 0.5\n", "dimension"),
         ("dimension 3\nsection 1 2 1.0\nwhatever 3\n", "whatever"),
         # duplicate generators are dependent, caught at load time
         ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 1 3 1.0\n", "generator"),
@@ -190,6 +282,7 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
         ("dimension 2\nentry 1 2 1 2\n", "entry"),
         ("dimension 2\nentry 1 2 1.5 2 1.0\n", "entry"),
         ("dimension 2\nrow 1 2 1 2 1.0\n", "row"),
+        ("dimension nan\nentry 1 2 1 2 1.0\n", "dimension"),
     ],
 )
 def test_fiber_metric_table_rejects(tmp_path, text, field):
@@ -238,9 +331,13 @@ def test_problem_spec_metric_families(tmp_path):
         ("kind plateau\ntol 1e-9\ntol 1e-9\n", "tol"),
         ("kind plateau\nmetric explicit 1 2 3\n", "metric"),
         ("kind plateau\nmetric conformal 3\n", "metric"),
+        ("kind plateau\nmetric euclidean nan\n", "metric"),
         ("kind plateau\nmax-iter 2.5\n", "max-iter"),
         ("kind plateau\ntol fast\n", "tol"),
         ("kind plateau\ngrid a b\n", "grid"),
+        ("kind plateau\nmax-iter nan\n", "max-iter"),
+        ("kind plateau\nmax-iter inf\n", "max-iter"),
+        ("kind plateau\n# caf\u00e9\n", "encoding"),
     ],
 )
 def test_problem_spec_rejects(tmp_path, text, field):
@@ -255,3 +352,4 @@ def test_problem_spec_rejects(tmp_path, text, field):
         elif field == "grid":
             spec.get_path("grid")
     assert err.value.field == field
+

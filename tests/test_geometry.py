@@ -141,6 +141,17 @@ def test_metric_validation():
         Metric(np.eye(3), "riemann")  # unknown tag
 
 
+def test_metric_degeneracy_is_relative_to_scale():
+    # |det| = 1.25e-13, yet every eigenvalue is the same: well conditioned
+    assert Metric(5e-5 * np.eye(3), "euclidean").dim == 3
+    with pytest.raises(ValueError, match="degenerate"):
+        Metric(np.diag([2.0, 1.0, 0.0]), "euclidean")  # singular
+    with pytest.raises(ValueError, match="degenerate"):
+        Metric(np.diag([1.0, 1.0, 1e-13]), "euclidean")  # condition number 1e13
+    with pytest.raises(ValueError, match="degenerate"):
+        Metric(np.zeros((2, 2)), "euclidean")
+
+
 def test_metric_constructors_and_inverse():
     g = Metric.minkowski(4)
     assert g.signature == "lorentz"
