@@ -200,6 +200,8 @@ def _graph_grid_from_spec(spec: ProblemSpec) -> GraphGrid:
             return GraphGrid.from_boundary(tuple(domain), *shape, height)
     except ValueError as err:  # a degenerate rectangle, or heights not finite on it
         raise SpecError("domain", f"{err} (boundary {name})") from err
+    except MemoryError as err:
+        raise SpecError("shape", f"{shape[0]} x {shape[1]} nodes do not fit in memory") from err
 
 
 def _constraint_from_spec(spec: ProblemSpec, grid):
@@ -241,19 +243,22 @@ def _spec_plateau(spec: ProblemSpec, lines, tol, max_iter):
     lines.append(f"kind: {spec.kind}")
     lines.append(f"shape: {grid.shape[0]} {grid.shape[1]}")
     if spec.kind == "plateau":
-        opts = SolveOptions(
-            tol=tol if tol is not None else spec.get_float("tol", 1e-10),
-            max_iter=max_iter if max_iter is not None else spec.get_int("max-iter", 25),
-            damping=spec.get_float("damping", 1.0),
-        )
+        try:
+            opts = SolveOptions(
+                tol=tol if tol is not None else spec.get_tol("tol", 1e-10),
+                max_iter=max_iter if max_iter is not None else spec.get_int("max-iter", 25),
+                damping=spec.get_float("damping", 1.0),
+            )
+        except ValueError as err:  # the message leads with the option: "tol must be positive"
+            raise SpecError(str(err).split()[0].replace("_", "-"), str(err)) from err
         result = solve_plateau(grid, opts)
         _render_solve(lines, result, opts)
         return result.converged, result.grid
     result = solve_constrained_plateau(
         grid,
-        fit_tol=spec.get_float("fit-tol", 1e-8),
-        constraint_tol=tol if tol is not None else spec.get_float("constraint-tol", 1e-6),
-        force_tol=spec.get_float("force-tol", 1e-6),
+        fit_tol=spec.get_tol("fit-tol", 1e-8),
+        constraint_tol=tol if tol is not None else spec.get_tol("constraint-tol", 1e-6),
+        force_tol=spec.get_tol("force-tol", 1e-6),
     )
     lines.append(f"fit-tol: {_f(result.fit_tol)}")
     lines.append(f"plane-a: {_f(result.a)}")
@@ -270,8 +275,8 @@ def _spec_plateau(spec: ProblemSpec, lines, tol, max_iter):
 def _spec_nonholonomic(spec: ProblemSpec, lines, tol):
     grid = read_grid(spec.get_path("grid"))
     constraint = _constraint_from_spec(spec, grid)
-    constraint_tol = tol if tol is not None else spec.get_float("constraint-tol")
-    force_tol = tol if tol is not None else spec.get_float("force-tol", constraint_tol)
+    constraint_tol = tol if tol is not None else spec.get_tol("constraint-tol")
+    force_tol = tol if tol is not None else spec.get_tol("force-tol", constraint_tol)
     if isinstance(grid, SurfaceGrid):
         L = _bivector_lagrangian_from_spec(spec, grid.dim)
         lines.append(f"shape: {grid.points.shape[0]} {grid.points.shape[1]}")
@@ -289,12 +294,16 @@ def _spec_phase(spec: ProblemSpec, lines, tol):
     metric_dim = spec.get_metric().dim if spec.has("metric") else 3
     x = spec.get_floats("x", metric_dim)
     dim = x.size
-    w = Bivector(spec.get_floats("w", pair_count(dim)), dim)
+    w = spec.get_floats("w", pair_count(dim))
+    for field, values in (("x", x), ("w", w)):
+        if not np.isfinite(values).all():
+            raise SpecError(field, f"entries must be finite, got {' '.join(spec.tokens(field))}")
+    w = Bivector(w, dim)
     L = _bivector_lagrangian_from_spec(spec, dim)
     p = L.momentum(x, w)
     element = PhaseElement2(x, p, w, np.zeros((dim, pair_count(dim))),
                             np.zeros((pair_count(dim), pair_count(dim))))
-    tolerance = tol if tol is not None else spec.get_float("tol", 1e-10)
+    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
     lines.append("x: " + " ".join(_f(v) for v in x))
     lines.append("w-slots: " + " ".join(_f(v) for v in w.slots))
     lines.append("p-slots: " + " ".join(_f(v) for v in p.slots))
@@ -328,11 +337,11 @@ def _spec_classical(spec: ProblemSpec, lines, tol):
     L = quadratic_curve_lagrangian(grid.dim, omega=omega, mass=spec.get_float("mass", 1.0))
     lines.append(f"system: {system}")
     lines.append(f"shape: {grid.points.shape[0]}")
-    tolerance = tol if tol is not None else spec.get_float("tol", 1e-10)
+    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
     if spec.has("constraint"):
         constraint = _constraint_from_spec(spec, grid)
         report = nonholonomic_check_curve(
-            L, grid, constraint, tolerance, spec.get_float("force-tol", tolerance)
+            L, grid, constraint, tolerance, spec.get_tol("force-tol", tolerance)
         )
         _render_check(lines, report)
         return report.passed, None
@@ -357,6 +366,10 @@ def _run_spec(args) -> int:
         spec = read_problem_spec(args.spec)
     except OSError as err:
         return _usage(f"cannot read spec: {err}")
+    if args.tol is not None and not args.tol > 0.0:
+        return _usage(f"--tol must be positive, got {args.tol!r}")
+    if args.max_iter is not None and args.max_iter < 1:
+        return _usage(f"--max-iter must be at least 1, got {args.max_iter}")
     if spec.kind not in _SPEC_KINDS[args.command]:
         raise SpecError("kind", f"{spec.kind!r} is not handled by {args.command}")
     lines = ["wedgemech report", f"command: {args.command}",

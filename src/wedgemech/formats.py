@@ -136,12 +136,23 @@ def _parse_floats(field: str, tokens, count: int | None = None,
     return values
 
 
+# nodes of three float64 coordinates whose array numpy can still index
+_MAX_NODES = np.iinfo(np.intp).max // 24
+
+
 def _parse_counts(field: str, tokens, count: int) -> tuple:
-    """Whole numbers such as node counts; ``5`` and ``5.0`` read alike, ``5.5`` and ``nan`` fail."""
+    """Whole numbers such as node counts; ``5`` and ``5.0`` read alike, ``5.5`` and ``nan`` fail.
+
+    Counts whose product no array can index are refused before anything
+    is allocated from them.
+    """
     values = _parse_floats(field, tokens, count)
     if not all(float(v).is_integer() for v in values):  # also refuses nan and inf
         raise SpecError(field, f"expected integers, got {tokens}")
-    return tuple(int(v) for v in values)
+    counts = tuple(int(v) for v in values)
+    if math.prod(abs(n) for n in counts) > _MAX_NODES:
+        raise SpecError(field, f"{' x '.join(tokens)} is more than an array can index")
+    return counts
 
 
 def _parse_indices(field: str, tokens, number: int) -> list:
@@ -418,6 +429,13 @@ class ProblemSpec:
             return float(default)
         return float(_parse_floats(field, self.tokens(field), 1)[0])
 
+    def get_tol(self, field: str, default=None) -> float:
+        """A tolerance, which must be positive (``nan`` is not)."""
+        value = self.get_float(field, default)
+        if not value > 0.0:
+            raise SpecError(field, f"tolerance must be positive, got {value!r}")
+        return value
+
     def get_int(self, field: str, default=None) -> int:
         if field not in self.entries and default is not None:
             return int(default)
@@ -435,16 +453,22 @@ class ProblemSpec:
     def get_metric(self, field: str = "metric") -> Metric:
         tokens = self.tokens(field)
         family = tokens[0]
-        if family == "euclidean":
-            return Metric.euclidean(_parse_counts(field, tokens[1:], 1)[0])
-        if family == "minkowski":
-            return Metric.minkowski(_parse_counts(field, tokens[1:], 1)[0])
-        if family == "explicit":
-            values = _parse_floats(field, tokens[1:])
-            m = int(round(np.sqrt(values.size)))
-            if m * m != values.size:
-                raise SpecError(field, f"explicit metric needs m*m entries, got {values.size}")
-            return Metric.from_matrix(values.reshape(m, m))
+        try:
+            if family in ("euclidean", "minkowski"):
+                (dim,) = _parse_counts(field, tokens[1:], 1)
+                return getattr(Metric, family)(dim)
+            if family == "explicit":
+                values = _parse_floats(field, tokens[1:])
+                m = int(round(np.sqrt(values.size)))
+                if m * m != values.size:
+                    raise SpecError(field, f"explicit metric needs m*m entries, got {values.size}")
+                return Metric.from_matrix(values.reshape(m, m))
+        except SpecError:
+            raise
+        except ValueError as err:  # too small, not finite, degenerate or of the wrong signature
+            raise SpecError(field, f"{' '.join(tokens)}: {err}") from err
+        except MemoryError as err:
+            raise SpecError(field, f"{' '.join(tokens)}: too large to allocate") from err
         raise SpecError(field, f"unknown metric family {family!r}")
 
 
@@ -459,5 +483,7 @@ def read_problem_spec(path) -> ProblemSpec:
             raise SpecError(key, f"line {number}: unknown field")
         if key in entries:
             raise SpecError(key, f"line {number}: duplicate field")
+        if len(tokens) == 1:
+            raise SpecError(key, f"line {number}: missing value")
         entries[key] = tokens[1:]
     return ProblemSpec(entries, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -69,6 +69,14 @@ def index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _pair_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second indices of `index_pairs` as two read-only (K,) arrays."""
+    first, second = np.array(index_pairs(dim)).T
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
+@lru_cache(maxsize=None)
 def _pair_slot(dim: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(index_pairs(dim))}
 
@@ -85,38 +93,42 @@ def antisymmetric_from_slots(slots: np.ndarray, dim: int) -> np.ndarray:
     so antisymmetry of the result is a structural fact.
     """
     slots = np.asarray(slots, dtype=float)
+    a, b = _pair_columns(dim)
     full = np.zeros(slots.shape[:-1] + (dim, dim))
-    for k, (a, b) in enumerate(index_pairs(dim)):
-        full[..., a, b] = slots[..., k]
-        full[..., b, a] = -slots[..., k]
+    full[..., a, b] = slots
+    full[..., b, a] = -slots
     return full
 
 
 def slots_from_antisymmetric(full: np.ndarray) -> np.ndarray:
     """Extract the upper-triangle slot components from full arrays (..., m, m)."""
     full = np.asarray(full, dtype=float)
-    dim = full.shape[-1]
-    cols = [full[..., a, b] for a, b in index_pairs(dim)]
-    return np.stack(cols, axis=-1)
+    a, b = _pair_columns(full.shape[-1])
+    return full[..., a, b]
 
 
 def _validated_slots(slots, dim: int) -> np.ndarray:
     arr = np.array(slots, dtype=float)
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
-    if arr.shape != (pair_count(dim),):
+    if arr.shape[-1:] != (pair_count(dim),):
         raise ValueError(
             f"expected {pair_count(dim)} independent components for dimension "
             f"{dim}, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("components must be finite")
     arr.flags.writeable = False
     return arr
 
 
 class _SlotStored:
-    """Shared machinery for slot-stored antisymmetric rank-2 tensors."""
+    """Shared machinery for slot-stored antisymmetric rank-2 tensors.
+
+    ``slots`` has shape (..., K): one tensor, or a stack of them over
+    leading node axes that every elementwise operation carries along.
+    `component`, `from_full` and the pairings take single tensors.
+    """
 
     __slots__ = ("slots", "dim")
 
@@ -185,7 +197,7 @@ class _SlotStored:
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.dim, self.slots.tobytes()))
+        return hash((type(self).__name__, self.dim, self.slots.shape, self.slots.tobytes()))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, slots={self.slots.tolist()})"
@@ -208,9 +220,8 @@ def wedge_slots(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if v.shape != u.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {u.shape}")
-    dim = v.shape[-1]
-    cols = [v[..., a] * u[..., b] - v[..., b] * u[..., a] for a, b in index_pairs(dim)]
-    return np.stack(cols, axis=-1)
+    a, b = _pair_columns(v.shape[-1])
+    return v[..., a] * u[..., b] - v[..., b] * u[..., a]
 
 
 def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
@@ -225,8 +236,8 @@ def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
 def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:
     """Insert a one-form into the first index: ``(i_eta u)^nu = eta_mu u^{mu nu}``."""
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (u.dim,):
-        raise ValueError(f"dimension mismatch: one-form {eta.shape} vs bivector dim {u.dim}")
+    if eta.shape != (u.dim,) or u.slots.ndim != 1:
+        raise ValueError(f"dimension mismatch: one-form {eta.shape} vs bivector slots {u.slots.shape}")
     return u.full.T @ eta
 
 
@@ -248,6 +259,8 @@ class Metric:
             raise ValueError(f"metric must be a square matrix, got shape {g.shape}")
         if g.shape[0] < 2:
             raise ValueError("metric dimension must be at least 2")
+        if not np.isfinite(g).all():
+            raise ValueError("metric entries must be finite")
         scale = max(1.0, float(np.abs(g).max()))
         if float(np.abs(g - g.T).max()) > 1e-12 * scale:
             raise ValueError("metric matrix is not symmetric")

@@ -32,6 +32,11 @@ Contraction with the canonical multisymplectic form (convention
 where ``ybar_rho = y^eta_{eta rho}`` is the trace of the mixed block.  The
 ``pdot`` block drops out of both maps identically, which is pinned by
 tests.  As in degree 1, ``alpha2 = flip . beta2`` exactly.
+
+Every degree-2 block may carry the same leading node axes, (..., dim),
+(..., K), (..., dim, K) and (..., K, K): a `PhaseElement2` is then a stack
+of elements, validated once, and each map applies its one formula to the
+whole stack, with the same values node for node as one element at a time.
 """
 
 from __future__ import annotations
@@ -62,11 +67,12 @@ __all__ = [
 ]
 
 
-def _vector(arr, dim: int, name: str) -> np.ndarray:
+def _block(arr, shape: tuple, name: str) -> np.ndarray:
+    """Read-only float copy of ``arr``, which must have ``shape`` and finite entries."""
     out = np.array(arr, dtype=float)
-    if out.shape != (dim,):
-        raise ValueError(f"{name}: expected shape ({dim},), got {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if out.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
         raise ValueError(f"{name}: entries must be finite")
     out.flags.writeable = False
     return out
@@ -87,7 +93,7 @@ class PhaseElement1:
         if dim < 1:
             raise ValueError("x must be a nonempty vector")
         for name in ("x", "p", "xdot", "pdot"):
-            object.__setattr__(self, name, _vector(getattr(self, name), dim, name))
+            object.__setattr__(self, name, _block(getattr(self, name), (dim,), name))
 
     @property
     def dim(self) -> int:
@@ -112,10 +118,11 @@ def cotangent_flip1(cov: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class PhaseElement2:
-    """Element of the middle space of the degree-2 triple.
+    """Element of the middle space of the degree-2 triple, or a stack of them.
 
-    ``y`` has shape (dim, K) with the second index running over ordered
-    slots; ``pdot`` is an exactly antisymmetric (K, K) matrix over slots.
+    ``y`` has shape (..., dim, K) with the last index running over ordered
+    slots; ``pdot`` is an exactly antisymmetric (..., K, K) matrix over
+    slots.  The leading node axes of all five blocks must agree.
     """
 
     x: np.ndarray
@@ -131,22 +138,16 @@ class PhaseElement2:
             raise TypeError("xdot must be a Bivector")
         dim = self.p.dim
         k = pair_count(dim)
-        object.__setattr__(self, "x", _vector(self.x, dim, "x"))
+        nodes = self.p.slots.shape[:-1]
         if self.xdot.dim != dim:
             raise ValueError(f"xdot dimension {self.xdot.dim} does not match p ({dim})")
-        y = np.array(self.y, dtype=float)
-        if y.shape != (dim, k):
-            raise ValueError(f"y: expected shape ({dim}, {k}), got {y.shape}")
-        pdot = np.array(self.pdot, dtype=float)
-        if pdot.shape != (k, k):
-            raise ValueError(f"pdot: expected shape ({k}, {k}), got {pdot.shape}")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(pdot))):
-            raise ValueError("y and pdot entries must be finite")
-        if not np.array_equal(pdot, -pdot.T):
+        if self.xdot.slots.shape[:-1] != nodes:
+            raise ValueError(f"xdot node axes {self.xdot.slots.shape[:-1]} do not match p {nodes}")
+        object.__setattr__(self, "x", _block(self.x, nodes + (dim,), "x"))
+        object.__setattr__(self, "y", _block(self.y, nodes + (dim, k), "y"))
+        pdot = _block(self.pdot, nodes + (k, k), "pdot")
+        if not np.array_equal(pdot, -np.swapaxes(pdot, -1, -2)):
             raise ValueError("pdot must be antisymmetric under slot exchange")
-        y.flags.writeable = False
-        pdot.flags.writeable = False
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "pdot", pdot)
 
     @property
@@ -155,18 +156,18 @@ class PhaseElement2:
 
     @property
     def y_full(self) -> np.ndarray:
-        """Mixed block as a (dim, dim, dim) array, antisymmetric in the lower pair."""
+        """Mixed block as a (..., dim, dim, dim) array, antisymmetric in the lower pair."""
         return antisymmetric_from_slots(self.y, self.dim)
 
     @property
     def pdot_full(self) -> np.ndarray:
-        """pdot as a rank-4 array, antisymmetric in each index pair and
-        antisymmetric under exchange of the pairs."""
+        """pdot as a rank-4 array (..., dim, dim, dim, dim), antisymmetric in
+        each index pair and antisymmetric under exchange of the pairs."""
         dim = self.dim
         # expand the second slot axis, then the first
-        tmp = antisymmetric_from_slots(self.pdot, dim)  # (K, dim, dim)
-        full = antisymmetric_from_slots(np.moveaxis(tmp, 0, -1), dim)  # (c, d, a, b)
-        return full.transpose(2, 3, 0, 1)
+        tmp = antisymmetric_from_slots(self.pdot, dim)  # (..., K, dim, dim)
+        full = antisymmetric_from_slots(np.moveaxis(tmp, -3, -1), dim)  # (..., c, d, a, b)
+        return np.moveaxis(full, (-2, -1), (-4, -3))
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseElement2":
@@ -181,15 +182,24 @@ class PhaseElement2:
 
 
 def trace_y(y: np.ndarray, dim: int) -> np.ndarray:
-    """Trace ``ybar_rho = y^eta_{eta rho}`` of a mixed block stored by slots.
+    """Trace ``ybar_rho = y^eta_{eta rho}`` of mixed blocks (..., dim, K) stored by slots.
 
     Uses the antisymmetric accessor, so a block with a single stored entry
     traces exactly (no cancellation error).
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (dim, pair_count(dim)):
-        raise ValueError(f"y: expected shape ({dim}, {pair_count(dim)}), got {y.shape}")
-    return np.einsum("aab->b", antisymmetric_from_slots(y, dim))
+    if y.shape[-2:] != (dim, pair_count(dim)) or y.ndim < 2:
+        raise ValueError(f"y: expected shape (..., {dim}, {pair_count(dim)}), got {y.shape}")
+    return np.einsum("...aab->...b", antisymmetric_from_slots(y, dim))
+
+
+def _covector_blocks(cov, base, fiber) -> None:
+    """Validate ``x`` and ``a`` of a covector (stack) against its bivector blocks."""
+    dim, nodes = base.dim, base.slots.shape[:-1]
+    if fiber.dim != dim or fiber.slots.shape[:-1] != nodes:
+        raise ValueError("component dimensions disagree")
+    object.__setattr__(cov, "x", _block(cov.x, nodes + (dim,), "x"))
+    object.__setattr__(cov, "a", _block(cov.a, nodes + (dim,), "a"))
 
 
 @dataclass(frozen=True)
@@ -202,11 +212,7 @@ class CovectorOnPhaseSpace:
     b: Bivector
 
     def __post_init__(self):
-        dim = self.p.dim
-        object.__setattr__(self, "x", _vector(self.x, dim, "x"))
-        object.__setattr__(self, "a", _vector(self.a, dim, "a"))
-        if self.b.dim != dim:
-            raise ValueError("component dimensions disagree")
+        _covector_blocks(self, self.p, self.b)
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,7 @@ class CovectorOnConfigSpace:
     c: MomentumBivector
 
     def __post_init__(self):
-        dim = self.xdot.dim
-        object.__setattr__(self, "x", _vector(self.x, dim, "x"))
-        object.__setattr__(self, "a", _vector(self.a, dim, "a"))
-        if self.c.dim != dim:
-            raise ValueError("component dimensions disagree")
+        _covector_blocks(self, self.xdot, self.c)
 
 
 def beta2(e: PhaseElement2) -> CovectorOnPhaseSpace:

@@ -11,15 +11,16 @@ The surface residual is the expanded first-variation defect
     delta_nu = dL/dx^nu - d_t S^mu d_s P_{mu nu} + d_s S^mu d_t P_{mu nu},
 
 with ``P`` the momentum field of the prolongation.  `delta_L_surface_via_maps`
-computes the same covector by assembling, node by node, the full phase
-element of the momentum surface and pushing it through the degree-2
-velocity-side canonical map; the two routes agree to rounding because the
-trace of the assembled mixed block reproduces the expanded sum.  Keeping
-both is deliberate: one is fast, the other exercises the canonical maps,
-and their agreement is a standing cross-check.
+computes the same covector by assembling the full phase elements of the
+momentum surface, stacked over the interior nodes, and pushing the stack
+through the degree-2 velocity-side canonical map in one call; the two
+routes agree to rounding because the trace of the assembled mixed block
+reproduces the expanded sum.  Keeping both is deliberate: one is direct,
+the other exercises the canonical maps, and their agreement is a standing
+cross-check.
 
-Assembly is deterministic: fields are evaluated node by node with a fixed
-reduction order, so repeated runs are bitwise identical.
+Assembly is deterministic: every reduction runs in a fixed order, so
+repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -244,26 +245,15 @@ def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     p = L.momentum_slots(x, w)
     dpt = np.gradient(p, grid.dt, axis=0, edge_order=2)
     dps = np.gradient(p, grid.ds, axis=1, edge_order=2)
-    nt, ns = grid.shape
-    vals = np.empty((nt - 2, ns - 2, dim))
-    momentum_defect = 0.0
-    for i in range(1, nt - 1):
-        for j in range(1, ns - 1):
-            # holonomic blocks of the prolonged momentum surface
-            y = np.outer(tt[i, j], dps[i, j]) - np.outer(ts[i, j], dpt[i, j])
-            pdot = np.outer(dpt[i, j], dps[i, j]) - np.outer(dps[i, j], dpt[i, j])
-            element = PhaseElement2(
-                x[i, j],
-                MomentumBivector(p[i, j], dim),
-                Bivector(w[i, j], dim),
-                y,
-                pdot,
-            )
-            cov = alpha2(element)
-            vals[i - 1, j - 1] = L.gradient_x(x[i, j], element.xdot) - cov.a
-            defect = L.momentum(x[i, j], element.xdot) - cov.c
-            momentum_defect = max(momentum_defect, float(np.abs(defect.slots).max()))
-    return CovectorField(vals), momentum_defect
+    x, tt, ts, w, p, dpt, dps = (a[1:-1, 1:-1] for a in (x, tt, ts, w, p, dpt, dps))
+    # holonomic blocks of the prolonged momentum surface, one per interior node
+    y = tt[..., :, None] * dps[..., None, :] - ts[..., :, None] * dpt[..., None, :]
+    pdot = dpt[..., :, None] * dps[..., None, :] - dps[..., :, None] * dpt[..., None, :]
+    element = PhaseElement2(x, MomentumBivector(p, dim), Bivector(w, dim), y, pdot)
+    cov = alpha2(element)
+    field = L.gradient_x(element.x, element.xdot) - cov.a
+    defect = L.momentum(element.x, element.xdot) - cov.c
+    return CovectorField(field), float(np.abs(defect.slots).max())
 
 
 def delta_L_curve(L, grid: CurveGrid) -> CovectorField:

@@ -1,6 +1,7 @@
-"""Shared helpers for building random test elements."""
+"""Shared helpers: random test elements, and line mutations for the fuzz tests."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wedgemech.geometry import Bivector, MomentumBivector, pair_count
 from wedgemech.tulczyjew import PhaseElement2
@@ -14,13 +15,38 @@ def random_momentum(rng, dim):
     return MomentumBivector(rng.normal(size=pair_count(dim)), dim)
 
 
-def random_phase_element2(rng, dim):
+def random_phase_element2(rng, dim, nodes=()):
+    """One random element, or a stack of them over the leading axes ``nodes``."""
     k = pair_count(dim)
-    a = rng.normal(size=(k, k))
+    a = rng.normal(size=nodes + (k, k))
     return PhaseElement2(
-        x=rng.normal(size=dim),
-        p=random_momentum(rng, dim),
-        xdot=random_bivector(rng, dim),
-        y=rng.normal(size=(dim, k)),
-        pdot=a - a.T,  # float subtraction anticommutes exactly
+        x=rng.normal(size=nodes + (dim,)),
+        p=MomentumBivector(rng.normal(size=nodes + (k,)), dim),
+        xdot=Bivector(rng.normal(size=nodes + (k,)), dim),
+        y=rng.normal(size=nodes + (dim, k)),
+        pdot=a - np.swapaxes(a, -1, -2),  # float subtraction anticommutes exactly
     )
+
+
+def mutate_lines(lines, data, replacements):
+    """Drop, duplicate or replace (by one of ``replacements``) one line, or
+    one token of a line, of a text file held as a list of lines."""
+    # half the draws hit the first five lines: few lines, most of the structure
+    head = st.integers(0, min(4, len(lines) - 1))
+    n = data.draw(st.one_of(head, st.integers(0, len(lines) - 1)), label="line")
+    action = data.draw(st.sampled_from(replacements + ("drop", "duplicate")), label="action")
+    if data.draw(st.booleans(), label="whole line"):
+        items, k = lines, n
+    else:
+        items = lines[n].split()
+        if not items:
+            return
+        k = data.draw(st.integers(0, len(items) - 1), label="token")
+    if action == "drop":
+        del items[k]
+    elif action == "duplicate":
+        items.insert(k, items[k])
+    else:
+        items[k] = action
+    if items is not lines:
+        lines[n] = " ".join(items)

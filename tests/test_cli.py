@@ -203,6 +203,32 @@ def test_spec_phase_check(tmp_path, capsys):
     assert report.endswith("result: PASS\n")
 
 
+@pytest.mark.parametrize(
+    "command, body, argv, message",
+    [
+        ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+         "constraint builtin example7\nconstraint-tol -1\n", [], "spec error: constraint-tol:"),
+        ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+         "constraint builtin example7\nconstraint-tol 1e-6\nforce-tol nan\n", [],
+         "spec error: force-tol:"),
+        ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\n"
+         "boundary diagonal-plane 1 0\nfit-tol 0\n", [], "spec error: fit-tol:"),
+        ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-8\n", ["--tol", "-1"],
+         "error: --tol must be positive"),
+        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n",
+         ["--max-iter", "0"], "error: --max-iter must be at least 1"),
+    ],
+    ids=["constraint-tol-negative", "force-tol-nan", "fit-tol-zero", "option-tol", "option-max-iter"],
+)
+def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, argv, message):
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    spec = _spec(tmp_path, "t.spec", body)
+    assert main([command, "--spec", spec, *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_spec_classical_with_constraint(tmp_path, capsys):
     for fname, fn, code in [
         ("ok.grid", lambda t: (t, 0.7), 0),
@@ -304,9 +330,16 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
         ("domain 0 1 0 1\nshape 9 9\nboundary diagonal-plane 1 1,5\n", ("boundary:", "1,5")),
         ("domain 0 1 0 1\nshape 9 9\nboundary affine 1 2\n", ("boundary:", "three")),
         ("domain 0 1 0 1\nshape 9 nan\nboundary constant 0\n", ("shape:", "integers")),
+        ("domain 0 1 0 1\nshape 9 123456789012345678901234567890\nboundary constant 0\n",
+         ("shape:", "more than an array can index")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ntol -1\n", ("tol:", "positive")),
+        ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\nmax-iter 0\n", ("max-iter:",)),
+        ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ndamping nan\n", ("damping:",)),
+        ("domain 0 1 0 1\nshape 9 9\nboundary\n", ("boundary:", "missing value")),
     ],
     ids=["shape", "scherk-past-pi-half", "degenerate-domain", "constant-non-numeric",
-         "affine-non-numeric", "diagonal-plane-non-numeric", "affine-too-few", "shape-nan"],
+         "affine-non-numeric", "diagonal-plane-non-numeric", "affine-too-few", "shape-nan",
+         "shape-past-int64", "tol-negative", "max-iter-zero", "damping-nan", "boundary-empty"],
 )
 def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragments):
     spec = _spec(tmp_path, "p.spec", "kind plateau\n" + body)
@@ -315,6 +348,39 @@ def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragmen
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_spec_plateau_grid_out_of_memory_names_shape(tmp_path, capsys, monkeypatch):
+    # a count numpy can index but the machine cannot hold; simulated, nothing is allocated
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.GraphGrid, "from_boundary", exhausted)
+    spec = _spec(tmp_path, "p.spec", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n")
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: shape: 9 x 9 nodes do not fit in memory")
+
+
+@pytest.mark.parametrize(
+    "metric, x, w, fragments",
+    [
+        ("euclidean 1", "0.1", "1", ("metric:", "at least 2")),
+        ("euclidean -1", "0.1", "1", ("metric:", "euclidean -1")),
+        ("explicit 1 0 0 0 1 0 0 0 0", "0.1 -0.2 0.3", "1 0.25 -0.5", ("metric:", "degenerate")),
+        ("explicit 1 0 0 0 1 0 0 0 inf", "0.1 -0.2 0.3", "1 0.25 -0.5", ("metric:", "finite")),
+        ("euclidean 3", "0.1 nan 0.3", "1 0.25 -0.5", ("x:", "finite")),
+        ("euclidean 3", "0.1 -0.2 0.3", "1 inf -0.5", ("w:", "finite")),
+    ],
+    ids=["dim-one", "dim-negative", "singular", "not-finite", "x-nan", "w-inf"],
+)
+def test_spec_phase_rejection_names_field(tmp_path, capsys, metric, x, w, fragments):
+    spec = _spec(tmp_path, "phase.spec", f"kind phase-check\nmetric {metric}\n"
+                 f"lagrangian nambu-goto\nx {x}\nw {w}\n")
+    assert main(["phase-check", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: ")
+    assert all(fragment in err for fragment in fragments)
 
 
 def test_spec_plateau_grid_file_below_minimum_size(tmp_path, capsys):

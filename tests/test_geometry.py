@@ -21,6 +21,7 @@ from wedgemech.geometry import (
     momentum_scalar_product,
     pair_count,
     scalar_product,
+    slots_from_antisymmetric,
     wedge,
     wedge_slots,
 )
@@ -98,6 +99,33 @@ def test_wedge_bilinearity():
 def test_wedge_slots_shape_mismatch():
     with pytest.raises(ValueError):
         wedge_slots(np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("nodes", [(), (6,), (4, 5)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_wedge_slots_matches_per_pair_reference_bitwise(dim, nodes):
+    rng = np.random.default_rng(40 + dim)
+    v, u = rng.normal(size=(2,) + nodes + (dim,))
+    reference = np.stack(
+        [v[..., a] * u[..., b] - v[..., b] * u[..., a] for a, b in index_pairs(dim)], axis=-1
+    )
+    got = wedge_slots(v, u)
+    assert got.shape == nodes + (pair_count(dim),)
+    assert np.array_equal(got, reference)
+    assert np.array_equal(slots_from_antisymmetric(antisymmetric_from_slots(got, dim)), got)
+
+
+def test_bivector_stacks_over_node_axes():
+    rng = np.random.default_rng(12)
+    stack = Bivector(rng.normal(size=(4, 5, 3)), 3)
+    assert stack.full.shape == (4, 5, 3, 3)
+    assert np.array_equal((stack - stack).slots, np.zeros((4, 5, 3)))
+    with pytest.raises(ValueError):
+        Bivector(np.zeros((4, 2)), 3)  # trailing axis needs 3 slots
+    with pytest.raises(ValueError):
+        Bivector(np.full((4, 3), np.nan), 3)
+    with pytest.raises(ValueError):
+        contract(np.ones(3), stack)  # contraction takes one bivector
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

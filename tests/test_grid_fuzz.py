@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutate_lines
 from wedgemech.cli import main
 from wedgemech.formats import SpecError, read_grid, write_grid
 from wedgemech.variational import SurfaceGrid
@@ -30,35 +31,12 @@ def workdir(tmp_path_factory):
     return path
 
 
-def _mutate(lines, data):
-    """Drop, duplicate or replace one line, or one token of a line."""
-    # half the draws hit the metadata, header and first row: few lines, most of the structure
-    head = st.integers(0, min(4, len(lines) - 1))
-    n = data.draw(st.one_of(head, st.integers(0, len(lines) - 1)), label="line")
-    action = data.draw(st.sampled_from(_REPLACEMENTS + ("drop", "duplicate")), label="action")
-    if data.draw(st.booleans(), label="whole line"):
-        items, k = lines, n
-    else:
-        items = lines[n].split()
-        if not items:
-            return
-        k = data.draw(st.integers(0, len(items) - 1), label="token")
-    if action == "drop":
-        del items[k]
-    elif action == "duplicate":
-        items.insert(k, items[k])
-    else:
-        items[k] = action
-    if items is not lines:
-        lines[n] = " ".join(items)
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(data=st.data())
 def test_mutated_grid_file_is_read_or_refused(workdir, data):
     lines = (workdir / "valid.grid").read_text().splitlines()
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        _mutate(lines, data)
+        mutate_lines(lines, data, _REPLACEMENTS)
     path = workdir / "mutated.grid"
     path.write_text("\n".join(lines) + "\n")
     try:

@@ -1,0 +1,41 @@
+"""Mutated problem specs: `wedgemech` refuses a broken spec with a named
+field (exit 1) or runs it (exit 0 or 2), never with a traceback."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import mutate_lines
+from wedgemech.cli import main
+
+# counts and tolerances at and past their limits, not finite, not a number,
+# not an integer, past int64; no large count an array could still hold
+_REPLACEMENTS = ("-1", "0", "1", "nan", "abc", "1.5", "123456789012345678901234567890")
+
+_SPECS = {
+    "phase-check": (
+        "kind phase-check\nmetric euclidean 3\nlagrangian nambu-goto\n"
+        "x 0.1 -0.2 0.3\nw 1.0 0.25 -0.5\ntol 1e-10\n"
+    ),
+    "plateau-solve": (
+        "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary affine 0.5 -0.25 1\n"
+        "tol 1e-10\nmax-iter 25\ndamping 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPECS))
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_mutated_spec_exits_with_a_code(tmp_path_factory, command, data):
+    lines = _SPECS[command].splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutate_lines(lines, data, _REPLACEMENTS)
+    path = tmp_path_factory.getbasetemp() / f"mutated-{command}.spec"
+    path.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--spec", str(path)])
+    assert code in (0, 1, 2)

@@ -16,6 +16,8 @@ import pytest
 from conftest import random_bivector, random_momentum, random_phase_element2
 from wedgemech.geometry import Bivector, MomentumBivector, index_pairs, pair_count
 from wedgemech.tulczyjew import (
+    CovectorOnConfigSpace,
+    CovectorOnPhaseSpace,
     PhaseElement1,
     PhaseElement2,
     alpha1,
@@ -160,6 +162,63 @@ def test_pdot_full_symmetries():
     for i, (a, b) in enumerate(index_pairs(3)):
         for j, (c, d) in enumerate(index_pairs(3)):
             assert full[a, b, c, d] == e.pdot[i, j]
+
+
+def _node(e, idx):
+    """Element ``idx`` of a stacked phase element, built on its own."""
+    return PhaseElement2(e.x[idx], MomentumBivector(e.p.slots[idx], e.dim),
+                         Bivector(e.xdot.slots[idx], e.dim), e.y[idx], e.pdot[idx])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stacked_maps_equal_per_node_calls_bitwise(dim):
+    rng = np.random.default_rng(500 + dim)
+    e = random_phase_element2(rng, dim, nodes=(4, 5))
+    stacked = {f: f(e) for f in (alpha2, beta2)}
+    flipped = cotangent_flip2(stacked[beta2])
+    full = e.pdot_full
+    for idx in np.ndindex(4, 5):
+        one = _node(e, idx)
+        a, b = alpha2(one), beta2(one)
+        assert np.array_equal(stacked[alpha2].a[idx], a.a)
+        assert np.array_equal(stacked[alpha2].c.slots[idx], a.c.slots)
+        assert np.array_equal(stacked[alpha2].xdot.slots[idx], a.xdot.slots)
+        assert np.array_equal(stacked[alpha2].x[idx], a.x)
+        assert np.array_equal(stacked[beta2].a[idx], b.a)
+        assert np.array_equal(stacked[beta2].b.slots[idx], b.b.slots)
+        assert np.array_equal(flipped.a[idx], cotangent_flip2(b).a)
+        assert np.array_equal(flipped.c.slots[idx], cotangent_flip2(b).c.slots)
+        assert np.array_equal(trace_y(e.y, dim)[idx], trace_y(one.y, dim))
+        assert np.array_equal(full[idx], one.pdot_full)
+
+
+def test_stacked_blocks_must_share_node_axes():
+    rng = np.random.default_rng(8)
+    dim, k = 3, 3
+    e = random_phase_element2(rng, dim, nodes=(4, 5))
+    with pytest.raises(ValueError):
+        PhaseElement2(e.x, e.p, Bivector(e.xdot.slots[:3], dim), e.y, e.pdot)
+    with pytest.raises(ValueError):
+        PhaseElement2(e.x[:, :4], e.p, e.xdot, e.y, e.pdot)
+    with pytest.raises(ValueError):
+        PhaseElement2(e.x, e.p, e.xdot, e.y[0], e.pdot)
+    with pytest.raises(ValueError):
+        PhaseElement2(e.x, e.p, e.xdot, e.y, np.zeros((5, 4, k, k)))
+    with pytest.raises(ValueError):
+        PhaseElement2(e.x, MomentumBivector(e.p.slots[:3], dim), e.xdot, e.y, e.pdot)
+    with pytest.raises(ValueError):
+        CovectorOnPhaseSpace(e.x, e.p, e.x, Bivector(e.xdot.slots[:3], dim))
+    with pytest.raises(ValueError):
+        CovectorOnConfigSpace(e.x[0], e.xdot, e.x, e.p)
+    # one non-antisymmetric node is enough to refuse the stack
+    pdot = e.pdot.copy()
+    pdot[2, 3, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        PhaseElement2(e.x, e.p, e.xdot, e.y, pdot)
+    y = e.y.copy()
+    y[1, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        PhaseElement2(e.x, e.p, e.xdot, y, e.pdot)
 
 
 def test_degree1_frozen_permutations():

@@ -15,12 +15,15 @@ first order, which the order checks deliberately step around.
 import numpy as np
 import pytest
 
+from wedgemech import variational
 from wedgemech.fields import (
+    CallableBivectorLagrangian,
     nambu_goto,
     plateau_lagrangian,
     quadratic_curve_lagrangian,
 )
-from wedgemech.geometry import Metric, wedge
+from wedgemech.geometry import Bivector, Metric, MomentumBivector, wedge, wedge_slots
+from wedgemech.tulczyjew import PhaseElement2, alpha2
 from wedgemech.variational import (
     CovectorField,
     CurveGrid,
@@ -195,6 +198,63 @@ def test_route_agreement_with_canonical_maps(field):
     np.testing.assert_allclose(via.values, direct.values, rtol=0, atol=1e-13)
 
 
+def _via_maps_per_node(L, grid):
+    """Reference for `delta_L_surface_via_maps`: one phase element and one
+    `alpha2` call per interior node."""
+    x = grid.points
+    tt = np.gradient(x, grid.dt, axis=0, edge_order=2)
+    ts = np.gradient(x, grid.ds, axis=1, edge_order=2)
+    w = wedge_slots(tt, ts)
+    dim = grid.dim
+    p = L.momentum_slots(x, w)
+    dpt = np.gradient(p, grid.dt, axis=0, edge_order=2)
+    dps = np.gradient(p, grid.ds, axis=1, edge_order=2)
+    nt, ns = grid.shape
+    vals = np.empty((nt - 2, ns - 2, dim))
+    momentum_defect = 0.0
+    for i in range(1, nt - 1):
+        for j in range(1, ns - 1):
+            y = np.outer(tt[i, j], dps[i, j]) - np.outer(ts[i, j], dpt[i, j])
+            pdot = np.outer(dpt[i, j], dps[i, j]) - np.outer(dps[i, j], dpt[i, j])
+            element = PhaseElement2(x[i, j], MomentumBivector(p[i, j], dim),
+                                    Bivector(w[i, j], dim), y, pdot)
+            cov = alpha2(element)
+            vals[i - 1, j - 1] = L.gradient_x(x[i, j], element.xdot) - cov.a
+            defect = L.momentum(x[i, j], element.xdot) - cov.c
+            momentum_defect = max(momentum_defect, float(np.abs(defect.slots).max()))
+    return vals, momentum_defect
+
+
+def _tilted_area(x, w):
+    # base-point dependent, so the finite-difference x-gradient is not zero
+    return (1.0 + 0.25 * x[2] ** 2) * np.sqrt(2.0 * float(w.slots @ w.slots))
+
+
+@pytest.mark.parametrize("field", [
+    plateau_lagrangian(3),
+    nambu_goto(Metric.euclidean(3)),
+    CallableBivectorLagrangian(3, _tilted_area),
+], ids=["plateau", "nambu-goto", "callable"])
+def test_via_maps_equals_per_node_reference_bitwise(field):
+    S = sin_sin_grid(9)
+    via, momentum_defect = delta_L_surface_via_maps(field, S)
+    values, reference_defect = _via_maps_per_node(field, S)
+    assert np.array_equal(via.values, values)
+    assert momentum_defect == reference_defect
+
+
+def test_via_maps_calls_alpha2_once_per_surface(monkeypatch):
+    calls = []
+
+    def counted(element):
+        calls.append(element.x.shape)
+        return alpha2(element)
+
+    monkeypatch.setattr(variational, "alpha2", counted)
+    delta_L_surface_via_maps(plateau_lagrangian(3), sin_sin_grid(17))
+    assert calls == [(15, 15, 3)]
+
+
 def test_reparameterization_keeps_verdicts():
     # doubling dt halves the residual of a homogeneous field but cannot
     # change a pass on an exact solution or a fail with margin
@@ -228,9 +288,10 @@ def test_domain_error_reports_node():
     # a surface tangent to a timelike plane leaves the Lorentzian area cone
     S = SurfaceGrid.sample(lambda t, s: np.array([t, s, 0.0]), (0.0, 1.0, 7), (0.0, 1.0, 7))
     L = nambu_goto(Metric.minkowski(3))
-    with pytest.raises(NodeDomainError) as err:
-        delta_L_surface(L, S)
-    assert err.value.node == (0, 0)
+    for route in (delta_L_surface, delta_L_surface_via_maps):
+        with pytest.raises(NodeDomainError) as err:
+            route(L, S)
+        assert err.value.node == (0, 0)
 
 
 def test_dimension_mismatch():
