@@ -271,6 +271,8 @@ def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
     for g in range(0, len(tokens), arity + 1):
         idx = tokens[g : g + arity]
         value = _parse_floats(field, tokens[g + arity : g + arity + 1], 1)[0]
+        if not np.isfinite(value):
+            raise SpecError(field, f"components must be finite, got {tokens[g + arity]}")
         try:
             idx = [int(t) - 1 for t in idx]
         except ValueError as err:
@@ -313,6 +315,8 @@ def read_constraint_spec(path):
             kind = rest[0]
         elif key == "dimension":
             dim = _parse_counts("dimension", rest, 1)[0]
+            if dim < 1:
+                raise SpecError("dimension", f"line {number}: must be at least 1, got {dim}")
         elif key == "builtin":
             if len(rest) != 1:
                 raise SpecError("builtin", f"line {number}: expected one name, got {rest}")

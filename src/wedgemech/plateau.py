@@ -9,13 +9,16 @@ differences, cross term from the four corners).  Newton's method uses the
 exact nine-point Jacobian of that stencil, damped by halving the step
 until the residual max-norm decreases.  The starting interior is the
 harmonic fill of the boundary ring, solved by a type-I DST fast Poisson
-solver.  The Newton steps are solved by GMRES preconditioned by that
-Laplacian inverse; a step GMRES cannot finish in one restart cycle (steep
-slopes) falls back to a sparse LU factorization for the rest of the
-solve.  There a pivot falling below 1e-12 aborts the solve rather than
-returning garbage.  scipy (fft, sparse matrices, GMRES, LU) is imported
-inside the functions that use it, so only a solve pays its import, not
-every command that loads this module.
+solver.  The Newton steps are solved matrix-free: the Jacobian is kept as
+nine coefficient arrays, applied to a vector through shifted slices, and
+a small in-house GMRES preconditioned by that Laplacian inverse solves
+each step.  A step GMRES cannot finish in one restart cycle (steep
+slopes) falls back to a sparse LU factorization of the assembled
+Jacobian for the rest of the solve.  There a pivot falling below 1e-12
+aborts the solve rather than returning garbage.  scipy is imported inside
+the functions that use it, so only a solve pays its import, not every
+command that loads this module; a solve that stays on GMRES loads only
+``scipy.fft``, the direct fallback adds the sparse matrices and LU.
 
 The divergence form div(grad z / sqrt(1 + |grad z|^2)) equals the
 quasilinear form divided by W^3, W^2 = 1 + z_x^2 + z_y^2; it is exposed
@@ -33,6 +36,7 @@ reported as infeasible instead of producing a surface.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +216,12 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     The type-I sine modes diagonalize the three-point second difference on
     each axis with eigenvalues ``(2 cos(pi k / (m + 1)) - 2) / h^2``, so one
     forward and one inverse DST solve the system (Buzbee, Golub & Nielson,
-    SIAM J. Numer. Anal. 7, 1970).  The last block's operator is cached, so
-    the harmonic fill and the Newton preconditioner of one solve share it.
+    SIAM J. Numer. Anal. 7, 1970).  Returns a function of a right-hand side
+    with ``mi * mj`` entries that gives the flat solution.  The last block's
+    operator is cached, so the harmonic fill and the Newton preconditioner
+    of one solve share it.
     """
     from scipy.fft import dstn, idstn  # scipy is imported by solves only
-    from scipy.sparse.linalg import LinearOperator
 
     def axis(m, h):
         return (2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 2.0) / h**2
@@ -224,9 +229,10 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     eig = axis(mi, hx)[:, None] + axis(mj, hy)[None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return idstn(dstn(rhs.reshape(mi, mj), type=1) / eig, type=1).ravel()
+        spectrum = dstn(rhs.reshape(mi, mj), type=1) / eig
+        return idstn(spectrum, type=1, overwrite_x=True).ravel()
 
-    return LinearOperator((mi * mj, mi * mj), matvec=solve, dtype=float)
+    return solve
 
 
 def initial_guess(grid: GraphGrid) -> GraphGrid:
@@ -239,38 +245,64 @@ def initial_guess(grid: GraphGrid) -> GraphGrid:
     rhs[:, 0] -= ay * grid.z[1:-1, 0]
     rhs[:, -1] -= ay * grid.z[1:-1, -1]
     z = np.array(grid.z)
-    fill = _poisson_solver(nx - 2, ny - 2, grid.hx, grid.hy).matvec(rhs.ravel())
+    fill = _poisson_solver(nx - 2, ny - 2, grid.hx, grid.hy)(rhs)
     z[1:-1, 1:-1] = fill.reshape(nx - 2, ny - 2)
     return grid.with_heights(z)
 
 
-def _newton_matrix(z: np.ndarray, hx: float, hy: float):
-    """Exact nine-point Jacobian of the quasilinear stencil, interior unknowns."""
-    from scipy.sparse import coo_matrix
+# neighbor offsets (di, dj) of the nine-point stencil in CSR column order
+_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
 
-    nx, ny = z.shape
-    mi, mj = nx - 2, ny - 2
+
+def _jacobian_stencil(z: np.ndarray, hx: float, hy: float) -> tuple:
+    """Exact nine-point Jacobian of the quasilinear stencil as coefficient arrays.
+
+    Entry ``k`` is the interior-block array of d(residual[i, j]) /
+    d(z[i + di, j + dj]) for the ``k``-th offset of ``_OFFSETS``.
+    """
     zx, zy, zxx, zyy, zxy = _stencil_pieces(z, hx, hy)
     ax, ay = 1.0 / hx**2, 1.0 / hy**2
     cross = 2.0 * zx * zy / (4.0 * hx * hy)
     # slope sensitivities feed through the coefficients of the stencil
     dx_slope = (2.0 * zx * zyy - 2.0 * zy * zxy) / (2.0 * hx)
     dy_slope = (2.0 * zy * zxx - 2.0 * zx * zxy) / (2.0 * hy)
-    coeff = {
-        (0, 0): -2.0 * (1.0 + zx**2) * ay - 2.0 * (1.0 + zy**2) * ax,
-        (1, 0): (1.0 + zy**2) * ax + dx_slope,
-        (-1, 0): (1.0 + zy**2) * ax - dx_slope,
-        (0, 1): (1.0 + zx**2) * ay + dy_slope,
-        (0, -1): (1.0 + zx**2) * ay - dy_slope,
-        (1, 1): -cross,
-        (-1, -1): -cross,
-        (1, -1): cross,
-        (-1, 1): cross,
-    }
+    return (
+        -cross,
+        (1.0 + zy**2) * ax - dx_slope,
+        cross,
+        (1.0 + zx**2) * ay - dy_slope,
+        -2.0 * (1.0 + zx**2) * ay - 2.0 * (1.0 + zy**2) * ax,
+        (1.0 + zx**2) * ay + dy_slope,
+        cross,
+        (1.0 + zy**2) * ax + dx_slope,
+        -cross,
+    )
+
+
+def _apply_stencil(coeffs: tuple, padded: np.ndarray) -> np.ndarray:
+    """Sum of ``coeffs[k]`` times ``padded`` shifted by ``_OFFSETS[k]`` over the interior.
+
+    ``padded`` has the full node shape; the terms add up in CSR column
+    order, so with a zero ring this is bitwise the sparse Jacobian's
+    product with the interior of ``padded``.
+    """
+    mi, mj = coeffs[0].shape
+    out = np.zeros((mi, mj))
+    term = np.empty((mi, mj))
+    for c, (di, dj) in zip(coeffs, _OFFSETS):
+        out += np.multiply(c, padded[1 + di : 1 + di + mi, 1 + dj : 1 + dj + mj], out=term)
+    return out
+
+
+def _newton_matrix(z: np.ndarray, hx: float, hy: float):
+    """The stencil Jacobian assembled as a sparse matrix over the interior unknowns."""
+    from scipy.sparse import coo_matrix
+
+    nx, ny = z.shape
+    mi, mj = nx - 2, ny - 2
     idx = np.arange(mi * mj).reshape(mi, mj)
     rows, cols, vals = [], [], []
-    for (di, dj), value in coeff.items():
-        value = np.broadcast_to(value, (mi, mj))
+    for value, (di, dj) in zip(_jacobian_stencil(z, hx, hy), _OFFSETS):
         # clip to neighbor nodes that are themselves unknowns
         ri = slice(max(0, -di), mi - max(0, di))
         rj = slice(max(0, -dj), mj - max(0, dj))
@@ -285,26 +317,69 @@ def _newton_matrix(z: np.ndarray, hx: float, hy: float):
     )
 
 
-def _krylov_step(jac, residual: np.ndarray, precond):
-    """GMRES Newton step preconditioned by the Laplacian inverse.
+def _krylov_step(coeffs: tuple, residual: np.ndarray, precond):
+    """Newton step ``J s = -r`` by one cycle of left-preconditioned GMRES.
 
-    Returns ``(step, iterations)``, or ``(None, 0)`` when one restart
-    cycle leaves the preconditioned residual ``||P(J s + r)||`` above
-    ``_KRYLOV_ACCEPT * ||P r||``.  That is the norm GMRES minimizes;
-    the unpreconditioned one scipy reports through ``info`` sits at the
-    roundoff floor (about eps * cond J) on fine grids and would reject
-    good steps.
+    ``J`` is applied matrix-free from its stencil ``coeffs`` and ``precond``
+    is the Laplacian inverse P.  Arnoldi orthogonalizes by classical
+    Gram-Schmidt with one reorthogonalization; Givens rotations reduce the
+    Hessenberg matrix as it grows, and the cycle stops once the
+    preconditioned residual estimate falls to ``_KRYLOV_RTOL * ||P r||``.
+
+    Returns ``(step, iterations)``, or ``(None, 0)`` when the cycle leaves
+    the true preconditioned residual ``||P(J s + r)||`` above
+    ``_KRYLOV_ACCEPT * ||P r||``.  That is the norm GMRES minimizes; the
+    unpreconditioned one sits at the roundoff floor (about eps * cond J)
+    on fine grids and would reject good steps.
     """
-    from scipy.sparse.linalg import gmres
+    mi, mj = residual.shape
+    padded = np.zeros((mi + 2, mj + 2))
+
+    def jac(v):
+        padded[1:-1, 1:-1] = v.reshape(mi, mj)
+        return _apply_stencil(coeffs, padded).ravel()
 
     r = residual.ravel()
-    calls = []
-    step, _ = gmres(jac, -r, M=precond, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
-                    maxiter=1, callback=calls.append, callback_type="pr_norm")
-    miss = np.linalg.norm(precond.matvec(jac @ step + r))
-    if miss > _KRYLOV_ACCEPT * np.linalg.norm(precond.matvec(r)):
+    u = precond(r)
+    beta = float(np.linalg.norm(u))
+    basis = np.empty((_KRYLOV_RESTART + 1, r.size))
+    basis[0] = u / beta
+    tri = np.zeros((_KRYLOV_RESTART, _KRYLOV_RESTART))  # R of the Hessenberg QR
+    rotations = []
+    g = [-beta]  # Q^T (P(-r)) as it builds up
+    for k in range(_KRYLOV_RESTART):
+        w = precond(jac(basis[k]))
+        done = basis[: k + 1]
+        h = done @ w
+        w -= h @ done
+        h2 = done @ w
+        w -= h2 @ done
+        column = (h + h2).tolist()
+        norm_w = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            a, b = column[i], column[i + 1]
+            column[i], column[i + 1] = c * a + s * b, c * b - s * a
+        rho = math.hypot(column[k], norm_w)
+        if rho == 0.0:  # singular on the Krylov space: leave it to the direct solve
+            return None, 0
+        c, s = column[k] / rho, norm_w / rho
+        rotations.append((c, s))
+        column[k] = rho
+        tri[: k + 1, k] = column[: k + 1]
+        g[k], g_next = c * g[k], -s * g[k]
+        g.append(g_next)
+        if abs(g_next) <= _KRYLOV_RTOL * beta:
+            break
+        basis[k + 1] = w / norm_w
+    m = len(rotations)
+    y = np.zeros(m)
+    for i in range(m - 1, -1, -1):
+        y[i] = (g[i] - tri[i, i + 1 : m] @ y[i + 1 :]) / tri[i, i]
+    step = y @ basis[:m]
+    miss = float(np.linalg.norm(precond(jac(step) + r)))
+    if not miss <= _KRYLOV_ACCEPT * beta:
         return None, 0
-    return step.reshape(residual.shape), len(calls)
+    return step.reshape(residual.shape), m
 
 
 @dataclass(frozen=True)
@@ -316,6 +391,13 @@ class PlateauResult:
     k-th iteration was accepted at; ``linear_iters[k]`` is the number of
     GMRES iterations its linear solve took, 0 where it was solved by the
     direct factorization.
+
+    ``stop`` says why the iteration ended: ``"converged"`` (residual at or
+    below ``tol``), ``"max-iter"`` (budget spent) or ``"no-descent"`` (no
+    step halving lowered the residual).  ``residual_floor`` is
+    ``eps * max_i sum_k |J_ik| |z_k|`` over the interior unknowns at the
+    final iterate: the residual that rounding the heights alone can
+    leave, so a ``tol`` below it is out of float64's reach.
     """
 
     grid: GraphGrid
@@ -324,6 +406,8 @@ class PlateauResult:
     trace: np.ndarray = field(repr=False)
     steps: np.ndarray = field(repr=False)
     linear_iters: np.ndarray = field(repr=False)
+    stop: str
+    residual_floor: float
 
     @property
     def final_residual(self) -> float:
@@ -358,12 +442,15 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
     linear_iters = []
     direct = False
     iterations = 0
+    stop = "max-iter"
     while trace[-1] > opts.tol and iterations < opts.max_iter:
-        jac = _newton_matrix(current.z, hx, hy).tocsr()
-        update, krylov_iters = (None, 0) if direct else _krylov_step(jac, residual, precond)
+        update, krylov_iters = None, 0
+        if not direct:
+            coeffs = _jacobian_stencil(current.z, hx, hy)
+            update, krylov_iters = _krylov_step(coeffs, residual, precond)
         if update is None:  # GMRES missed: this step and every later one go direct
             direct = True
-            lu = _factorize(jac, "plateau newton")
+            lu = _factorize(_newton_matrix(current.z, hx, hy).tocsr(), "plateau newton")
             update = lu.solve(-residual.ravel()).reshape(residual.shape)
         step = opts.damping
         accepted = None
@@ -377,20 +464,26 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
                 break
             step *= 0.5
         if accepted is None:
-            break  # no descent left at this resolution: keep the best iterate
+            stop = "no-descent"  # keep the best iterate at this resolution
+            break
         current = current.with_heights(accepted[0])
         residual = accepted[1]
         trace.append(accepted[2])
         steps.append(step)
         linear_iters.append(krylov_iters)
         iterations += 1
+    converged = bool(trace[-1] <= opts.tol)
+    unknowns = np.pad(np.abs(current.z[1:-1, 1:-1]), 1)
+    floor = _apply_stencil([np.abs(c) for c in _jacobian_stencil(current.z, hx, hy)], unknowns)
     return PlateauResult(
         grid=current,
-        converged=bool(trace[-1] <= opts.tol),
+        converged=converged,
         iterations=iterations,
         trace=np.asarray(trace),
         steps=np.asarray(steps),
         linear_iters=np.asarray(linear_iters, dtype=int),
+        stop="converged" if converged else stop,
+        residual_floor=float(np.finfo(float).eps * floor.max()),
     )
 
 

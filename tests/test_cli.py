@@ -271,6 +271,35 @@ def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
     assert "spec error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, constraint, fragments",
+    [
+        ("nonholonomic-check", "dimension 3\nsection 1 2 nan\n", ("section:", "finite")),
+        ("nonholonomic-check", "dimension 3\nsection 1 2 inf\n", ("section:", "finite")),
+        ("nonholonomic-check", "dimension 3\nsection 1 2 1\ngenerator 1 3 inf\n",
+         ("generator:", "finite")),
+        ("classical-el", "kind curve\ndimension -1\nsection 1 1\n", ("dimension:", "at least 1")),
+        ("classical-el", "kind curve\ndimension 2\nsection 1 inf\n", ("section:", "finite")),
+    ],
+    ids=["surface-section-nan", "surface-section-inf", "surface-generator-inf",
+         "curve-dimension-negative", "curve-section-inf"],
+)
+def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, command, constraint,
+                                                    fragments):
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    (tmp_path / "c.constraint").write_text(constraint)
+    body = {"nonholonomic-check": "grid plane.grid\nconstraint-tol 1e-6\n",
+            "classical-el": "curve line.grid\ntol 1e-8\n"}[command]
+    spec = _spec(tmp_path, "c.spec", f"kind {command}\nconstraint c.constraint\n{body}")
+    assert main([command, "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: ")
+    assert all(fragment in err for fragment in fragments)
+    assert "Traceback" not in err
+
+
 def test_spec_constraint_spanning_the_fiber(tmp_path, capsys):
     # generators e1 and e2 span the whole plane: no annihilator is left
     (tmp_path / "full.constraint").write_text(
@@ -433,7 +462,12 @@ def test_scipy_loads_only_for_solves():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    solve = cli.main(['plateau-solve', '--scenario', 'plane'])\n"
         "print(solve, scipy_loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    newton = cli.main(['plateau-solve', '--scenario', 'scherk-65'])\n"
+        "print(newton, 'scipy.fft' in sys.modules, sorted({name for name in sys.modules\n"
+        "      if name.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'linalg'])}))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.split("\n")[:3] == ["False", "0 False", "0 True"]
+    # a solve that stays on GMRES needs the DST only: no sparse matrices, no LAPACK wrappers
+    assert out.split("\n")[:4] == ["False", "0 False", "0 True", "0 True []"]

@@ -1,0 +1,74 @@
+"""Mutated constraint files: reading one gives a constraint or a `SpecError`,
+and a check that reads it exits 0, 1 or 2, never with a traceback."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import mutate_lines
+from wedgemech.cli import main
+from wedgemech.formats import SpecError, read_constraint_spec, write_grid
+from wedgemech.variational import CurveGrid, SurfaceGrid
+
+# dimensions and indices at and past their limits, not finite, not a number,
+# not an integer, past int64
+_REPLACEMENTS = ("-1", "0", "nan", "inf", "abc", "1.5", "123456789012345678901234567890")
+
+# (constraint file, command, spec reading it) per degree and form
+_CASES = {
+    "surface-explicit": (
+        "kind surface\ndimension 3\nsection 1 3 0.5 2 3 0.5\ngenerator 1 2 1\n"
+        "generator 1 3 1 2 3 -1\n",
+        "nonholonomic-check",
+        "kind nonholonomic-check\ngrid plane.grid\nconstraint mutated.constraint\n"
+        "constraint-tol 1e-6\n",
+    ),
+    "surface-builtin": (
+        "kind surface\ndimension 3\nbuiltin example7\n",
+        "nonholonomic-check",
+        "kind nonholonomic-check\ngrid plane.grid\nconstraint mutated.constraint\n"
+        "constraint-tol 1e-6\n",
+    ),
+    "curve-explicit": (
+        "kind curve\ndimension 2\nsection 1 1\ngenerator 1 1\n",
+        "classical-el",
+        "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
+    ),
+    "curve-builtin": (
+        "kind curve\ndimension 2\nbuiltin first-axis-drift\n",
+        "classical-el",
+        "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("constraint-fuzz")
+    write_grid(path / "plane.grid",
+               SurfaceGrid.sample(lambda t, s: (t, s, 0.5 * (t + s)), (0.0, 1.0, 5), (0.0, 1.0, 5)))
+    write_grid(path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_mutated_constraint_file_is_read_or_refused(workdir, case, data):
+    text, command, spec = _CASES[case]
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutate_lines(lines, data, _REPLACEMENTS)
+    path = workdir / "mutated.constraint"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read_constraint_spec(path)
+    except SpecError:
+        pass
+    (workdir / f"{case}.spec").write_text(spec)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--spec", str(workdir / f"{case}.spec")])
+    assert code in (0, 1, 2)

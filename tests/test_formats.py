@@ -250,6 +250,13 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
         ("dimension 3\nsection 1 2 1.0\nwhatever 3\n", "whatever"),
         # duplicate generators are dependent, caught at load time
         ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 1 3 1.0\n", "generator"),
+        # non-finite components and dimensions no constraint can have
+        ("dimension 3\nsection 1 2 nan\n", "section"),
+        ("dimension 3\nsection 1 2 inf\n", "section"),
+        ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 -inf\n", "generator"),
+        ("kind curve\ndimension 2\nsection 1 inf\n", "section"),
+        ("kind curve\ndimension -1\nsection 1 1\n", "dimension"),
+        ("kind curve\ndimension 0\nbuiltin first-axis-drift\n", "dimension"),
     ],
 )
 def test_constraint_spec_rejects(tmp_path, text, field):

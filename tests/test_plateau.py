@@ -10,7 +10,8 @@ Benchmarks with closed-form solutions:
 * the paraboloid, where the operator evaluates to 4 + 8x^2 + 8y^2.
 
 The hand-assembled nine-point Jacobian is checked against a central
-finite difference of the residual in a random direction.
+finite difference of the residual in a random direction; its matrix-free
+stencil form against the assembled matrix, bit for bit.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from wedgemech import plateau
 from wedgemech.fields import plateau_lagrangian
 from wedgemech.plateau import (
     GraphGrid,
@@ -28,8 +30,12 @@ from wedgemech.plateau import (
     minimal_surface_residual,
     solve_constrained_plateau,
     solve_plateau,
+    _apply_stencil,
     _factorize,
+    _jacobian_stencil,
+    _krylov_step,
     _newton_matrix,
+    _poisson_solver,
     _quasilinear,
 )
 from wedgemech.variational import delta_L_surface, el_check
@@ -129,6 +135,32 @@ def test_newton_matrix_against_directional_fd():
     assert np.abs(jv - fd).max() < 1e-7 * np.abs(fd).max()
 
 
+@pytest.mark.parametrize("shape, hx, hy", [((7, 9), 0.11, 0.07), ((17, 33), 0.05, 0.13)])
+def test_stencil_product_is_bitwise_the_assembled_jacobian(shape, hx, hy):
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(shape)
+    v = rng.standard_normal((shape[0] - 2, shape[1] - 2))
+    padded = np.zeros(shape)
+    padded[1:-1, 1:-1] = v
+    product = _apply_stencil(_jacobian_stencil(z, hx, hy), padded)
+    assert np.array_equal(product.ravel(), _newton_matrix(z, hx, hy).tocsr() @ v.ravel())
+
+
+def test_krylov_step_matches_dense_solve():
+    g = initial_guess(GraphGrid.from_boundary(SCHERK_DOMAIN, 17, 17, scherk))
+    r = _quasilinear(g.z, g.hx, g.hy)
+    precond = _poisson_solver(15, 15, g.hx, g.hy)
+    coeffs = _jacobian_stencil(g.z, g.hx, g.hy)
+    step, iterations = _krylov_step(coeffs, r, precond)
+    assert step.shape == r.shape and 0 < iterations <= 30
+    padded = np.zeros(g.shape)
+    padded[1:-1, 1:-1] = step
+    miss = np.linalg.norm(precond(_apply_stencil(coeffs, padded) + r))
+    assert miss <= 1e-10 * np.linalg.norm(precond(r))
+    dense = np.linalg.solve(_newton_matrix(g.z, g.hx, g.hy).toarray(), -r.ravel())
+    assert np.linalg.norm(step.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
 def test_initial_guess_affine_boundary_is_affine():
     g = GraphGrid.from_boundary((0.0, 1.0, 0.0, 1.0), 33, 33, lambda X, Y: 2.0 * X - 0.5 * Y + 1.0)
     fill = initial_guess(g)
@@ -191,10 +223,15 @@ def test_solve_plane_recovers_exactly():
     assert report.passed
 
 
-def test_solve_scherk_benchmark():
+def test_solve_scherk_benchmark(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a mild solve assembles no Jacobian")
+
+    monkeypatch.setattr(plateau, "_newton_matrix", unreachable)
     g = GraphGrid.from_boundary(SCHERK_DOMAIN, 65, 65, scherk)
     result = solve_plateau(g)
-    assert result.converged
+    assert result.converged and result.stop == "converged"
+    assert result.residual_floor < 1e-10  # tol is within float64's reach
     assert result.final_residual <= 1e-8
     exact = GraphGrid.sample(SCHERK_DOMAIN, 65, 65, scherk)
     assert np.abs(result.grid.z - exact.z)[1:-1, 1:-1].max() < 1e-3
@@ -258,6 +295,17 @@ def test_exhausted_budget_returns_best_iterate():
     assert result.steps[0] == 1.0  # full Newton step already descends here
     assert result.trace[1] < result.trace[0]
     assert result.final_residual == np.abs(minimal_surface_residual(result.grid)).max()
+    assert result.stop == "max-iter"
+
+
+def test_tol_below_the_residual_floor_ends_unconverged():
+    # rounding the heights alone leaves a residual near eps * sum |J| |z|
+    g = GraphGrid.from_boundary(SCHERK_DOMAIN, 17, 17, scherk)
+    result = solve_plateau(g, SolveOptions(tol=1e-15))
+    assert not result.converged
+    assert result.stop == "no-descent"
+    assert result.residual_floor > 1e-15
+    assert result.final_residual < result.residual_floor
 
 
 def test_singular_factorization_is_reported():
