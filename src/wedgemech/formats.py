@@ -21,9 +21,9 @@ value`` pairs for curve constraints).  Components may be given in either
 index order; conflicting duplicates are rejected.  ``builtin NAME``
 selects a packaged constraint instead.
 
-Problem spec files are ``key value...`` lines consumed by the command
-line; `ProblemSpec` only tokenizes and type-checks, the per-kind field
-requirements live with the commands.
+Problem spec files are ``key value...`` lines; `ProblemSpec` only
+tokenizes and type-checks, the per-kind field requirements live with
+`scenarios.run_spec`, which runs them.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def _parse_floats(field: str, tokens, count: int | None = None,
 
 # nodes of three float64 coordinates whose array numpy can still index
 _MAX_NODES = np.iinfo(np.intp).max // 24
+# float64 coefficients of a fiber-metric table numpy can still index
+_MAX_COEFFICIENTS = np.iinfo(np.intp).max // 8
 
 
 def _parse_counts(field: str, tokens, count: int) -> tuple:
@@ -299,7 +301,7 @@ def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
 
 def read_constraint_spec(path):
     """Read an affine constraint file; returns the surface or curve variant."""
-    kind = "surface"
+    kind = None  # surface unless the file says otherwise
     dim = None
     builtin = None
     section_tokens = None
@@ -332,12 +334,16 @@ def read_constraint_spec(path):
     if builtin is not None:
         if section_tokens is not None or generator_tokens:
             raise SpecError("builtin", "builtin constraints take no explicit components")
-        return builtin_constraint(builtin, dim)
+        constraint = builtin_constraint(builtin, dim)
+        degree_kind = "surface" if constraint.degree == 2 else "curve"
+        if kind not in (None, degree_kind):
+            raise SpecError("kind", f"{kind}, but builtin {builtin} is a {degree_kind} constraint")
+        return constraint
     if dim is None:
         raise SpecError("dimension", "missing required field")
     if section_tokens is None:
         raise SpecError("section", "missing required field")
-    if kind == "surface":
+    if kind in (None, "surface"):
         section = Bivector(_slot_components("section", section_tokens, dim, 2), dim)
         generators = [
             Bivector(_slot_components("generator", toks, dim, 2), dim)
@@ -365,6 +371,11 @@ def read_fiber_metric_table(path) -> FiberMetric:
         tokens = line.split()
         if tokens[0] == "dimension":
             dim = _parse_counts("dimension", tokens[1:], 1)[0]
+            if dim < 2:
+                raise SpecError("dimension", f"line {number}: bivectors need at least 2, got {dim}")
+            if dim**4 > _MAX_COEFFICIENTS:
+                raise SpecError("dimension", f"line {number}: {dim}**4 coefficients are more "
+                                             "than an array can index")
         elif tokens[0] == "entry":
             if dim is None:
                 raise SpecError("dimension", "must precede entry rows")
@@ -374,13 +385,19 @@ def read_fiber_metric_table(path) -> FiberMetric:
             if any(not 0 <= k < dim for k in idx):
                 raise SpecError("entry", f"line {number}: index out of range")
             value = _parse_floats("entry", tokens[5:], 1)[0]
+            if not np.isfinite(value):
+                raise SpecError("entry", f"line {number}: coefficients must be finite, "
+                                         f"got {tokens[5]}")
             entries.append((idx, value))
         else:
             raise SpecError(tokens[0], f"line {number}: unknown table field")
     if dim is None:
         raise SpecError("dimension", "missing required field")
-    h = np.zeros((dim, dim, dim, dim))
-    filled = np.zeros(h.shape, dtype=bool)
+    try:
+        h = np.zeros((dim, dim, dim, dim))
+        filled = np.zeros(h.shape, dtype=bool)
+    except MemoryError as err:
+        raise SpecError("dimension", f"{dim}**4 coefficients do not fit in memory") from err
     for (mu, nu, ka, la), value in entries:
         if mu == nu or ka == la:
             raise SpecError("entry", "diagonal components must vanish")

@@ -1,4 +1,13 @@
-"""Builtin example scenarios with fully determined inputs and text reports.
+"""Reports of the four commands, for builtin scenarios and problem specs alike.
+
+A report is a frame — ``wedgemech report``, ``command:``, ``scenario:`` or
+``spec:``, its body, ``result:`` — around one of five bodies: plateau
+solve, constrained plateau, nonholonomic check, phase check and curve
+residual.  Each body runs its check and appends its report lines.  A
+scenario and a spec differ only in where the inputs come from: a
+scenario builds fixed objects in Python and writes its title lines, a
+spec parses its file and writes its ``kind:``/``shape:``/``system:``
+lines; both then call the same body.
 
 Every scenario fixes all of its numbers — domain, resolution, tolerances,
 random seed where randomness is part of the point — so a report is a pure
@@ -15,16 +24,12 @@ their momentum-side description, and the classical n=1 sanity systems.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    first_axis_drift_constraint,
-    nonholonomic_check,
-    nonholonomic_check_curve,
-    symmetric_slope_constraint,
-)
+from .constraints import first_axis_drift_constraint, nonholonomic_check, symmetric_slope_constraint
 from .fields import (
     CallableBivectorLagrangian,
     lagrangian_phase_residual,
@@ -32,15 +37,26 @@ from .fields import (
     morse_family_H,
     nambu_goto,
     plateau_lagrangian,
+    quadratic_area_lagrangian,
     quadratic_curve_lagrangian,
 )
-from .formats import format_float as _f
-from .geometry import Bivector, Metric, MomentumBivector, pair_count
+from .formats import (
+    SpecError,
+    _parse_counts,
+    _parse_floats,
+    builtin_constraint,
+    format_float as _f,
+    read_constraint_spec,
+    read_fiber_metric_table,
+    read_grid,
+    read_problem_spec,
+)
+from .geometry import Bivector, Metric, MomentumBivector, induced_fiber_metric, pair_count
 from .plateau import GraphGrid, SolveOptions, solve_constrained_plateau, solve_plateau
 from .tulczyjew import PhaseElement2, alpha2, beta2, cotangent_flip2
-from .variational import CurveGrid, delta_L_curve
+from .variational import CurveGrid, SurfaceGrid, delta_L_curve
 
-__all__ = ["ScenarioOutcome", "run_scenario", "scenario_names"]
+__all__ = ["ScenarioOutcome", "run_scenario", "run_spec", "scenario_names"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,134 @@ class ScenarioOutcome:
     passed: bool
     grid: object = None
 
+
+def _report(command: str, source: str, body) -> ScenarioOutcome:
+    """Frame the lines ``body(lines)`` appends; it returns (passed, solved grid or None)."""
+    lines = ["wedgemech report", f"command: {command}", source]
+    passed, grid = body(lines)
+    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    return ScenarioOutcome(report="\n".join(lines) + "\n", passed=passed, grid=grid)
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+# ---------------------------------------------------------------- bodies
+
+
+def _solve(lines, grid, opts):
+    result = solve_plateau(grid, opts)
+    lines.append(f"tol: {_f(opts.tol)}")
+    lines.append(f"max-iter: {opts.max_iter}")
+    lines.append(f"initial-residual: {_f(result.trace[0])}")
+    for k in range(result.iterations):
+        lines.append(
+            f"iteration: {k + 1} residual {_f(result.trace[k + 1])} damping {_f(result.steps[k])}"
+        )
+    lines.append(f"converged: {_yes_no(result.converged)}")
+    lines.append(f"final-residual: {_f(result.final_residual)}")
+    if not result.converged:
+        lines.append(f"stop: {result.stop}")
+        lines.append(f"residual-floor: {_f(result.residual_floor)}")
+    return result
+
+
+def _render_check(lines, report):
+    lines.append(f"constraint-tol: {_f(report.constraint_tol)}")
+    lines.append(f"force-tol: {_f(report.force_tol)}")
+    lines.append(f"constraint-max: {_f(report.constraint_max)}")
+    lines.append("constraint-worst-node: " + " ".join(str(i) for i in report.constraint_worst))
+    lines.append(f"dalembert-max: {_f(report.dalembert_max)}")
+    lines.append("dalembert-worst-node: " + " ".join(str(i) for i in report.dalembert_worst))
+    for k, (lo, hi) in enumerate(report.multiplier_stats(), start=1):
+        lines.append(f"multiplier-range: {k} {_f(lo)} {_f(hi)}")
+    lines.append(f"constraint-passed: {_yes_no(report.constraint_passed)}")
+    lines.append(f"dalembert-passed: {_yes_no(report.dalembert_passed)}")
+
+
+def _check(lines, L, grid, constraint, constraint_tol, force_tol):
+    report = nonholonomic_check(L, grid, constraint, constraint_tol, force_tol)
+    _render_check(lines, report)
+    return report.passed, None
+
+
+def _constrained(lines, grid, fit_tol, constraint_tol, force_tol):
+    result = solve_constrained_plateau(
+        grid, fit_tol=fit_tol, constraint_tol=constraint_tol, force_tol=force_tol
+    )
+    lines.append(f"fit-tol: {_f(result.fit_tol)}")
+    lines.append(f"plane-a: {_f(result.a)}")
+    lines.append(f"plane-b: {_f(result.b)}")
+    lines.append(f"fit-residual: {_f(result.fit_residual)}")
+    lines.append(f"feasible: {_yes_no(result.feasible)}")
+    if not result.feasible:
+        lines.append("note: boundary data leaves the z = a(x+y) + b family; no surface")
+        return False, None
+    _render_check(lines, result.check)
+    return result.passed, result.plane
+
+
+def _phase_point(lines, L, x, w: Bivector) -> PhaseElement2:
+    """The phase element over (x, w) with L's momentum and zero derivatives."""
+    p = L.momentum(x, w)
+    lines.append("x: " + " ".join(_f(v) for v in x))
+    lines.append("w-slots: " + " ".join(_f(v) for v in w.slots))
+    lines.append("p-slots: " + " ".join(_f(v) for v in p.slots))
+    k = pair_count(L.dim)
+    return PhaseElement2(x, p, w, np.zeros((L.dim, k)), np.zeros((k, k)))
+
+
+def _phase(lines, L, element, tol: str, family=None, flip=False):
+    """Phase residuals of ``element`` and their agreement with the alpha2 route.
+
+    ``tol`` is the tolerance as the report prints it.  ``family`` (a Morse
+    family) adds the Hamiltonian side.  ``flip`` adds the gap between
+    alpha2 and the flipped beta2; the element is then arbitrary, so only
+    the two route gaps are held to ``tol``.
+    """
+    x, xdot = element.x, element.xdot
+    residual = lagrangian_phase_residual(L, element)
+    lines.append(f"lagrangian-force-max: {_f(np.abs(residual.force).max())}")
+    lines.append(f"lagrangian-momentum-max: {_f(np.abs(residual.momentum.slots).max())}")
+    defects = [] if flip else [residual.max_norm]
+    if family is not None:
+        sphere = abs(family.d_r(element.p))
+        ham_force, ham_velocity = hamiltonian_phase_residual(family.at_r(L.value(x, xdot)), element)
+        force, velocity = float(np.abs(ham_force).max()), float(np.abs(ham_velocity.slots).max())
+        lines.append(f"morse-sphere-defect: {_f(sphere)}")
+        lines.append(f"hamiltonian-force-max: {_f(force)}")
+        lines.append(f"hamiltonian-velocity-max: {_f(velocity)}")
+        defects += [sphere, force, velocity]
+    cov = alpha2(element)
+    gap = max(
+        float(np.abs(residual.force - (cov.a - L.gradient_x(x, xdot))).max()),
+        float(np.abs((residual.momentum - (cov.c - L.momentum(x, xdot))).slots).max()),
+    )
+    lines.append(f"alpha2-cross-gap: {_f(gap)}")
+    defects.append(gap)
+    if flip:
+        flipped = cotangent_flip2(beta2(element))
+        flip_gap = max(
+            float(np.abs(cov.a - flipped.a).max()),
+            float(np.abs((cov.c - flipped.c).slots).max()),
+            float(np.abs((cov.xdot - flipped.xdot).slots).max()),
+        )
+        lines.append(f"alpha-beta-flip-gap: {_f(flip_gap)}")
+        defects.append(flip_gap)
+    lines.append(f"tol: {tol}")
+    return all(d <= float(tol) for d in defects), None
+
+
+def _curve_residual(lines, L, grid, tol: str):
+    """Discrete Euler-Lagrange residual of a curve; ``tol`` as the report prints it."""
+    worst = delta_L_curve(L, grid).max_norm()
+    lines.append(f"residual-max: {_f(worst)}")
+    lines.append(f"tol: {tol}")
+    return worst <= float(tol), None
+
+
+# ---------------------------------------------------------------- scenarios
 
 _REGISTRY = {}
 
@@ -69,220 +213,117 @@ def run_scenario(name: str) -> ScenarioOutcome:
     if name not in _REGISTRY:
         raise KeyError(name)
     command, fn = _REGISTRY[name]
-    lines = ["wedgemech report", f"command: {command}", f"scenario: {name}"]
-    passed, grid = fn(lines)
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return ScenarioOutcome(report="\n".join(lines) + "\n", passed=passed, grid=grid)
+    return _report(command, f"scenario: {name}", fn)
 
 
-def _yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
+# boundary families by spec name: coefficient count, their description, z(X, Y) from them
+_BOUNDARIES = {
+    "affine": (3, "three coefficients: a b c", lambda a, b, c: lambda X, Y: a * X + b * Y + c),
+    "diagonal-plane": (2, "two coefficients: a b", lambda a, b: lambda X, Y: a * (X + Y) + b),
+    "constant": (1, "one value", lambda c: lambda X, Y: np.full_like(X, c)),
+    "scherk": (0, "no coefficients", lambda: lambda X, Y: np.log(np.cos(Y) / np.cos(X))),
+    "diagonal-quadratic": (0, "no coefficients", lambda: lambda X, Y: (X + Y) ** 2),
+}
 
 
-def _render_solve(lines, result, opts):
-    lines.append(f"tol: {_f(opts.tol)}")
-    lines.append(f"max-iter: {opts.max_iter}")
-    lines.append(f"initial-residual: {_f(result.trace[0])}")
-    for k in range(result.iterations):
-        lines.append(
-            f"iteration: {k + 1} residual {_f(result.trace[k + 1])} damping {_f(result.steps[k])}"
-        )
-    lines.append(f"converged: {_yes_no(result.converged)}")
-    lines.append(f"final-residual: {_f(result.final_residual)}")
+def _height(name: str, *coefficients):
+    return _BOUNDARIES[name][2](*coefficients)
 
 
-def _render_check(lines, report):
-    lines.append(f"constraint-tol: {_f(report.constraint_tol)}")
-    lines.append(f"force-tol: {_f(report.force_tol)}")
-    lines.append(f"constraint-max: {_f(report.constraint_max)}")
-    lines.append("constraint-worst-node: " + " ".join(str(i) for i in report.constraint_worst))
-    lines.append(f"dalembert-max: {_f(report.dalembert_max)}")
-    lines.append("dalembert-worst-node: " + " ".join(str(i) for i in report.dalembert_worst))
-    for k, (lo, hi) in enumerate(report.multiplier_stats(), start=1):
-        lines.append(f"multiplier-range: {k} {_f(lo)} {_f(hi)}")
-    lines.append(f"constraint-passed: {_yes_no(report.constraint_passed)}")
-    lines.append(f"dalembert-passed: {_yes_no(report.dalembert_passed)}")
+_UNIT = (0.0, 1.0, 0.0, 1.0)
+_SCHERK = (-0.7, 0.7, -0.7, 0.7)
 
 
-def _plane_height(X, Y):
-    return 2.0 * X - 0.5 * Y + 1.0
-
-
-def _scherk_height(X, Y):
-    return np.log(np.cos(Y) / np.cos(X))
-
-
-def _diagonal_plane_height(X, Y):
-    return 2.0 * (X + Y) - 1.0
-
-
-def _diagonal_quadratic_height(X, Y):
-    return (X + Y) ** 2
+def _exact_solve(lines, surface, domain, n, height, error_tol):
+    """Solve with an exact minimal graph as boundary data; report the interior error."""
+    lines += ["kind: plateau", f"surface: {surface}", f"shape: {n} {n}"]
+    grid = GraphGrid.from_boundary(domain, n, n, height)
+    result = _solve(lines, grid, SolveOptions(tol=1e-10, max_iter=25))
+    exact = GraphGrid.sample(domain, n, n, height)
+    err = float(np.abs(result.grid.z - exact.z)[1:-1, 1:-1].max())
+    lines.append(f"interior-max-error: {_f(err)}")
+    return result.converged and err < error_tol, result.grid
 
 
 @_scenario("plane", "plateau-solve")
 def _run_plane(lines):
-    opts = SolveOptions(tol=1e-10, max_iter=25)
-    grid = GraphGrid.from_boundary((0.0, 1.0, 0.0, 1.0), 33, 33, _plane_height)
-    result = solve_plateau(grid, opts)
-    lines.append("kind: plateau")
-    lines.append("surface: z = 2x - y/2 + 1 on [0,1]x[0,1]")
-    lines.append("shape: 33 33")
-    _render_solve(lines, result, opts)
-    exact = GraphGrid.sample((0.0, 1.0, 0.0, 1.0), 33, 33, _plane_height)
-    err = float(np.abs(result.grid.z - exact.z).max())
-    lines.append(f"interior-max-error: {_f(err)}")
-    return result.converged and err < 1e-10, result.grid
+    return _exact_solve(lines, "z = 2x - y/2 + 1 on [0,1]x[0,1]", _UNIT, 33,
+                        _height("affine", 2.0, -0.5, 1.0), 1e-10)
 
 
 @_scenario("scherk-65", "plateau-solve")
 def _run_scherk(lines):
-    opts = SolveOptions(tol=1e-10, max_iter=25)
-    grid = GraphGrid.from_boundary((-0.7, 0.7, -0.7, 0.7), 65, 65, _scherk_height)
-    result = solve_plateau(grid, opts)
-    lines.append("kind: plateau")
-    lines.append("surface: z = log(cos y / cos x) boundary on [-0.7,0.7]^2")
-    lines.append("shape: 65 65")
-    _render_solve(lines, result, opts)
-    exact = GraphGrid.sample((-0.7, 0.7, -0.7, 0.7), 65, 65, _scherk_height)
-    err = float(np.abs(result.grid.z - exact.z)[1:-1, 1:-1].max())
-    lines.append(f"interior-max-error: {_f(err)}")
-    return result.converged and result.final_residual <= 1e-8 and err < 1e-3, result.grid
+    return _exact_solve(lines, "z = log(cos y / cos x) boundary on [-0.7,0.7]^2", _SCHERK, 65,
+                        _height("scherk"), 1e-3)
 
 
-def _run_constrained(lines, height, label):
-    grid = GraphGrid.from_boundary((0.0, 1.0, 0.0, 1.0), 33, 33, height)
-    result = solve_constrained_plateau(grid, fit_tol=1e-8, constraint_tol=1e-6, force_tol=1e-6)
-    lines.append("kind: constrained-plateau")
-    lines.append(f"boundary: {label}")
-    lines.append("shape: 33 33")
-    lines.append(f"fit-tol: {_f(result.fit_tol)}")
-    lines.append(f"plane-a: {_f(result.a)}")
-    lines.append(f"plane-b: {_f(result.b)}")
-    lines.append(f"fit-residual: {_f(result.fit_residual)}")
-    lines.append(f"feasible: {_yes_no(result.feasible)}")
-    if not result.feasible:
-        lines.append("note: boundary data leaves the z = a(x+y) + b family; no surface")
-        return False, None
-    _render_check(lines, result.check)
-    return result.passed, result.plane
+def _constrained_scenario(lines, label, height):
+    lines += ["kind: constrained-plateau", f"boundary: {label}", "shape: 33 33"]
+    return _constrained(lines, GraphGrid.from_boundary(_UNIT, 33, 33, height), 1e-8, 1e-6, 1e-6)
 
 
 @_scenario("constrained-plane", "plateau-solve")
 def _run_constrained_plane(lines):
-    return _run_constrained(lines, _diagonal_plane_height, "z = 2(x+y) - 1 on [0,1]^2")
+    return _constrained_scenario(lines, "z = 2(x+y) - 1 on [0,1]^2",
+                                 _height("diagonal-plane", 2.0, -1.0))
 
 
 @_scenario("constrained-quadratic", "plateau-solve")
 def _run_constrained_quadratic(lines):
-    return _run_constrained(lines, _diagonal_quadratic_height, "z = (x+y)^2 on [0,1]^2")
+    return _constrained_scenario(lines, "z = (x+y)^2 on [0,1]^2", _height("diagonal-quadratic"))
 
 
-def _example7_scenario(lines, height, label, domain, constraint_tol, force_tol):
+def _example7_scenario(lines, height, label, domain, force_tol):
     xs = np.linspace(domain[0], domain[1], 65)
     ys = np.linspace(domain[2], domain[3], 65)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    from .variational import SurfaceGrid
-
     grid = SurfaceGrid.from_graph(xs, ys, height(X, Y))
-    report = nonholonomic_check(
-        plateau_lagrangian(), grid, symmetric_slope_constraint(), constraint_tol, force_tol
-    )
     lines.append("constraint: example7 (section e1^e2, generator (e1-e2)^e3)")
     lines.append(f"surface: {label}")
     lines.append("shape: 65 65")
-    _render_check(lines, report)
-    return report.passed, None
+    return _check(lines, plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6, force_tol)
 
 
 @_scenario("example7-plane", "nonholonomic-check")
 def _run_example7_plane(lines):
-    return _example7_scenario(
-        lines, lambda X, Y: X + Y + 1.0, "z = x + y + 1 on [0,1]^2",
-        (0.0, 1.0, 0.0, 1.0), 1e-6, 1e-6,
-    )
+    return _example7_scenario(lines, _height("diagonal-plane", 1.0, 1.0),
+                              "z = x + y + 1 on [0,1]^2", _UNIT, 1e-6)
 
 
 @_scenario("example7-quadratic", "nonholonomic-check")
 def _run_example7_quadratic(lines):
-    return _example7_scenario(
-        lines, _diagonal_quadratic_height, "z = (x+y)^2 on [0,1]^2",
-        (0.0, 1.0, 0.0, 1.0), 1e-6, 5e-3,
-    )
+    return _example7_scenario(lines, _height("diagonal-quadratic"),
+                              "z = (x+y)^2 on [0,1]^2", _UNIT, 5e-3)
 
 
 @_scenario("example7-scherk", "nonholonomic-check")
 def _run_example7_scherk(lines):
-    return _example7_scenario(
-        lines, _scherk_height, "z = log(cos y / cos x) on [-0.7,0.7]^2",
-        (-0.7, 0.7, -0.7, 0.7), 1e-6, 5e-3,
-    )
-
-
-def _alpha2_gap(L, element):
-    """Max difference between the direct residual and the alpha2 route."""
-    direct = lagrangian_phase_residual(L, element)
-    cov = alpha2(element)
-    force = cov.a - L.gradient_x(element.x, element.xdot)
-    momentum = cov.c - L.momentum(element.x, element.xdot)
-    return max(
-        float(np.abs(direct.force - force).max()),
-        float(np.abs((direct.momentum - momentum).slots).max()),
-    )
+    return _example7_scenario(lines, _height("scherk"),
+                              "z = log(cos y / cos x) on [-0.7,0.7]^2", _SCHERK, 5e-3)
 
 
 @_scenario("nambu-goto-euclid", "phase-check")
 def _run_nambu_goto_euclid(lines):
     g = Metric.euclidean(3)
     L = nambu_goto(g)
-    x = np.array([0.1, -0.2, 0.3])
-    w = Bivector([1.0, 0.25, -0.5], 3)
-    p = L.momentum(x, w)
-    element = PhaseElement2(x, p, w, np.zeros((3, 3)), np.zeros((3, 3)))
-    lines.append("metric: euclidean 3")
-    lines.append("lagrangian: nambu-goto")
-    lines.append("x: " + " ".join(_f(v) for v in x))
-    lines.append("w-slots: " + " ".join(_f(v) for v in w.slots))
-    lines.append("p-slots: " + " ".join(_f(v) for v in p.slots))
-    value = L.value(x, w)
-    lines.append(f"area-density: {_f(value)}")
-    lag = lagrangian_phase_residual(L, element)
-    lines.append(f"lagrangian-force-max: {_f(np.abs(lag.force).max())}")
-    lines.append(f"lagrangian-momentum-max: {_f(np.abs(lag.momentum.slots).max())}")
-    family = morse_family_H(g)
-    sphere = abs(family.d_r(p))
-    lines.append(f"morse-sphere-defect: {_f(sphere)}")
-    ham_force, ham_velocity = hamiltonian_phase_residual(family.at_r(value), element)
-    lines.append(f"hamiltonian-force-max: {_f(np.abs(ham_force).max())}")
-    lines.append(f"hamiltonian-velocity-max: {_f(np.abs(ham_velocity.slots).max())}")
-    gap = _alpha2_gap(L, element)
-    lines.append(f"alpha2-cross-gap: {_f(gap)}")
-    lines.append("tol: 1e-10")
-    defects = [lag.max_norm, sphere, float(np.abs(ham_force).max()),
-               float(np.abs(ham_velocity.slots).max()), gap]
-    return max(defects) <= 1e-10, None
+    x, w = np.array([0.1, -0.2, 0.3]), Bivector([1.0, 0.25, -0.5], 3)
+    lines += ["metric: euclidean 3", "lagrangian: nambu-goto"]
+    element = _phase_point(lines, L, x, w)
+    lines.append(f"area-density: {_f(L.value(x, w))}")
+    return _phase(lines, L, element, "1e-10", morse_family_H(g))
 
 
 @_scenario("zero-field", "phase-check")
 def _run_zero_field(lines):
+    lines += ["lagrangian: identically zero", "element: zero phase element, dimension 3"]
     L = CallableBivectorLagrangian(3, lambda x, w: 0.0)
-    element = PhaseElement2.zero(3)
-    lines.append("lagrangian: identically zero")
-    lines.append("element: zero phase element, dimension 3")
-    residual = lagrangian_phase_residual(L, element)
-    lines.append(f"lagrangian-force-max: {_f(np.abs(residual.force).max())}")
-    lines.append(f"lagrangian-momentum-max: {_f(np.abs(residual.momentum.slots).max())}")
-    gap = _alpha2_gap(L, element)
-    lines.append(f"alpha2-cross-gap: {_f(gap)}")
-    lines.append("tol: 1e-12")
-    return residual.max_norm <= 1e-12 and gap <= 1e-12, None
+    return _phase(lines, L, PhaseElement2.zero(3), "1e-12")
 
 
 @_scenario("phase-cross-check", "phase-check")
 def _run_phase_cross_check(lines):
     rng = np.random.default_rng(20260814)
     dim, k = 3, pair_count(3)
-    L = plateau_lagrangian(dim)
     x = rng.standard_normal(dim)
     element = PhaseElement2(
         x,
@@ -291,61 +332,33 @@ def _run_phase_cross_check(lines):
         rng.standard_normal((dim, k)),
         (lambda a: a - a.T)(rng.standard_normal((k, k))),
     )
-    lines.append("lagrangian: plateau")
-    lines.append("element: seeded random phase element, dimension 3")
-    residual = lagrangian_phase_residual(L, element)
-    lines.append(f"lagrangian-force-max: {_f(np.abs(residual.force).max())}")
-    lines.append(f"lagrangian-momentum-max: {_f(np.abs(residual.momentum.slots).max())}")
-    gap = _alpha2_gap(L, element)
-    lines.append(f"alpha2-cross-gap: {_f(gap)}")
-    flipped = cotangent_flip2(beta2(element))
-    direct = alpha2(element)
-    flip_gap = max(
-        float(np.abs(direct.a - flipped.a).max()),
-        float(np.abs((direct.c - flipped.c).slots).max()),
-        float(np.abs((direct.xdot - flipped.xdot).slots).max()),
-    )
-    lines.append(f"alpha-beta-flip-gap: {_f(flip_gap)}")
-    lines.append("tol: 1e-14")
-    return gap <= 1e-14 and flip_gap <= 1e-14, None
+    lines += ["lagrangian: plateau", "element: seeded random phase element, dimension 3"]
+    return _phase(lines, plateau_lagrangian(dim), element, "1e-14", flip=True)
 
 
 @_scenario("free-line", "classical-el")
 def _run_free_line(lines):
+    lines += ["system: free particle, dimension 2",
+              "curve: (0.2 + t, -0.4 + t/2) on [0,1], 101 nodes"]
     grid = CurveGrid.sample(lambda t: (0.2 + t, -0.4 + 0.5 * t), 0.0, 1.0, 101)
-    L = quadratic_curve_lagrangian(2)
-    residual = delta_L_curve(L, grid)
-    lines.append("system: free particle, dimension 2")
-    lines.append("curve: (0.2 + t, -0.4 + t/2) on [0,1], 101 nodes")
-    worst = residual.max_norm()
-    lines.append(f"residual-max: {_f(worst)}")
-    lines.append("tol: 1e-12")
-    return worst <= 1e-12, None
+    return _curve_residual(lines, quadratic_curve_lagrangian(2), grid, "1e-12")
 
 
 @_scenario("oscillator-cos", "classical-el")
 def _run_oscillator(lines):
+    lines += ["system: harmonic oscillator, omega 1, dimension 1",
+              "curve: cos t on [0,2pi], 1001 nodes"]
     grid = CurveGrid.sample(lambda t: (np.cos(t),), 0.0, 2.0 * np.pi, 1001)
-    L = quadratic_curve_lagrangian(1, omega=1.0)
-    residual = delta_L_curve(L, grid)
-    lines.append("system: harmonic oscillator, omega 1, dimension 1")
-    lines.append("curve: cos t on [0,2pi], 1001 nodes")
-    worst = residual.max_norm()
-    lines.append(f"residual-max: {_f(worst)}")
-    lines.append("tol: 0.001")
-    return worst <= 1e-3, None
+    return _curve_residual(lines, quadratic_curve_lagrangian(1, omega=1.0), grid, "0.001")
 
 
 def _constrained_line_scenario(lines, fn, label):
+    lines += ["system: free particle, dimension 2",
+              "constraint: first-axis drift (section e1, generator e1)",
+              f"curve: {label}, 101 nodes"]
     grid = CurveGrid.sample(fn, 0.0, 1.0, 101)
-    report = nonholonomic_check_curve(
-        quadratic_curve_lagrangian(2), grid, first_axis_drift_constraint(), 1e-10, 1e-10
-    )
-    lines.append("system: free particle, dimension 2")
-    lines.append("constraint: first-axis drift (section e1, generator e1)")
-    lines.append(f"curve: {label}, 101 nodes")
-    _render_check(lines, report)
-    return report.passed, None
+    return _check(lines, quadratic_curve_lagrangian(2), grid, first_axis_drift_constraint(),
+                  1e-10, 1e-10)
 
 
 @_scenario("constrained-line", "classical-el")
@@ -356,3 +369,169 @@ def _run_constrained_line(lines):
 @_scenario("constrained-line-violating", "classical-el")
 def _run_constrained_line_violating(lines):
     return _constrained_line_scenario(lines, lambda t: (t, t), "(t, t) on [0,1]")
+
+
+# ---------------------------------------------------------------- specs
+
+
+def _graph_grid(spec) -> GraphGrid:
+    if spec.has("grid"):
+        grid = read_grid(spec.get_path("grid"))
+        if not isinstance(grid, SurfaceGrid):
+            raise SpecError("grid", "plateau problems need a surface grid")
+        pts = grid.points
+        if pts.shape[-1] != 3:
+            raise SpecError("grid", "graph surfaces live in 3 coordinates")
+        xs, ys = pts[:, 0, 0], pts[0, :, 1]
+        if (np.abs(pts[..., 0] - xs[:, None]).max() > 1e-12
+                or np.abs(pts[..., 1] - ys[None, :]).max() > 1e-12):
+            raise SpecError("grid", "nodes are not a graph over a uniform rectangle")
+        return GraphGrid((xs[0], xs[-1], ys[0], ys[-1]), pts[..., 2])
+    for field in ("domain", "shape", "boundary"):
+        if not spec.has(field):
+            raise SpecError(field, "missing (give grid PATH, or domain/shape/boundary)")
+    domain = spec.get_floats("domain", 4)
+    shape = _parse_counts("shape", spec.tokens("shape"), 2)
+    name, *values = spec.tokens("boundary")
+    if name not in _BOUNDARIES:
+        raise SpecError("boundary", f"unknown boundary family {name!r}")
+    count, takes, family = _BOUNDARIES[name]
+    if len(values) != count:
+        raise SpecError("boundary", f"{name} takes {takes}")
+    height = family(*_parse_floats("boundary", values))
+    if min(shape) < 5:
+        raise SpecError("shape", f"need at least 5 nodes per axis, got {shape[0]} {shape[1]}")
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):  # non-finite heights are rejected
+            return GraphGrid.from_boundary(tuple(domain), *shape, height)
+    except ValueError as err:  # a degenerate rectangle, or heights not finite on it
+        raise SpecError("domain", f"{err} (boundary {name})") from err
+    except MemoryError as err:
+        raise SpecError("shape", f"{shape[0]} x {shape[1]} nodes do not fit in memory") from err
+
+
+def _constraint(spec, grid):
+    """The spec's constraint, checked against the grid it applies to."""
+    tokens = spec.tokens("constraint")
+    if tokens and tokens[0] == "builtin":
+        if len(tokens) != 2:
+            raise SpecError("constraint", f"unknown builtin {tokens[1:]}")
+        constraint = builtin_constraint(tokens[1], grid.dim)
+    else:
+        constraint = read_constraint_spec(spec.get_path("constraint"))
+    kind = "surface" if isinstance(grid, SurfaceGrid) else "curve"
+    if constraint.degree != (2 if kind == "surface" else 1):
+        raise SpecError("constraint", f"{kind} grids need a {kind} constraint")
+    if constraint.dim != grid.dim:
+        raise SpecError("constraint", f"dimension {constraint.dim}, grid dimension {grid.dim}")
+    return constraint
+
+
+def _lagrangian(spec, dim: int, against: str):
+    """The spec's bivector Lagrangian, which must have the dimension ``dim`` of ``against``."""
+    name = spec.tokens("lagrangian") if spec.has("lagrangian") else ["plateau"]
+    if name[0] == "plateau":
+        L = plateau_lagrangian(dim)
+    elif name[0] == "nambu-goto":
+        L = nambu_goto(spec.get_metric())
+    elif name[0] == "quadratic":
+        L = quadratic_area_lagrangian(induced_fiber_metric(spec.get_metric()))
+    elif name[0] == "custom-table":
+        if len(name) != 2:
+            raise SpecError("lagrangian", "custom-table takes a path")
+        L = quadratic_area_lagrangian(read_fiber_metric_table(os.path.join(spec.base_dir, name[1])))
+    else:
+        raise SpecError("lagrangian", f"unknown lagrangian {name[0]!r}")
+    if L.dim != dim:
+        raise SpecError("lagrangian", f"{name[0]} has dimension {L.dim}, the {against} has {dim}")
+    return L
+
+
+def _spec_plateau(spec, lines, tol, max_iter):
+    grid = _graph_grid(spec)
+    lines += [f"kind: {spec.kind}", f"shape: {grid.shape[0]} {grid.shape[1]}"]
+    if spec.kind == "constrained-plateau":
+        return _constrained(
+            lines, grid, spec.get_tol("fit-tol", 1e-8),
+            tol if tol is not None else spec.get_tol("constraint-tol", 1e-6),
+            spec.get_tol("force-tol", 1e-6),
+        )
+    try:
+        opts = SolveOptions(
+            tol=tol if tol is not None else spec.get_tol("tol", 1e-10),
+            max_iter=max_iter if max_iter is not None else spec.get_int("max-iter", 25),
+            damping=spec.get_float("damping", 1.0),
+        )
+    except ValueError as err:  # the message leads with the option: "tol must be positive"
+        raise SpecError(str(err).split()[0].replace("_", "-"), str(err)) from err
+    result = _solve(lines, grid, opts)
+    return result.converged, result.grid
+
+
+def _spec_nonholonomic(spec, lines, tol, max_iter):
+    grid = read_grid(spec.get_path("grid"))
+    constraint = _constraint(spec, grid)
+    constraint_tol = tol if tol is not None else spec.get_tol("constraint-tol")
+    force_tol = tol if tol is not None else spec.get_tol("force-tol", constraint_tol)
+    if isinstance(grid, SurfaceGrid):
+        L = _lagrangian(spec, grid.dim, "grid")
+    else:
+        L = quadratic_curve_lagrangian(
+            grid.dim, omega=spec.get_float("omega", 0.0), mass=spec.get_float("mass", 1.0)
+        )
+    lines.append("shape: " + " ".join(str(n) for n in grid.points.shape[:-1]))
+    return _check(lines, L, grid, constraint, constraint_tol, force_tol)
+
+
+def _spec_phase(spec, lines, tol, max_iter):
+    x = spec.get_floats("x", spec.get_metric().dim if spec.has("metric") else 3)
+    w = spec.get_floats("w", pair_count(x.size))
+    for field, values in (("x", x), ("w", w)):
+        if not np.isfinite(values).all():
+            raise SpecError(field, f"entries must be finite, got {' '.join(spec.tokens(field))}")
+    w = Bivector(w, x.size)
+    L = _lagrangian(spec, x.size, "point x")
+    element = _phase_point(lines, L, x, w)
+    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
+    nambu = spec.get_str("lagrangian", default="plateau").split()[0] == "nambu-goto"
+    family = morse_family_H(spec.get_metric()) if nambu else None
+    return _phase(lines, L, element, _f(tolerance), family)
+
+
+def _spec_classical(spec, lines, tol, max_iter):
+    grid = read_grid(spec.get_path("curve"))
+    if not isinstance(grid, CurveGrid):
+        raise SpecError("curve", "classical-el needs a curve grid")
+    system = spec.get_str("system", choices=("free", "oscillator"), default="free")
+    omega = spec.get_float("omega", 1.0 if system == "oscillator" else 0.0)
+    L = quadratic_curve_lagrangian(grid.dim, omega=omega, mass=spec.get_float("mass", 1.0))
+    lines += [f"system: {system}", f"shape: {grid.points.shape[0]}"]
+    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
+    if spec.has("constraint"):
+        return _check(lines, L, grid, _constraint(spec, grid), tolerance,
+                      spec.get_tol("force-tol", tolerance))
+    return _curve_residual(lines, L, grid, _f(tolerance))
+
+
+# the spec kinds each command runs, and the function that runs them
+_SPEC_COMMANDS = {
+    "plateau-solve": (("plateau", "constrained-plateau"), _spec_plateau),
+    "nonholonomic-check": (("nonholonomic-check",), _spec_nonholonomic),
+    "phase-check": (("phase-check",), _spec_phase),
+    "classical-el": (("classical-el",), _spec_classical),
+}
+
+
+def run_spec(command: str, path, tol: float | None = None,
+             max_iter: int | None = None) -> ScenarioOutcome:
+    """Run the problem spec file at ``path`` through ``command``.
+
+    ``tol`` and ``max_iter``, when given, override the file's values.
+    Input faults raise `SpecError`; an unreadable file raises `OSError`.
+    """
+    spec = read_problem_spec(path)
+    kinds, run = _SPEC_COMMANDS[command]
+    if spec.kind not in kinds:
+        raise SpecError("kind", f"{spec.kind!r} is not handled by {command}")
+    return _report(command, f"spec: {os.path.basename(path)}",
+                   lambda lines: run(spec, lines, tol, max_iter))

@@ -11,6 +11,7 @@ import wedgemech
 import wedgemech.cli as cli
 from wedgemech.cli import main
 from wedgemech.formats import read_grid, write_grid
+from wedgemech.plateau import GraphGrid
 from wedgemech.scenarios import scenario_names
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
@@ -384,7 +385,7 @@ def test_spec_plateau_grid_out_of_memory_names_shape(tmp_path, capsys, monkeypat
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli.GraphGrid, "from_boundary", exhausted)
+    monkeypatch.setattr(GraphGrid, "from_boundary", exhausted)
     spec = _spec(tmp_path, "p.spec", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n")
     assert main(["plateau-solve", "--spec", spec]) == 1
     err = capsys.readouterr().err
@@ -410,6 +411,122 @@ def test_spec_phase_rejection_names_field(tmp_path, capsys, metric, x, w, fragme
     err = capsys.readouterr().err
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
+
+
+def _plane_grid(tmp_path):
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+
+
+_TABLE_READERS = {
+    "phase-check": "x 0.1 -0.2 0.3\nw 1 0.25 -0.5\n",
+    "nonholonomic-check": "grid plane.grid\nconstraint builtin example7\nconstraint-tol 1e-6\n",
+}
+
+
+@pytest.mark.parametrize(
+    "table, fragments",
+    [
+        ("dimension 0\n", ("dimension:", "at least 2")),
+        ("dimension 1\n", ("dimension:", "at least 2")),
+        ("dimension -1\n", ("dimension:", "at least 2")),
+        ("dimension 100000\n", ("dimension:", "more than an array can index")),
+        ("dimension 3\nentry 1 2 1 2 inf\n", ("entry:", "line 2", "finite")),
+        ("dimension 3\nentry 1 2 1 2 nan\n", ("entry:", "line 2", "finite")),
+    ],
+    ids=["dimension-0", "dimension-1", "dimension-negative", "dimension-huge", "entry-inf",
+         "entry-nan"],
+)
+@pytest.mark.parametrize("command", sorted(_TABLE_READERS))
+def test_spec_fiber_table_rejection_names_field(tmp_path, capsys, command, table, fragments):
+    _plane_grid(tmp_path)
+    (tmp_path / "h.tbl").write_text(table)
+    spec = _spec(tmp_path, "t.spec",
+                 f"kind {command}\nlagrangian custom-table h.tbl\n{_TABLE_READERS[command]}")
+    assert main([command, "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: ")
+    assert all(fragment in err for fragment in fragments)
+
+
+_TABLE_4D = "dimension 4\n" + "".join(
+    f"entry {a} {b} {a} {b} 1\n" for a in range(1, 5) for b in range(a + 1, 5)
+)
+
+
+@pytest.mark.parametrize(
+    "command, lagrangian",
+    [
+        ("nonholonomic-check", "lagrangian nambu-goto\nmetric euclidean 4\n"),
+        ("nonholonomic-check", "lagrangian quadratic\nmetric euclidean 4\n"),
+        ("nonholonomic-check", "lagrangian custom-table h4.tbl\n"),
+        ("phase-check", "lagrangian custom-table h4.tbl\n"),
+    ],
+    ids=["check-nambu-goto", "check-quadratic", "check-custom-table", "phase-custom-table"],
+)
+def test_spec_lagrangian_dimension_mismatch_names_lagrangian(tmp_path, capsys, command,
+                                                             lagrangian):
+    # the grid and the point x are 3-dimensional, every Lagrangian here 4-dimensional
+    _plane_grid(tmp_path)
+    (tmp_path / "h4.tbl").write_text(_TABLE_4D)
+    spec = _spec(tmp_path, "t.spec", f"kind {command}\n{lagrangian}{_TABLE_READERS[command]}")
+    assert main([command, "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: lagrangian: ")
+    assert "has dimension 4, the " in err and " has 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stop",
+    [([], 0, None), (["--tol", "1e-15"], 2, "no-descent"), (["--max-iter", "1"], 2, "max-iter")],
+    ids=["converged", "below-floor", "budget"],
+)
+def test_spec_solve_says_why_it_stopped(tmp_path, capsys, argv, code, stop):
+    spec = _spec(tmp_path, "s.spec",
+                 "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 17 17\nboundary scherk\n")
+    assert main(["plateau-solve", "--spec", spec, *argv]) == code
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    if stop is None:  # converged reports carry neither line
+        assert fields["converged"] == "yes"
+        assert "stop" not in fields and "residual-floor" not in fields
+        return
+    assert fields["converged"] == "no"
+    assert fields["stop"] == stop
+    assert float(fields["residual-floor"]) > 0.0
+    if stop == "no-descent":  # 1e-15 is out of float64's reach at this resolution
+        assert float(fields["residual-floor"]) > float(fields["tol"])
+
+
+# spec files that restate five scenarios; a spec cannot write a scenario's
+# title lines, nor the exact-solution error or the area density it prints
+_SCENARIO_SPECS = {
+    "plane": ("plateau-solve",
+              "kind plateau\ndomain 0 1 0 1\nshape 33 33\nboundary affine 2 -0.5 1\n"),
+    "scherk-65": ("plateau-solve",
+                  "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 65 65\nboundary scherk\n"),
+    "constrained-plane": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
+                          "shape 33 33\nboundary diagonal-plane 2 -1\n"),
+    "constrained-quadratic": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
+                              "shape 33 33\nboundary diagonal-quadratic\n"),
+    "nambu-goto-euclid": ("phase-check", "kind phase-check\nmetric euclidean 3\n"
+                          "lagrangian nambu-goto\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\n"),
+}
+_SCENARIO_ONLY = ("surface:", "boundary:", "metric:", "lagrangian:", "interior-max-error:",
+                  "area-density:")
+
+
+@pytest.mark.parametrize("name", sorted(_SCENARIO_SPECS))
+def test_spec_reproduces_scenario_body(tmp_path, capsys, name):
+    command, text = _SCENARIO_SPECS[name]
+    code = main([command, "--spec", _spec(tmp_path, f"{name}.spec", text)])
+    report = capsys.readouterr().out
+    with open(os.path.join(cli._GOLDEN_DIR, f"{name}.txt"), encoding="ascii") as handle:
+        golden = handle.read()
+    assert report.splitlines()[:3] == ["wedgemech report", f"command: {command}",
+                                       f"spec: {name}.spec"]
+    body = [line for line in golden.splitlines()[3:] if not line.startswith(_SCENARIO_ONLY)]
+    assert report.splitlines()[3:] == body
+    assert code == (0 if golden.endswith("result: PASS\n") else 2)
 
 
 def test_spec_plateau_grid_file_below_minimum_size(tmp_path, capsys):

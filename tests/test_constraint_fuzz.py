@@ -1,5 +1,6 @@
-"""Mutated constraint files: reading one gives a constraint or a `SpecError`,
-and a check that reads it exits 0, 1 or 2, never with a traceback."""
+"""Mutated constraint files and fiber-metric tables: reading one gives its
+object or a `SpecError`, and a command that reads it exits 0, 1 or 2,
+never with a traceback."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import mutate_lines
 from wedgemech.cli import main
-from wedgemech.formats import SpecError, read_constraint_spec, write_grid
+from wedgemech.formats import SpecError, read_constraint_spec, read_fiber_metric_table, write_grid
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
 # dimensions and indices at and past their limits, not finite, not a number,
@@ -71,4 +72,30 @@ def test_mutated_constraint_file_is_read_or_refused(workdir, case, data):
     (workdir / f"{case}.spec").write_text(spec)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--spec", str(workdir / f"{case}.spec")])
+    assert code in (0, 1, 2)
+
+
+# a fiber-metric table read as a custom-table Lagrangian; it has its own
+# test because its reader differs, and editing the test above would change
+# the examples hypothesis derives from that test's source
+_TABLE = "dimension 3\nentry 1 2 1 2 1\nentry 1 3 1 3 1\nentry 2 3 2 3 1\nentry 1 2 1 3 0.25\n"
+_TABLE_SPEC = ("kind phase-check\nlagrangian custom-table mutated.table\nx 0.1 -0.2 0.3\n"
+               "w 1 0.25 -0.5\ntol 1e-8\n")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_mutated_fiber_table_is_read_or_refused(workdir, data):
+    lines = _TABLE.splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutate_lines(lines, data, _REPLACEMENTS)
+    path = workdir / "mutated.table"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read_fiber_metric_table(path)
+    except SpecError:
+        pass
+    (workdir / "table.spec").write_text(_TABLE_SPEC)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["phase-check", "--spec", str(workdir / "table.spec")])
     assert code in (0, 1, 2)

@@ -257,6 +257,9 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
         ("kind curve\ndimension 2\nsection 1 inf\n", "section"),
         ("kind curve\ndimension -1\nsection 1 1\n", "dimension"),
         ("kind curve\ndimension 0\nbuiltin first-axis-drift\n", "dimension"),
+        # a kind line that contradicts the degree of the builtin it names
+        ("kind surface\ndimension 3\nbuiltin first-axis-drift\n", "kind"),
+        ("kind curve\nbuiltin example7\n", "kind"),
     ],
 )
 def test_constraint_spec_rejects(tmp_path, text, field):
@@ -290,6 +293,15 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
         ("dimension 2\nentry 1 2 1.5 2 1.0\n", "entry"),
         ("dimension 2\nrow 1 2 1 2 1.0\n", "row"),
         ("dimension nan\nentry 1 2 1 2 1.0\n", "dimension"),
+        # no bivectors below dimension 2; no array indexes 100000**4 coefficients,
+        # and no address space holds 10000**4 (the allocation fails at once)
+        ("dimension 0\n", "dimension"),
+        ("dimension 1\n", "dimension"),
+        ("dimension -1\nentry 1 2 1 2 1.0\n", "dimension"),
+        ("dimension 100000\nentry 1 2 1 2 1.0\n", "dimension"),
+        ("dimension 10000\n", "dimension"),
+        ("dimension 3\nentry 1 2 1 2 inf\n", "entry"),
+        ("dimension 3\nentry 1 2 1 2 nan\n", "entry"),
     ],
 )
 def test_fiber_metric_table_rejects(tmp_path, text, field):
