@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Bivector, antisymmetric_from_slots, pair_count, wedge
-from .variational import CurveGrid, SurfaceGrid, delta_L_curve, delta_L_surface, wedge_prolongation, velocity_prolongation
+from .variational import CurveGrid, delta_L_curve, delta_L_surface, velocity_prolongation
 
 __all__ = [
     "AffineConstraint",
@@ -282,13 +282,12 @@ def constraint_residual(grid, constraint: AffineConstraint):
     """
     if constraint.dim != grid.dim:
         raise ValueError(f"constraint dimension {constraint.dim} does not match grid ({grid.dim})")
-    if isinstance(grid, SurfaceGrid):
-        degree, x, w = 2, grid.points[1:-1, 1:-1], wedge_prolongation(grid)[1:-1, 1:-1]
-    else:
-        degree, x, w = 1, grid.points[1:-1], velocity_prolongation(grid)[1:-1]
+    degree = len(grid.steps)
     if constraint.degree != degree:
         raise ValueError(f"a degree-{constraint.degree} constraint does not apply to a "
                          f"degree-{degree} grid")
+    interior = (slice(1, -1),) * degree
+    x, w = grid.points[interior], velocity_prolongation(grid)[interior]
     section, generators = constraint._fields_at(x)
     ann = _annihilator(generators, degree, grid.dim, x)
     defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, degree, grid.dim))
@@ -328,8 +327,7 @@ def _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generator
     if annihilator_generators is not None and not constraint.constant:
         raise ValueError("explicit annihilator generators require a constant constraint")
     residuals, ann = constraint_residual(grid, constraint)
-    delta_L = delta_L_surface if isinstance(grid, SurfaceGrid) else delta_L_curve
-    delta = delta_L(L, grid).values
+    delta = (delta_L_surface if len(grid.steps) == 2 else delta_L_curve)(L, grid).values
     multipliers, orthogonal = dalembert_decompose(delta, ann)
     if annihilator_generators is not None:
         multipliers = _in_user_basis(delta, ann, annihilator_generators)

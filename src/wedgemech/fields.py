@@ -1,16 +1,17 @@
-"""Lagrangian and Hamiltonian fields on bivector bundles.
+"""Lagrangian and Hamiltonian fields on vector and bivector bundles.
 
-Derivative conventions.  Because a bivector is stored by independent
-slots, there are two reasonable gradients: the derivative with respect to
-a slot, and the antisymmetrized derivative with respect to a full-array
-entry.  Momenta here always use the antisymmetrized one,
+Curves (n = 1) and surfaces (n = 2) share one derivative protocol: a field
+is a scalar ``F(x, e)`` of a base point and a fiber element of ``wedge^n``
+stored by independent slots (a vector's components, a bivector's ordered
+index pairs).  Fiber derivatives are antisymmetrized, with the 1/n! factor,
 
-    p_I = (1/2) dL/d(slot I),
+    p_I = (1/n!) dL/d(slot I),
 
-which is what makes the Legendre map of the area Lagrangian come out as
-``p = h(w, .) / L`` with no stray factors of two.  Hamiltonian velocities
-use the same convention, ``xdot^I = (1/2) dH/dp_I``.  Derivatives in the
-base point are plain partials.
+so a curve momentum is the plain partial and a bivector momentum is half
+the slot derivative; that makes the Legendre map of the area Lagrangian
+come out as ``p = h(w, .) / L`` with no stray factors of two.  Hamiltonian
+velocities use the same convention, ``xdot^I = (1/2) dH/dp_I``.
+Derivatives in the base point are plain partials.
 
 Subclasses provide `value_slots` (vectorized over leading axes); the
 gradient methods fall back to central finite differences with step
@@ -78,38 +79,60 @@ def _fd_gradient(fn, base, *, scale=1.0):
     return out
 
 
-class BivectorLagrangian:
-    """Scalar field ``L(x, w)`` on the velocity bivector bundle."""
+def _arrays(x, e):
+    """Float arrays of a base point and of a fiber element's slots."""
+    return np.asarray(x, dtype=float), np.asarray(getattr(e, "slots", e), dtype=float)
+
+
+class _SlotField:
+    """Scalar field ``F(x, e)`` of points (..., dim) and fiber slots (..., s); a subclass
+    names its fiber derivative (`momentum_slots` or `velocity_slots`) and its element type."""
+
+    fiber_scale: float  # the 1/n! of the module's convention
 
     def __init__(self, dim: int):
         self.dim = int(dim)
 
     # --- required override -------------------------------------------------
-    def value_slots(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Evaluate on arrays of points (..., dim) and slots (..., K)."""
+    def value_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Evaluate on arrays of points (..., dim) and slots (..., s)."""
         raise NotImplementedError
 
     # --- derivative access, overridden with closed forms where available ---
-    def gradient_x_slots(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return _fd_gradient(lambda xs: self.value_slots(xs, w), x)
+    def gradient_x_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        return _fd_gradient(lambda xs: self.value_slots(xs, e), x)
 
-    def momentum_slots(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return _fd_gradient(lambda ws: self.value_slots(x, ws), w, scale=0.5)
+    def _fiber_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        return _fd_gradient(lambda es: self.value_slots(x, es), e, scale=self.fiber_scale)
 
-    def derivative_mask(self, x: np.ndarray, w: np.ndarray):
+    def derivative_mask(self, x: np.ndarray, e: np.ndarray):
         """Boolean array marking nodes where derivative access is defined,
         or None when the field is everywhere differentiable."""
         return None
 
     # --- scalar wrappers ----------------------------------------------------
-    def value(self, x, w: Bivector) -> float:
-        return float(self.value_slots(np.asarray(x, dtype=float), w.slots))
+    def value(self, x, e) -> float:
+        return float(self.value_slots(*_arrays(x, e)))
 
-    def gradient_x(self, x, w: Bivector) -> np.ndarray:
-        return self.gradient_x_slots(np.asarray(x, dtype=float), w.slots)
+    def gradient_x(self, x, e) -> np.ndarray:
+        return self.gradient_x_slots(*_arrays(x, e))
+
+
+def _zero_gradient_x(self, x, e):
+    """`gradient_x_slots` of a field that does not depend on the base point."""
+    x = np.asarray(x, dtype=float)
+    e = np.asarray(e, dtype=float)
+    return np.zeros(np.broadcast_shapes(x.shape[:-1], e.shape[:-1]) + x.shape[-1:])
+
+
+class BivectorLagrangian(_SlotField):
+    """Scalar field ``L(x, w)`` on the velocity bivector bundle."""
+
+    fiber_scale = 0.5
+    momentum_slots = _SlotField._fiber_slots
 
     def momentum(self, x, w: Bivector) -> MomentumBivector:
-        return MomentumBivector(self.momentum_slots(np.asarray(x, dtype=float), w.slots), self.dim)
+        return MomentumBivector(self.momentum_slots(*_arrays(x, w)), self.dim)
 
 
 class CallableBivectorLagrangian(BivectorLagrangian):
@@ -161,10 +184,7 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
             )
         return np.sqrt(np.maximum(q, 0.0))
 
-    def gradient_x_slots(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], w.shape[:-1]) + x.shape[-1:])
+    gradient_x_slots = _zero_gradient_x
 
     def momentum_slots(self, x, w):
         w = np.asarray(w, dtype=float)
@@ -214,29 +234,14 @@ def plateau_lagrangian(dim: int = 3) -> BivectorLagrangian:
     return _SqrtQuadraticLagrangian(dim, 2.0 * np.eye(pair_count(dim)), strict=False)
 
 
-class BivectorHamiltonian:
+class BivectorHamiltonian(_SlotField):
     """Scalar field ``H(x, p)`` on the momentum bivector bundle."""
 
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def value_slots(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient_x_slots(self, x, p):
-        return _fd_gradient(lambda xs: self.value_slots(xs, p), x)
-
-    def velocity_slots(self, x, p):
-        return _fd_gradient(lambda ps: self.value_slots(x, ps), p, scale=0.5)
-
-    def value(self, x, p: MomentumBivector) -> float:
-        return float(self.value_slots(np.asarray(x, dtype=float), p.slots))
-
-    def gradient_x(self, x, p: MomentumBivector) -> np.ndarray:
-        return self.gradient_x_slots(np.asarray(x, dtype=float), p.slots)
+    fiber_scale = 0.5
+    velocity_slots = _SlotField._fiber_slots
 
     def velocity(self, x, p: MomentumBivector) -> Bivector:
-        return Bivector(self.velocity_slots(np.asarray(x, dtype=float), p.slots), self.dim)
+        return Bivector(self.velocity_slots(*_arrays(x, p)), self.dim)
 
 
 class _MorseSlice(BivectorHamiltonian):
@@ -252,10 +257,7 @@ class _MorseSlice(BivectorHamiltonian):
         lead = np.broadcast_shapes(np.asarray(x).shape[:-1], np.asarray(p).shape[:-1])
         return np.broadcast_to(out, lead).copy() if lead else out
 
-    def gradient_x_slots(self, x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], p.shape[:-1]) + x.shape[-1:])
+    gradient_x_slots = _zero_gradient_x
 
     def velocity_slots(self, x, p):
         return self.family.velocity_slots(p, self.r)
@@ -285,31 +287,26 @@ class MorseFamily:
         """Dual pairing ``(p|p)*``; unit on Legendre images of the area field."""
         return float(self.momentum_square_slots(p.slots))
 
-    def value_slots(self, p, r):
+    def _positive_square(self, p) -> np.ndarray:
+        """``(p|p)*``, outside whose positive set the family is undefined."""
         q = self.momentum_square_slots(p)
         if np.any(q <= 0.0):
-            raise FieldDomainError(
-                f"Morse family undefined: (p|p)* = {float(np.min(q))!r} <= 0"
-            )
-        return r * (np.sqrt(q) - 1.0)
+            raise FieldDomainError(f"Morse family undefined: (p|p)* = {float(np.min(q))!r} <= 0")
+        return q
+
+    def value_slots(self, p, r):
+        return r * (np.sqrt(self._positive_square(p)) - 1.0)
 
     def value(self, p: MomentumBivector, r: float) -> float:
         return float(self.value_slots(p.slots, float(r)))
 
     def d_r(self, p: MomentumBivector, r: float = 0.0) -> float:
         """Partial in the family parameter; zero exactly on the unit sphere."""
-        q = self.momentum_square_slots(p.slots)
-        if q <= 0.0:
-            raise FieldDomainError(f"Morse family undefined: (p|p)* = {float(q)!r} <= 0")
-        return float(np.sqrt(q) - 1.0)
+        return float(np.sqrt(self._positive_square(p.slots)) - 1.0)
 
     def velocity_slots(self, p, r):
         p = np.asarray(p, dtype=float)
-        q = self.momentum_square_slots(p)
-        if np.any(q <= 0.0):
-            raise FieldDomainError(
-                f"Morse family undefined: (p|p)* = {float(np.min(q))!r} <= 0"
-            )
+        q = self._positive_square(p)
         return float(r) * (p @ self._dual_slot) / (2.0 * np.sqrt(q))[..., None]
 
     def velocity(self, p: MomentumBivector, r: float) -> Bivector:
@@ -376,29 +373,15 @@ def euler_pairing(p: MomentumBivector, w: Bivector) -> float:
     return 2.0 * float(p.slots @ w.slots)
 
 
-class CurveLagrangian:
-    """Scalar field ``L(x, v)`` on the tangent bundle, for curve problems."""
+class CurveLagrangian(_SlotField):
+    """Scalar field ``L(x, v)`` on the tangent bundle, for curve problems;
+    the slots of a velocity vector are its components."""
 
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def value_field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient_x_field(self, x, v):
-        return _fd_gradient(lambda xs: self.value_field(xs, v), x)
-
-    def momentum_field(self, x, v):
-        return _fd_gradient(lambda vs: self.value_field(x, vs), v)
-
-    def value(self, x, v) -> float:
-        return float(self.value_field(np.asarray(x, dtype=float), np.asarray(v, dtype=float)))
-
-    def gradient_x(self, x, v) -> np.ndarray:
-        return self.gradient_x_field(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    fiber_scale = 1.0
+    momentum_slots = _SlotField._fiber_slots
 
     def momentum(self, x, v) -> np.ndarray:
-        return self.momentum_field(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+        return self.momentum_slots(*_arrays(x, v))
 
 
 class _QuadraticCurveLagrangian(CurveLagrangian):
@@ -407,17 +390,17 @@ class _QuadraticCurveLagrangian(CurveLagrangian):
         self.omega = float(omega)
         self.mass = float(mass)
 
-    def value_field(self, x, v):
+    def value_slots(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         kinetic = 0.5 * self.mass * np.einsum("...i,...i->...", v, v)
         potential = 0.5 * self.mass * self.omega**2 * np.einsum("...i,...i->...", x, x)
         return kinetic - potential
 
-    def gradient_x_field(self, x, v):
+    def gradient_x_slots(self, x, v):
         return -self.mass * self.omega**2 * np.asarray(x, dtype=float) * np.ones_like(np.asarray(v, dtype=float))
 
-    def momentum_field(self, x, v):
+    def momentum_slots(self, x, v):
         return self.mass * np.asarray(v, dtype=float) * np.ones_like(np.asarray(x, dtype=float))
 
 

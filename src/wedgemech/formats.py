@@ -19,7 +19,9 @@ Constraint spec files list the dimension, then the section and each
 linear generator as 1-based ``mu nu value`` component triples (``mu
 value`` pairs for curve constraints).  Components may be given in either
 index order; conflicting duplicates are rejected.  ``builtin NAME``
-selects a packaged constraint instead.
+selects a packaged constraint instead.  Only ``generator`` lines repeat;
+a second ``kind``, ``dimension``, ``builtin`` or ``section`` line is an
+error, as is a second ``dimension`` line in a fiber-metric table.
 
 Problem spec files are ``key value...`` lines; `ProblemSpec` only
 tokenizes and type-checks, the per-kind field requirements live with
@@ -103,12 +105,10 @@ def _content_lines(path):
 
 def write_grid(path, grid) -> None:
     """Write a surface or curve sample table."""
-    if isinstance(grid, SurfaceGrid):
-        kind, steps = "surface", (grid.dt, grid.ds)
-    elif isinstance(grid, CurveGrid):
-        kind, steps = "curve", (grid.dt,)
-    else:
+    if not isinstance(grid, (SurfaceGrid, CurveGrid)):
         raise TypeError(f"cannot serialize {type(grid).__name__} as a grid file")
+    steps = grid.steps
+    kind = "surface" if len(steps) == 2 else "curve"
     shape, m = grid.points.shape[:-1], grid.points.shape[-1]
     head = [
         f"# kind {kind}",
@@ -306,11 +306,15 @@ def read_constraint_spec(path):
     builtin = None
     section_tokens = None
     generator_tokens = []
+    seen = set()
     for number, line in _content_lines(path):
         if line.startswith("#"):
             continue
         tokens = line.split()
         key, rest = tokens[0], tokens[1:]
+        if key in seen and key != "generator":
+            raise SpecError(key, f"line {number}: duplicate field")
+        seen.add(key)
         if key == "kind":
             if rest not in (["surface"], ["curve"]):
                 raise SpecError("kind", f"line {number}: expected surface or curve")
@@ -324,8 +328,6 @@ def read_constraint_spec(path):
                 raise SpecError("builtin", f"line {number}: expected one name, got {rest}")
             builtin = rest[0]
         elif key == "section":
-            if section_tokens is not None:
-                raise SpecError("section", f"line {number}: duplicate section")
             section_tokens = rest
         elif key == "generator":
             generator_tokens.append(rest)
@@ -370,6 +372,8 @@ def read_fiber_metric_table(path) -> FiberMetric:
             continue
         tokens = line.split()
         if tokens[0] == "dimension":
+            if dim is not None:
+                raise SpecError("dimension", f"line {number}: duplicate field")
             dim = _parse_counts("dimension", tokens[1:], 1)[0]
             if dim < 2:
                 raise SpecError("dimension", f"line {number}: bivectors need at least 2, got {dim}")

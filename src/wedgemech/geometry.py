@@ -347,12 +347,8 @@ class FiberMetric:
     def slot_matrix(self) -> np.ndarray:
         """Symmetric (K, K) matrix ``h[I, J]`` over ordered index pairs."""
         if self._slot is None:
-            pairs = index_pairs(self.dim)
-            k = len(pairs)
-            mat = np.empty((k, k))
-            for i, (a, b) in enumerate(pairs):
-                for j, (c, d) in enumerate(pairs):
-                    mat[i, j] = self.array[a, b, c, d]
+            a, b = _pair_columns(self.dim)
+            mat = self.array[a[:, None], b[:, None], a[None, :], b[None, :]]
             mat.flags.writeable = False
             object.__setattr__(self, "_slot", mat)
         return self._slot

@@ -188,9 +188,8 @@ def minimal_surface_residual(grid: GraphGrid) -> np.ndarray:
 
 def divergence_form_residual(grid: GraphGrid) -> np.ndarray:
     """div(grad z / W) at the interior nodes: the quasilinear form over W^3."""
-    zx, zy, zxx, zyy, zxy = _stencil_pieces(grid.z, grid.hx, grid.hy)
-    quasi = (1.0 + zx**2) * zyy - 2.0 * zx * zy * zxy + (1.0 + zy**2) * zxx
-    return quasi / (1.0 + zx**2 + zy**2) ** 1.5
+    zx, zy = _stencil_pieces(grid.z, grid.hx, grid.hy)[:2]
+    return _quasilinear(grid.z, grid.hx, grid.hy) / (1.0 + zx**2 + zy**2) ** 1.5
 
 
 def _factorize(matrix, context: str):

@@ -419,8 +419,8 @@ def _constraint(spec, grid):
         constraint = builtin_constraint(tokens[1], grid.dim)
     else:
         constraint = read_constraint_spec(spec.get_path("constraint"))
-    kind = "surface" if isinstance(grid, SurfaceGrid) else "curve"
-    if constraint.degree != (2 if kind == "surface" else 1):
+    kind = "surface" if len(grid.steps) == 2 else "curve"
+    if constraint.degree != len(grid.steps):
         raise SpecError("constraint", f"{kind} grids need a {kind} constraint")
     if constraint.dim != grid.dim:
         raise SpecError("constraint", f"dimension {constraint.dim}, grid dimension {grid.dim}")
@@ -473,7 +473,7 @@ def _spec_nonholonomic(spec, lines, tol, max_iter):
     constraint = _constraint(spec, grid)
     constraint_tol = tol if tol is not None else spec.get_tol("constraint-tol")
     force_tol = tol if tol is not None else spec.get_tol("force-tol", constraint_tol)
-    if isinstance(grid, SurfaceGrid):
+    if len(grid.steps) == 2:
         L = _lagrangian(spec, grid.dim, "grid")
     else:
         L = quadratic_curve_lagrangian(

@@ -1,23 +1,25 @@
 """Sampled curves and surfaces, and discrete Euler-Lagrange residuals.
 
-Stencils: all parameter derivatives are second-order central differences
-in the interior and second-order one-sided stencils on the boundary rows
-(`numpy.gradient` with ``edge_order=2``).  Residuals are reported on
-interior nodes only, where the outer derivative of the momentum field is
-itself central.
+Curves (n = 1) and surfaces (n = 2) share one pipeline: a grid gives one
+parameter step per axis, one prolongation forms the tangents and the
+velocity element (a curve's tangent, the wedge of a surface's two), and
+one residual body takes the momentum ``P`` (the 1/n! of `fields`) and
+keeps the interior nodes.  Only the transport term depends on n:
 
-The surface residual is the expanded first-variation defect
+    delta_nu = dL/dx^nu - d_t P_nu                                 (n = 1)
+    delta_nu = dL/dx^nu - d_t S^mu d_s P_{mu nu} + d_s S^mu d_t P_{mu nu}
 
-    delta_nu = dL/dx^nu - d_t S^mu d_s P_{mu nu} + d_s S^mu d_t P_{mu nu},
+Parameter derivatives are second-order central differences in the
+interior and second-order one-sided on the boundary rows (`numpy.gradient`
+with ``edge_order=2``); residuals are reported on interior nodes only,
+where the outer derivative of the momentum field is itself central.
 
-with ``P`` the momentum field of the prolongation.  `delta_L_surface_via_maps`
-computes the same covector by assembling the full phase elements of the
-momentum surface, stacked over the interior nodes, and pushing the stack
-through the degree-2 velocity-side canonical map in one call; the two
-routes agree to rounding because the trace of the assembled mixed block
-reproduces the expanded sum.  Keeping both is deliberate: one is direct,
-the other exercises the canonical maps, and their agreement is a standing
-cross-check.
+`delta_L_surface_via_maps` assembles the same surface covector from the
+phase elements of the momentum surface, stacked over the interior nodes,
+through one call of the degree-2 velocity-side canonical map; the routes
+agree to rounding because the trace of the mixed block reproduces the
+expanded sum.  Keeping both is deliberate: their agreement is a standing
+cross-check of the canonical maps.
 
 Assembly is deterministic: every reduction runs in a fixed order, so
 repeated runs are bitwise identical.
@@ -98,6 +100,10 @@ class SurfaceGrid:
     def shape(self) -> tuple:
         return self.points.shape[:2]
 
+    @property
+    def steps(self) -> tuple:
+        return (self.dt, self.ds)
+
     @classmethod
     def sample(cls, fn, t_axis, s_axis) -> "SurfaceGrid":
         """Sample ``fn(t, s) -> point`` on [t0, t1] x [s0, s1] with nt x ns nodes."""
@@ -143,6 +149,10 @@ class CurveGrid:
     def dim(self) -> int:
         return self.points.shape[-1]
 
+    @property
+    def steps(self) -> tuple:
+        return (self.dt,)
+
     @classmethod
     def sample(cls, fn, t0: float, t1: float, num: int) -> "CurveGrid":
         ts = np.linspace(t0, t1, num)
@@ -150,16 +160,25 @@ class CurveGrid:
         return cls(ts[1] - ts[0], pts)
 
 
-def wedge_prolongation(grid: SurfaceGrid) -> np.ndarray:
-    """Tangent bivector slots (nt, ns, K) of the sampled surface."""
-    tt = np.gradient(grid.points, grid.dt, axis=0, edge_order=2)
-    ts = np.gradient(grid.points, grid.ds, axis=1, edge_order=2)
-    return wedge_slots(tt, ts)
+def _along_axes(values: np.ndarray, grid) -> list:
+    """Derivative of node samples along each parameter axis of ``grid``."""
+    return [np.gradient(values, h, axis=k, edge_order=2) for k, h in enumerate(grid.steps)]
 
 
-def velocity_prolongation(grid: CurveGrid) -> np.ndarray:
-    """Sampled velocity field (n, m) of a curve grid."""
-    return np.gradient(grid.points, grid.dt, axis=0, edge_order=2)
+def _prolongation(grid):
+    """Tangents along each axis, and the velocity element: a curve's tangent,
+    the wedge slots of a surface's two tangents."""
+    tangents = _along_axes(grid.points, grid)
+    return tangents, tangents[0] if len(tangents) == 1 else wedge_slots(*tangents)
+
+
+def velocity_prolongation(grid) -> np.ndarray:
+    """Sampled velocity element of a grid: vectors (n, m) along a curve,
+    tangent bivector slots (nt, ns, K) over a surface."""
+    return _prolongation(grid)[1]
+
+
+wedge_prolongation = velocity_prolongation  # the surface spelling
 
 
 @dataclass(frozen=True)
@@ -203,32 +222,46 @@ def el_check(field: CovectorField, tol: float) -> ElReport:
     return ElReport(worst, float(tol), bool(worst <= tol), field.worst_node())
 
 
-def _surface_fields(L, grid: SurfaceGrid):
+def _prolonged_momentum(L, grid):
+    """Points, tangents, velocity element and momentum slots of ``L`` along
+    a grid, once the dimension and the derivative domain are checked."""
+    if L.dim != grid.dim:
+        raise ValueError(f"field dimension {L.dim} does not match grid ({grid.dim})")
     x = grid.points
-    tt = np.gradient(x, grid.dt, axis=0, edge_order=2)
-    ts = np.gradient(x, grid.ds, axis=1, edge_order=2)
-    w = wedge_slots(tt, ts)
+    tangents, w = _prolongation(grid)
     mask = L.derivative_mask(x, w)
     if mask is not None and not np.all(mask):
         node = tuple(int(v) for v in np.argwhere(~mask)[0])
         raise NodeDomainError("Lagrangian derivative undefined", node)
-    return x, tt, ts, w
+    return x, tangents, w, L.momentum_slots(x, w)
 
 
+def _delta_L(L, grid) -> CovectorField:
+    """First-variation defect along a curve or a surface; only the
+    transport term differs between the degrees."""
+    x, tangents, w, p = _prolonged_momentum(L, grid)
+    if len(tangents) == 1:
+        delta = L.gradient_x_slots(x, w) - _along_axes(p, grid)[0]
+    else:
+        p = antisymmetric_from_slots(p, grid.dim)  # rebound, so the slot array is freed
+        (tt, ts), (dpt, dps) = tangents, _along_axes(p, grid)
+        delta = (
+            L.gradient_x_slots(x, w)
+            - np.einsum("ijm,ijmn->ijn", tt, dps)
+            + np.einsum("ijm,ijmn->ijn", ts, dpt)
+        )
+    return CovectorField(delta[(slice(1, -1),) * len(tangents)])
+
+
+# two functions, not one under two names: perfbench/tracing.py wraps each name
 def delta_L_surface(L, grid: SurfaceGrid) -> CovectorField:
     """First-variation defect of a bivector Lagrangian along a sampled surface."""
-    if L.dim != grid.dim:
-        raise ValueError(f"field dimension {L.dim} does not match grid ({grid.dim})")
-    x, tt, ts, w = _surface_fields(L, grid)
-    p_full = antisymmetric_from_slots(L.momentum_slots(x, w), grid.dim)
-    dpt = np.gradient(p_full, grid.dt, axis=0, edge_order=2)
-    dps = np.gradient(p_full, grid.ds, axis=1, edge_order=2)
-    delta = (
-        L.gradient_x_slots(x, w)
-        - np.einsum("ijm,ijmn->ijn", tt, dps)
-        + np.einsum("ijm,ijmn->ijn", ts, dpt)
-    )
-    return CovectorField(delta[1:-1, 1:-1])
+    return _delta_L(L, grid)
+
+
+def delta_L_curve(L, grid: CurveGrid) -> CovectorField:
+    """First-variation defect of a curve Lagrangian along a sampled curve."""
+    return _delta_L(L, grid)
 
 
 def delta_L_surface_via_maps(L, grid: SurfaceGrid):
@@ -238,30 +271,14 @@ def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     deviation between the stored momentum block and its recomputation,
     which is zero up to rounding by construction and kept as a guard.
     """
-    if L.dim != grid.dim:
-        raise ValueError(f"field dimension {L.dim} does not match grid ({grid.dim})")
-    x, tt, ts, w = _surface_fields(L, grid)
-    dim = grid.dim
-    p = L.momentum_slots(x, w)
-    dpt = np.gradient(p, grid.dt, axis=0, edge_order=2)
-    dps = np.gradient(p, grid.ds, axis=1, edge_order=2)
+    x, (tt, ts), w, p = _prolonged_momentum(L, grid)
+    dpt, dps = _along_axes(p, grid)
     x, tt, ts, w, p, dpt, dps = (a[1:-1, 1:-1] for a in (x, tt, ts, w, p, dpt, dps))
     # holonomic blocks of the prolonged momentum surface, one per interior node
     y = tt[..., :, None] * dps[..., None, :] - ts[..., :, None] * dpt[..., None, :]
     pdot = dpt[..., :, None] * dps[..., None, :] - dps[..., :, None] * dpt[..., None, :]
-    element = PhaseElement2(x, MomentumBivector(p, dim), Bivector(w, dim), y, pdot)
+    element = PhaseElement2(x, MomentumBivector(p, grid.dim), Bivector(w, grid.dim), y, pdot)
     cov = alpha2(element)
     field = L.gradient_x(element.x, element.xdot) - cov.a
     defect = L.momentum(element.x, element.xdot) - cov.c
     return CovectorField(field), float(np.abs(defect.slots).max())
-
-
-def delta_L_curve(L, grid: CurveGrid) -> CovectorField:
-    """First-variation defect of a curve Lagrangian along a sampled curve."""
-    if L.dim != grid.dim:
-        raise ValueError(f"field dimension {L.dim} does not match grid ({grid.dim})")
-    x = grid.points
-    v = np.gradient(x, grid.dt, axis=0, edge_order=2)
-    dp = np.gradient(L.momentum_field(x, v), grid.dt, axis=0, edge_order=2)
-    delta = L.gradient_x_field(x, v) - dp
-    return CovectorField(delta[1:-1])

@@ -279,7 +279,7 @@ def test_quadratic_curve_lagrangian():
 
     free = quadratic_curve_lagrangian(3)
     fd = CurveLagrangian(3)
-    fd.value_field = free.value_field
+    fd.value_slots = free.value_slots
     x3, v3 = rng.normal(size=(2, 3))
     np.testing.assert_allclose(fd.momentum(x3, v3), v3, rtol=1e-7, atol=1e-9)
     np.testing.assert_allclose(fd.gradient_x(x3, v3), 0.0, atol=1e-9)

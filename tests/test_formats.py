@@ -260,6 +260,11 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
         # a kind line that contradicts the degree of the builtin it names
         ("kind surface\ndimension 3\nbuiltin first-axis-drift\n", "kind"),
         ("kind curve\nbuiltin example7\n", "kind"),
+        # single-valued fields appear once; a repeat is not "the last one wins"
+        ("kind curve\ndimension 4\ndimension 2\nsection 1 1\n", "dimension"),
+        ("kind curve\nkind surface\ndimension 3\nsection 1 2 1.0\n", "kind"),
+        ("builtin example7\nbuiltin first-axis-drift\n", "builtin"),
+        ("dimension 3\nsection 1 2 1.0\nsection 1 3 1.0\n", "section"),
     ],
 )
 def test_constraint_spec_rejects(tmp_path, text, field):
@@ -302,6 +307,7 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
         ("dimension 10000\n", "dimension"),
         ("dimension 3\nentry 1 2 1 2 inf\n", "entry"),
         ("dimension 3\nentry 1 2 1 2 nan\n", "entry"),
+        ("dimension 4\ndimension 3\nentry 1 2 1 2 1\n", "dimension"),
     ],
 )
 def test_fiber_metric_table_rejects(tmp_path, text, field):

@@ -236,6 +236,19 @@ def test_slot_matrix_is_the_minor_matrix(dim):
             assert abs(h.slot_matrix[i, j] - minor) < 1e-12 * max(1.0, abs(minor))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_slot_matrix_equals_pairwise_loop_bitwise(dim):
+    rng = np.random.default_rng(70 + dim)
+    h = FiberMetric.from_point_metric(random_spd(rng, dim))
+    pairs = index_pairs(dim)
+    loop = np.empty((len(pairs), len(pairs)))
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            loop[i, j] = h.array[a, b, c, d]
+    assert np.array_equal(h.slot_matrix, loop)
+    assert not h.slot_matrix.flags.writeable
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_dual_slot_matrix_inverts_primal(dim):
     # Cauchy-Binet: the minor matrix of the inverse is the inverse minor matrix

@@ -18,11 +18,19 @@ import pytest
 from wedgemech import variational
 from wedgemech.fields import (
     CallableBivectorLagrangian,
+    CurveLagrangian,
     nambu_goto,
     plateau_lagrangian,
     quadratic_curve_lagrangian,
 )
-from wedgemech.geometry import Bivector, Metric, MomentumBivector, wedge, wedge_slots
+from wedgemech.geometry import (
+    Bivector,
+    Metric,
+    MomentumBivector,
+    antisymmetric_from_slots,
+    wedge,
+    wedge_slots,
+)
 from wedgemech.tulczyjew import PhaseElement2, alpha2
 from wedgemech.variational import (
     CovectorField,
@@ -253,6 +261,78 @@ def test_via_maps_calls_alpha2_once_per_surface(monkeypatch):
     monkeypatch.setattr(variational, "alpha2", counted)
     delta_L_surface_via_maps(plateau_lagrangian(3), sin_sin_grid(17))
     assert calls == [(15, 15, 3)]
+
+
+def _delta_L_surface_reference(L, grid):
+    """Reference for `delta_L_surface`: the surface residual written out on
+    its own, with the transport term in its fixed order."""
+    x = grid.points
+    tt = np.gradient(x, grid.dt, axis=0, edge_order=2)
+    ts = np.gradient(x, grid.ds, axis=1, edge_order=2)
+    w = wedge_slots(tt, ts)
+    p_full = antisymmetric_from_slots(L.momentum_slots(x, w), grid.dim)
+    dpt = np.gradient(p_full, grid.dt, axis=0, edge_order=2)
+    dps = np.gradient(p_full, grid.ds, axis=1, edge_order=2)
+    delta = (
+        L.gradient_x_slots(x, w)
+        - np.einsum("ijm,ijmn->ijn", tt, dps)
+        + np.einsum("ijm,ijmn->ijn", ts, dpt)
+    )
+    return delta[1:-1, 1:-1]
+
+
+def _delta_L_curve_reference(L, grid):
+    """Reference for `delta_L_curve`: the curve residual written out on its own."""
+    x = grid.points
+    v = np.gradient(x, grid.dt, axis=0, edge_order=2)
+    dp = np.gradient(L.momentum_slots(x, v), grid.dt, axis=0, edge_order=2)
+    return (L.gradient_x_slots(x, v) - dp)[1:-1]
+
+
+class _QuarticCurve(CurveLagrangian):
+    """A curve field with no closed-form derivatives: both come from the
+    finite-difference fallback."""
+
+    def value_slots(self, x, v):
+        return 0.5 * np.sum(v * v, axis=-1) - 0.25 * np.sum(x * x, axis=-1) ** 2
+
+
+_WAVY_CURVE = CurveGrid.sample(lambda t: (np.cos(t), 0.5 * np.sin(2.0 * t)), 0.0, 1.0, 41)
+# not a graph, so every tangent component varies and the rounding of the
+# transport term's fixed order shows (a graph over 9 x 9 nodes hides it)
+_CONE_PATCH = SurfaceGrid.sample(
+    lambda t, s: (np.cos(t) * (1 + 0.3 * s), np.sin(t) * (1 + 0.3 * s), 0.5 * s + 0.2 * t * s),
+    (0.0, 1.5, 11), (0.0, 1.0, 9),
+)
+
+
+@pytest.mark.parametrize("field, grid, route, reference", [
+    (quadratic_curve_lagrangian(2, omega=1.5), _WAVY_CURVE, delta_L_curve, _delta_L_curve_reference),
+    (_QuarticCurve(2), _WAVY_CURVE, delta_L_curve, _delta_L_curve_reference),
+    (plateau_lagrangian(3), _CONE_PATCH, delta_L_surface, _delta_L_surface_reference),
+    (CallableBivectorLagrangian(3, _tilted_area), _CONE_PATCH, delta_L_surface,
+     _delta_L_surface_reference),
+], ids=["quadratic-curve", "fd-curve", "plateau", "callable"])
+def test_shared_residual_body_equals_per_degree_reference_bitwise(field, grid, route, reference):
+    assert np.array_equal(route(field, grid).values, reference(field, grid))
+
+
+class _SpeedCurve(CurveLagrangian):
+    """Arc length ``|v|``, whose derivatives are undefined where the curve stops."""
+
+    def value_slots(self, x, v):
+        return np.sqrt(np.sum(v * v, axis=-1))
+
+    def derivative_mask(self, x, v):
+        return np.sum(v * v, axis=-1) > 0.0
+
+
+def test_curve_domain_error_reports_node():
+    # x = (t - 0.5)^2 on an exactly symmetric grid: the velocity vanishes at node 5 only
+    C = CurveGrid(0.1, np.array([[0.01 * (i - 5) ** 2] for i in range(11)]))
+    with pytest.raises(NodeDomainError) as err:
+        delta_L_curve(_SpeedCurve(1), C)
+    assert err.value.node == (5,)
 
 
 def test_reparameterization_keeps_verdicts():
