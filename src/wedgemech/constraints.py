@@ -20,13 +20,18 @@ The check asks two independent questions of a sampled candidate:
   orthogonal.
 
 All steps work on stacks of nodes.  A point-dependent constraint is
-evaluated node by node (its fields are user callables), then all its
-annihilators come from one batched singular value decomposition; a
-constant constraint runs the same code without node axes.  A singular
-value kept by the rank cutoff but within a factor of ten of it makes the
-kernel dimension ill-determined; that, like an annihilator dimension that
-changes between nodes, raises `RankDecisionError` instead of being
-silently resolved.  Values at or below the cutoff are already
+evaluated in one flat pass per field: the base points are flattened to
+rows once, a constant field is broadcast to every node, and a callable
+field (a function of one base point) is called once per row; its values
+are stacked and validated in one step, so a value that is not a velocity
+element of the constraint raises `ValueError` naming the field and the
+node.  All annihilators then come from one batched singular value
+decomposition; a constant constraint runs the same code without node
+axes.  A singular value kept by the rank cutoff but within a factor of
+ten of it makes the kernel dimension ill-determined; that, like an
+annihilator dimension that changes between nodes, raises
+`RankDecisionError` instead of being silently resolved.  Values at or
+below the cutoff are already
 indistinguishable from zero at working precision (an exact kernel's
 computed singular value lands there), so no gradation below the cutoff
 is meaningful.
@@ -129,6 +134,11 @@ def annihilator_basis(generators: Sequence, dim: int | None = None) -> np.ndarra
     return _annihilator(stacked, 1, stacked.shape[1])
 
 
+def _field_name(k: int) -> str:
+    """Name of the k-th constraint field: the section, then the generators."""
+    return f"generator {k - 1}" if k else "section"
+
+
 class AffineConstraint:
     """Affine constraint ``a(x) + span{u_k(x)}`` on velocity elements of
     ``degree`` 1 (vectors) or 2 (bivectors), which the spellings
@@ -144,36 +154,76 @@ class AffineConstraint:
         self._fields = [section, *generators]
         self.constant = not any(callable(f) for f in self._fields)
         for k, field in enumerate(self._fields):
-            name = f"generator {k - 1}" if k else "section"
-            if callable(field):
-                continue
-            if self.degree == 2 and not (isinstance(field, Bivector) and field.dim == self.dim):
-                raise ValueError(f"{name} must be a Bivector of dimension {self.dim}")
-            if self.degree == 1 and np.shape(field) != (self.dim,):
-                raise ValueError(f"{name} must be a vector of length {self.dim}")
+            if not callable(field) and (problem := self._invalid(field)):
+                raise ValueError(f"{_field_name(k)} must be {problem}")
+
+    def _invalid(self, value) -> str | None:
+        """What a field value fails to be, or None for a velocity element:
+        a `Bivector` of dimension ``dim`` (degree 2) or a finite vector of
+        length ``dim`` (degree 1)."""
+        if self.degree == 2:
+            if not isinstance(value, Bivector):
+                return f"a Bivector of dimension {self.dim}, not {type(value).__name__}"
+            if value.slots.shape != (pair_count(self.dim),):
+                return (f"a Bivector of dimension {self.dim}, not one of dimension "
+                        f"{value.dim} with slots of shape {value.slots.shape}")
+            return None
+        try:
+            vector = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            return f"a vector of length {self.dim}, not {type(value).__name__}"
+        if vector.shape != (self.dim,):
+            return f"a vector of length {self.dim}, not of shape {vector.shape}"
+        return None if np.isfinite(vector).all() else f"finite, not {vector.tolist()}"
+
+    def _stacked(self, values: list, size: int) -> np.ndarray | None:
+        """Callable values at N nodes as one (N, size) array, or None unless
+        every one is a velocity element of this constraint."""
+        try:
+            if self.degree == 2:
+                if not all(isinstance(v, Bivector) for v in values):
+                    return None
+                values = [v.slots for v in values]
+            stacked = np.array(values, dtype=float)
+        except (TypeError, ValueError):
+            return None
+        if stacked.shape != (len(values), size) or not np.isfinite(stacked).all():
+            return None
+        return stacked
 
     def _fields_at(self, x: np.ndarray):
         """Section (..., s) and generators (..., g, s), as vectors or bivector
-        slots, at base points (..., dim); a constant constraint without node axes."""
+        slots, at base points (..., dim); a constant constraint without node axes.
+
+        The base points are flattened to rows once.  A constant field is
+        written to every node by one broadcast; a callable is called once
+        per row and its values are stacked and validated in one step.
+        """
         x = np.asarray(x, dtype=float)
         if self.constant:
             x = x.reshape(-1, self.dim)[0]
         nodes = x.shape[:-1]
+        points = x.reshape(-1, self.dim)
         size = self.dim if self.degree == 1 else pair_count(self.dim)
-        values = np.empty(nodes + (len(self._fields), size))
-        for node in np.ndindex(nodes):
-            for k, field in enumerate(self._fields):
-                value = field(x[node]) if callable(field) else field
-                values[node + (k,)] = value.slots if self.degree == 2 else value
-        section, generators = values[..., 0, :], values[..., 1:, :]
+        values = np.empty((len(points), len(self._fields), size))
+        for k, field in enumerate(self._fields):
+            if not callable(field):
+                values[:, k] = field.slots if self.degree == 2 else field
+                continue
+            column = [field(point) for point in points]
+            stacked = self._stacked(column, size)
+            if stacked is None:
+                node, problem = next((i, p) for i, p in enumerate(map(self._invalid, column)) if p)
+                raise ValueError(f"{_field_name(k)} at x = {points[node].tolist()} must be {problem}")
+            values[:, k] = stacked
+        generators = values[:, 1:]
         if generators.shape[-2]:
             dependent = np.linalg.matrix_rank(generators) < generators.shape[-2]
             if np.any(dependent):
-                point = x[np.unravel_index(np.argmax(dependent), nodes)]
-                raise ValueError(
-                    f"constraint generators are linearly dependent at x = {point.tolist()}"
-                )
-        return section, generators
+                raise ValueError(f"constraint generators are linearly dependent at "
+                                 f"x = {points[np.argmax(dependent)].tolist()}")
+        values = values.reshape(nodes + values.shape[1:])
+        return values[..., 0, :], values[..., 1:, :]
 
     def at(self, x):
         """Section and generators at a base point, with independence checked."""

@@ -397,22 +397,23 @@ def read_fiber_metric_table(path) -> FiberMetric:
             raise SpecError(tokens[0], f"line {number}: unknown table field")
     if dim is None:
         raise SpecError("dimension", "missing required field")
-    try:
-        h = np.zeros((dim, dim, dim, dim))
-        filled = np.zeros(h.shape, dtype=bool)
-    except MemoryError as err:
-        raise SpecError("dimension", f"{dim}**4 coefficients do not fit in memory") from err
+    components = {}  # index tuple -> value, every symmetry image of every entry
     for (mu, nu, ka, la), value in entries:
         if mu == nu or ka == la:
             raise SpecError("entry", "diagonal components must vanish")
         for a, b, sign1 in ((mu, nu, 1.0), (nu, mu, -1.0)):
             for c, d, sign2 in ((ka, la, 1.0), (la, ka, -1.0)):
-                for (i, j, k, l) in ((a, b, c, d), (c, d, a, b)):
+                for index in ((a, b, c, d), (c, d, a, b)):
                     v = sign1 * sign2 * value
-                    if filled[i, j, k, l] and h[i, j, k, l] != v:
+                    if components.get(index, v) != v:
                         raise SpecError("entry", "conflicting duplicate component")
-                    h[i, j, k, l] = v
-                    filled[i, j, k, l] = True
+                    components[index] = v
+    try:
+        h = np.zeros((dim, dim, dim, dim))
+    except MemoryError as err:
+        raise SpecError("dimension", f"{dim}**4 coefficients do not fit in memory") from err
+    if components:
+        h[tuple(np.array(list(components)).T)] = list(components.values())
     return FiberMetric(h)
 
 

@@ -108,9 +108,10 @@ def slots_from_antisymmetric(full: np.ndarray) -> np.ndarray:
 
 
 def _validated_slots(slots, dim: int) -> np.ndarray:
-    arr = np.array(slots, dtype=float)
+    """A read-only float copy of ``slots``, checked for shape and finiteness."""
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
+    arr = np.array(slots, dtype=float)
     if arr.shape[-1:] != (pair_count(dim),):
         raise ValueError(
             f"expected {pair_count(dim)} independent components for dimension "
@@ -118,7 +119,7 @@ def _validated_slots(slots, dim: int) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise ValueError("components must be finite")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -133,8 +134,9 @@ class _SlotStored:
     __slots__ = ("slots", "dim")
 
     def __init__(self, slots, dim: int):
+        dim = int(dim)
         object.__setattr__(self, "slots", _validated_slots(slots, dim))
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -225,12 +227,21 @@ def wedge_slots(v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
-    """Wedge product of two vectors."""
+    """Wedge product of two vectors, as one `Bivector`.
+
+    The slots are the minors of `wedge_slots`, bit for bit, gathered from
+    the two 1-d arrays directly: this is the per-node path of
+    point-dependent constraint generators, where the stacked form's
+    ``v[..., a]`` indexing would cost most of a call.
+    """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
     if v.ndim != 1 or u.ndim != 1:
         raise ValueError("wedge expects rank-1 arrays")
-    return Bivector(wedge_slots(v, u), v.shape[0])
+    if v.shape != u.shape:
+        raise ValueError(f"dimension mismatch: {v.shape} vs {u.shape}")
+    a, b = _pair_columns(v.shape[0])
+    return Bivector(v[a] * u[b] - v[b] * u[a], v.shape[0])
 
 
 def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:

@@ -271,6 +271,9 @@ def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     deviation between the stored momentum block and its recomputation,
     which is zero up to rounding by construction and kept as a guard.
     """
+    if len(grid.steps) != 2:
+        raise ValueError(f"delta_L_surface_via_maps needs a degree-2 grid, "
+                         f"got a degree-{len(grid.steps)} grid")
     x, (tt, ts), w, p = _prolonged_momentum(L, grid)
     dpt, dps = _along_axes(p, grid)
     x, tt, ts, w, p, dpt, dps = (a[1:-1, 1:-1] for a in (x, tt, ts, w, p, dpt, dps))

@@ -58,6 +58,22 @@ def graph_grid(fn, n=33, lo=0.0, hi=1.0):
     return SurfaceGrid.from_graph(xs, xs, fn(X, Y))
 
 
+def ndindex_fields(degree, dim, fields, x):
+    """Section and generators by the per-node `np.ndindex` loop that the flat
+    pass of `AffineConstraint._fields_at` replaced, kept as its reference."""
+    x = np.asarray(x, dtype=float)
+    if not any(callable(f) for f in fields):
+        x = x.reshape(-1, dim)[0]
+    nodes = x.shape[:-1]
+    size = dim if degree == 1 else pair_count(dim)
+    values = np.empty(nodes + (len(fields), size))
+    for node in np.ndindex(nodes):
+        for k, field in enumerate(fields):
+            value = field(x[node]) if callable(field) else field
+            values[node + (k,)] = value.slots if degree == 2 else value
+    return values[..., 0, :], values[..., 1:, :]
+
+
 def test_symmetric_slope_annihilator_direction():
     ann = symmetric_slope_constraint().annihilator_at(np.zeros(3))
     assert ann.shape == (1, 3)
@@ -137,6 +153,122 @@ def test_constraint_field_validation():
         AffineConstraint2(3, Bivector(np.zeros(6), 4), [])
     with pytest.raises(ValueError):
         AffineConstraint1(2, np.zeros(3), [])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"generator 0 must be finite"):
+            AffineConstraint1(2, np.zeros(2), [np.array([1.0, bad])])
+
+
+E3 = np.eye(3)
+_SECTION = Bivector([1.0, 0.0, 0.0], 3)
+_GENERATOR = wedge(E3[0] - E3[1], E3[2])
+
+
+def _turning_generator(x):
+    return wedge(np.array([1.0, -(0.7 * x[0] + 0.2), 0.0]), E3[2])
+
+
+def _tilted_section(x):
+    return Bivector([1.0, 0.3 * x[1], -0.5 * x[0] * x[2]], 3)
+
+
+def _drift(x):
+    return np.array([1.0, 0.6 * x[0] - 0.1])
+
+
+# (degree, dim, section, generators): point-dependent, constant-returning and
+# mixed constant/callable fields of both degrees
+FIELD_CASES = {
+    "surface-point-dependent": (2, 3, _tilted_section, [_turning_generator]),
+    "surface-constant-returning": (2, 3, lambda x: _SECTION, [lambda x: _GENERATOR]),
+    "surface-mixed": (2, 3, _SECTION, [_turning_generator, wedge(E3[0], E3[1])]),
+    "surface-constant": (2, 3, _SECTION, [_GENERATOR]),
+    "curve-point-dependent": (1, 2, _drift, [_drift]),
+    "curve-constant-returning": (1, 2, lambda x: [1.0, 0.0], [lambda x: (1.0, 0.0)]),
+    "curve-mixed": (1, 2, np.array([1.0, 0.5]), [_drift]),
+    "curve-constant": (1, 2, [1.0, 0.0], [np.array([1.0, 0.0])]),
+}
+
+
+def _points(dim, nodes):
+    rng = np.random.default_rng(len(nodes) + dim)
+    return rng.uniform(-1.0, 1.0, nodes + (dim,))
+
+
+@pytest.mark.parametrize("nodes", [(), (7,), (5, 6)])
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_fields_at_equals_ndindex_reference_bitwise(case, nodes):
+    degree, dim, section, generators = FIELD_CASES[case]
+    constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](dim, section, generators)
+    x = _points(dim, nodes)
+    got = constraint._fields_at(x)
+    want = ndindex_fields(degree, dim, [section, *generators], x)
+    for have, reference in zip(got, want):
+        assert have.shape == reference.shape
+        assert np.array_equal(have, reference)
+    if nodes:
+        return
+    # a single point through the public accessors
+    a, us = constraint.at(x)
+    assert np.array_equal(getattr(a, "slots", a), want[0])
+    assert np.array_equal([getattr(u, "slots", u) for u in us], want[1])
+    element = (lambda s: s) if degree == 1 else (lambda s: Bivector(s, dim))
+    basis = annihilator_basis([element(u) for u in want[1]], dim)
+    assert np.array_equal(constraint.annihilator_at(x), basis)
+
+
+@pytest.mark.parametrize("degree, section, generator, message", [
+    (1, lambda x: np.array([1.0]), _drift, r"section at x = \[.*\] must be a vector of length 2, "
+                                          r"not of shape \(1,\)"),
+    (1, _drift, lambda x: np.array([1.0, np.nan if x[0] > 0.5 else 0.0]),
+     r"generator 0 at x = \[0\.[6-9].*\] must be finite"),
+    (1, lambda x: Bivector([1.0], 2), _drift, "must be a vector of length 2, not Bivector"),
+    (2, _tilted_section, lambda x: _GENERATOR.slots, "generator 0 at x = .* must be a Bivector "
+                                                     "of dimension 3, not ndarray"),
+    (2, lambda x: Bivector(np.zeros(6), 4), _turning_generator,
+     "section at x = .* must be a Bivector of dimension 3, not one of dimension 4"),
+    (2, _tilted_section, lambda x: Bivector(np.zeros((2, 3)), 3), r"slots of shape \(2, 3\)"),
+])
+def test_callable_values_are_validated(degree, section, generator, message):
+    dim = degree + 1
+    constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](dim, section, [generator])
+    points = np.stack([np.linspace(0.0, 1.0, 11)] + [np.full(11, 0.5)] * (dim - 1), -1)
+    with pytest.raises(ValueError, match=message):
+        constraint._fields_at(points)
+
+
+def test_dependent_generators_are_reported_at_their_node():
+    # (e1 - x1 e2)^e3 meets e1^e3 on x1 = 0, which the grid's middle row crosses
+    turning = lambda x: wedge(np.array([1.0, -x[0], 0.0]), E3[2])  # noqa: E731
+    constraint = AffineConstraint2(3, _SECTION, [turning, wedge(E3[0], E3[2])])
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (-1.0, 1.0, 9), (0.0, 1.0, 5))
+    with pytest.raises(ValueError, match=r"linearly dependent at x = \[0\.0, 0\.25, 0\.0\]"):
+        constraint_residual(grid, constraint)
+    with pytest.raises(ValueError, match=r"linearly dependent at x = \[0\.0, 0\.0, 0\.0\]"):
+        constraint.at(np.zeros(3))
+
+
+def test_callables_are_called_once_per_interior_node():
+    calls = {}
+
+    def counted(name, field, dim):
+        calls[name] = 0
+
+        def call(x):
+            assert x.shape == (dim,)
+            calls[name] += 1
+            return field(x)
+        return call
+
+    surface = AffineConstraint2(
+        3, counted("section", _tilted_section, 3), [counted("generator", _turning_generator, 3)]
+    )
+    nonholonomic_check(plateau_lagrangian(), graph_grid(lambda x, y: x * x + y, n=9), surface, 1e-6)
+    assert calls == {"section": 49, "generator": 49}
+
+    curve = AffineConstraint1(2, counted("section", _drift, 2), [counted("generator", _drift, 2)])
+    line = CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 21)
+    nonholonomic_check_curve(quadratic_curve_lagrangian(2), line, curve, 1e-10)
+    assert calls == {"section": 19, "generator": 19}
 
 
 def test_dalembert_decompose_symmetric_slope_defect():

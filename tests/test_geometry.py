@@ -101,6 +101,29 @@ def test_wedge_slots_shape_mismatch():
         wedge_slots(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_wedge_equals_wedge_slots_bitwise(dim):
+    rng = np.random.default_rng(60 + dim)
+    for v, u in rng.normal(size=(5, 2, dim)) * [[1.0], [1e-3]]:
+        w = wedge(v, u)
+        assert w.dim == dim and not w.slots.flags.writeable
+        assert np.array_equal(w.slots, wedge_slots(v, u))
+    assert np.array_equal(wedge([1, 2, 3], (4, 5, 6)).slots, wedge_slots([1, 2, 3], [4, 5, 6]))
+
+
+def test_wedge_rejects_stacks_and_mismatched_vectors():
+    with pytest.raises(ValueError, match="rank-1"):
+        wedge(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="rank-1"):
+        wedge(1.0, np.ones(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        wedge(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        wedge(np.ones(1), np.ones(1))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        wedge(np.array([1e200, 0.0]), np.array([0.0, 1e200]))
+
+
 @pytest.mark.parametrize("nodes", [(), (6,), (4, 5)])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_wedge_slots_matches_per_pair_reference_bitwise(dim, nodes):

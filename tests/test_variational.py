@@ -374,6 +374,12 @@ def test_domain_error_reports_node():
         assert err.value.node == (0, 0)
 
 
+def test_via_maps_rejects_a_curve():
+    C = CurveGrid.sample(lambda t: np.array([t, t * t]), 0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="degree-2 grid, got a degree-1 grid"):
+        delta_L_surface_via_maps(quadratic_curve_lagrangian(2), C)
+
+
 def test_dimension_mismatch():
     S = sin_sin_grid(9)
     with pytest.raises(ValueError):
