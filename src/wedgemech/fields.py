@@ -155,25 +155,29 @@ class CallableBivectorLagrangian(BivectorLagrangian):
 
 
 class _SqrtQuadraticLagrangian(BivectorLagrangian):
-    """``L = sqrt(w^T Q w)`` over slots, for a symmetric slot matrix Q.
+    """``L = sqrt(scale * w^T H w)`` over slots, H the slot matrix of a fiber metric.
 
-    ``strict`` fields (indefinite Q) are undefined wherever the form is
-    nonpositive; lenient ones (positive semidefinite Q) evaluate
-    everywhere but lose derivative access on the zero set.
+    The area Lagrangians take scale 4, which makes the form the
+    unrestricted four-index sum ``(w|w)``.  H is the metric's own matrix,
+    not a scaled copy; a power-of-two scale commutes with rounding away
+    from overflow and subnormals, so the form is bit for bit that of the
+    scaled matrix.  ``strict`` fields (indefinite H) are undefined wherever
+    the form is nonpositive; lenient ones (positive semidefinite H)
+    evaluate everywhere but lose derivative access on the zero set.
     """
 
-    def __init__(self, dim: int, slot_quadratic: np.ndarray, strict: bool):
-        super().__init__(dim)
-        q = np.array(slot_quadratic, dtype=float)
-        k = pair_count(dim)
-        if q.shape != (k, k) or not np.allclose(q, q.T, atol=0.0, rtol=1e-14):
-            raise ValueError("slot quadratic form must be a symmetric (K, K) matrix")
-        q.flags.writeable = False
-        self.slot_quadratic = q
+    def __init__(self, fiber_metric: FiberMetric, scale: float, strict: bool):
+        super().__init__(fiber_metric.dim)
+        self.fiber_metric = fiber_metric
+        self.scale = float(scale)
         self.strict = bool(strict)
 
     def _form(self, w):
-        return np.einsum("...i,ij,...j->...", w, self.slot_quadratic, w)
+        with np.errstate(over="ignore"):  # an overflowed form is refused below
+            q = self.scale * np.einsum("...i,ij,...j->...", w, self.fiber_metric.slot_matrix, w)
+        if not np.isfinite(q).all():  # no value, and no momentum to divide out
+            raise FieldDomainError("quadratic form is not finite at some requested point")
+        return q
 
     def value_slots(self, x, w):
         q = self._form(np.asarray(w, dtype=float))
@@ -194,19 +198,14 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
                 "momentum undefined: quadratic form is "
                 f"{float(np.min(q))!r} <= 0 at some requested point"
             )
-        return w @ self.slot_quadratic / (2.0 * np.sqrt(q))[..., None]
+        with np.errstate(over="ignore"):  # a finite form can still have an infinite gradient
+            p = self.scale * (w @ self.fiber_metric.slot_matrix) / (2.0 * np.sqrt(q))[..., None]
+        if not np.isfinite(p).all():
+            raise FieldDomainError("momentum is not finite at some requested point")
+        return p
 
     def derivative_mask(self, x, w):
         return self._form(np.asarray(w, dtype=float)) > 0.0
-
-
-class _AreaLagrangian(_SqrtQuadraticLagrangian):
-    """Area-type Lagrangian ``L(w) = sqrt((w|w))`` for a fiber metric."""
-
-    def __init__(self, fiber_metric: FiberMetric, strict: bool):
-        # the unrestricted four-index sum is 4x the slot form
-        super().__init__(fiber_metric.dim, 4.0 * fiber_metric.slot_matrix, strict)
-        self.fiber_metric = fiber_metric
 
 
 def nambu_goto(g: Metric) -> BivectorLagrangian:
@@ -216,12 +215,12 @@ def nambu_goto(g: Metric) -> BivectorLagrangian:
     bivector ``e1 ^ e2`` its value is 2 (the unrestricted-sum convention),
     and the Legendre image has unit momentum norm under the dual pairing.
     """
-    return _AreaLagrangian(induced_fiber_metric(g), strict=True)
+    return quadratic_area_lagrangian(induced_fiber_metric(g))
 
 
 def quadratic_area_lagrangian(h: FiberMetric) -> BivectorLagrangian:
-    """Area Lagrangian for an explicitly supplied fiber metric."""
-    return _AreaLagrangian(h, strict=True)
+    """Area Lagrangian ``L(w) = sqrt((w|w))`` for an explicitly supplied fiber metric."""
+    return _SqrtQuadraticLagrangian(h, 4.0, strict=True)
 
 
 def plateau_lagrangian(dim: int = 3) -> BivectorLagrangian:
@@ -231,7 +230,7 @@ def plateau_lagrangian(dim: int = 3) -> BivectorLagrangian:
     slot-wise sum of squares, so the unit plane bivector has L = sqrt(2).
     Defined everywhere; derivative access is lost only at w = 0.
     """
-    return _SqrtQuadraticLagrangian(dim, 2.0 * np.eye(pair_count(dim)), strict=False)
+    return _SqrtQuadraticLagrangian(FiberMetric(np.eye(pair_count(dim)), dim), 2.0, strict=False)
 
 
 class BivectorHamiltonian(_SlotField):

@@ -41,7 +41,7 @@ from .constraints import (
     first_axis_drift_constraint,
     symmetric_slope_constraint,
 )
-from .geometry import Bivector, FiberMetric, Metric, index_pairs, pair_count, pair_slot
+from .geometry import Bivector, FiberMetric, Metric, pair_count, pair_slot
 from .variational import CurveGrid, SurfaceGrid
 
 __all__ = [
@@ -138,7 +138,7 @@ def _parse_floats(field: str, tokens, count: int | None = None,
 
 # nodes of three float64 coordinates whose array numpy can still index
 _MAX_NODES = np.iinfo(np.intp).max // 24
-# float64 coefficients of a fiber-metric table numpy can still index
+# float64 slot-matrix coefficients of a fiber-metric table numpy can still index
 _MAX_COEFFICIENTS = np.iinfo(np.intp).max // 8
 
 
@@ -263,6 +263,11 @@ def builtin_constraint(name: str, dim: int | None):
     raise SpecError("builtin", f"unknown name {name!r}; known: example7, first-axis-drift")
 
 
+def _signed_slot(dim: int, mu: int, nu: int) -> tuple[int, float]:
+    """Slot of the pair {mu, nu}, mu != nu, and the sign of (mu, nu) relative to it."""
+    return (pair_slot(dim, mu, nu), 1.0) if mu < nu else (pair_slot(dim, nu, mu), -1.0)
+
+
 def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
     """Assemble slot storage from 1-based indexed component groups."""
     if len(tokens) % (arity + 1) != 0 or not tokens:
@@ -285,10 +290,7 @@ def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
             mu, nu = idx
             if mu == nu:
                 raise SpecError(field, f"diagonal component ({mu + 1}, {nu + 1}) must vanish")
-            sign = 1.0
-            if mu > nu:
-                mu, nu, sign = nu, mu, -1.0
-            slot = pair_slot(dim, mu, nu)
+            slot, sign = _signed_slot(dim, mu, nu)
             value = sign * value
         else:
             slot = idx[0]
@@ -364,9 +366,9 @@ def read_constraint_spec(path):
 
 
 def read_fiber_metric_table(path) -> FiberMetric:
-    """Read a coefficient table h_{mu nu kappa lambda} (1-based ``entry`` rows)."""
+    """Read a coefficient table h_{mu nu kappa lambda} (1-based ``entry`` rows) as its slot
+    matrix; an entry sets its antisymmetric and pair-exchange images, the rest are zero."""
     dim = None
-    entries = []
     for number, line in _content_lines(path):
         if line.startswith("#"):
             continue
@@ -377,44 +379,41 @@ def read_fiber_metric_table(path) -> FiberMetric:
             dim = _parse_counts("dimension", tokens[1:], 1)[0]
             if dim < 2:
                 raise SpecError("dimension", f"line {number}: bivectors need at least 2, got {dim}")
-            if dim**4 > _MAX_COEFFICIENTS:
+            size = pair_count(dim)
+            if size**2 > _MAX_COEFFICIENTS:
                 raise SpecError("dimension", f"line {number}: {dim}**4 coefficients are more "
                                              "than an array can index")
+            try:
+                slots, seen = np.zeros((size, size)), np.zeros((size, size), dtype=bool)
+            except MemoryError as err:
+                raise SpecError("dimension", f"line {number}: a {size} x {size} slot matrix "
+                                             "does not fit in memory") from err
         elif tokens[0] == "entry":
             if dim is None:
                 raise SpecError("dimension", "must precede entry rows")
             if len(tokens) != 6:
                 raise SpecError("entry", f"line {number}: expected 4 indices and a value")
-            idx = [k - 1 for k in _parse_indices("entry", tokens[1:5], number)]
-            if any(not 0 <= k < dim for k in idx):
+            mu, nu, ka, la = [k - 1 for k in _parse_indices("entry", tokens[1:5], number)]
+            if any(not 0 <= k < dim for k in (mu, nu, ka, la)):
                 raise SpecError("entry", f"line {number}: index out of range")
             value = _parse_floats("entry", tokens[5:], 1)[0]
             if not np.isfinite(value):
                 raise SpecError("entry", f"line {number}: coefficients must be finite, "
                                          f"got {tokens[5]}")
-            entries.append((idx, value))
+            if mu == nu or ka == la:
+                raise SpecError("entry", f"line {number}: diagonal components must vanish")
+            (i, sign1), (j, sign2) = _signed_slot(dim, mu, nu), _signed_slot(dim, ka, la)
+            value = sign1 * sign2 * value
+            if seen[i, j] and slots[i, j] != value:
+                raise SpecError("entry", f"line {number}: conflicting duplicate component")
+            seen[i, j] = seen[j, i] = True
+            slots[i, j] = slots[j, i] = value
         else:
             raise SpecError(tokens[0], f"line {number}: unknown table field")
     if dim is None:
         raise SpecError("dimension", "missing required field")
-    components = {}  # index tuple -> value, every symmetry image of every entry
-    for (mu, nu, ka, la), value in entries:
-        if mu == nu or ka == la:
-            raise SpecError("entry", "diagonal components must vanish")
-        for a, b, sign1 in ((mu, nu, 1.0), (nu, mu, -1.0)):
-            for c, d, sign2 in ((ka, la, 1.0), (la, ka, -1.0)):
-                for index in ((a, b, c, d), (c, d, a, b)):
-                    v = sign1 * sign2 * value
-                    if components.get(index, v) != v:
-                        raise SpecError("entry", "conflicting duplicate component")
-                    components[index] = v
-    try:
-        h = np.zeros((dim, dim, dim, dim))
-    except MemoryError as err:
-        raise SpecError("dimension", f"{dim}**4 coefficients do not fit in memory") from err
-    if components:
-        h[tuple(np.array(list(components)).T)] = list(components.values())
-    return FiberMetric(h)
+    slots.flags.writeable = False  # handed over, not copied
+    return FiberMetric(slots, dim)
 
 
 class ProblemSpec:

@@ -322,53 +322,50 @@ class Metric:
         return cls(g, "lorentz" if negatives == 1 else "euclidean")
 
 
+@dataclass(frozen=True, eq=False)
 class FiberMetric:
-    """Rank-4 coefficient array ``h_{mu nu kappa lambda}`` pairing bivectors.
+    """Symmetric pairing of bivectors, stored as its (K, K) slot matrix.
 
-    Required symmetries (validated exactly): antisymmetry in the first and
-    in the second index pair, and symmetry under exchange of the pairs.
-    ``slot_matrix`` is the induced symmetric K x K matrix over ordered
-    slots, i.e. the matrix of second-order minors when ``h`` comes from a
-    point metric.
+    ``slot_matrix[I, J] = h_{mu nu kappa lambda}`` over ordered pairs I = (mu, nu),
+    J = (kappa, lambda): the antisymmetry of ``h`` in each pair holds by construction,
+    its symmetry under exchange of the pairs is the exact symmetry of the matrix.
     """
 
-    __slots__ = ("array", "dim", "_slot")
+    slot_matrix: np.ndarray
+    dim: int
 
-    def __init__(self, array: np.ndarray):
-        h = np.array(array, dtype=float)
-        if h.ndim != 4 or len(set(h.shape)) != 1:
-            raise ValueError(f"expected shape (m, m, m, m), got {h.shape}")
-        if not np.all(np.isfinite(h)):
+    def __post_init__(self):
+        dim, m = int(self.dim), np.asarray(self.slot_matrix, dtype=float)
+        if m.flags.writeable or not m.flags.owndata:  # a frozen array of its own is kept
+            m = m.copy()
+        k = pair_count(dim)
+        if dim < 2 or m.shape != (k, k):
+            raise ValueError(f"need dimension >= 2 and slot matrix shape ({k}, {k}), "
+                             f"got dimension {dim} and shape {m.shape}")
+        if not np.isfinite(m).all():
             raise ValueError("coefficients must be finite")
-        if not np.array_equal(h, -np.swapaxes(h, 0, 1)):
-            raise ValueError("not antisymmetric in the first index pair")
-        if not np.array_equal(h, -np.swapaxes(h, 2, 3)):
-            raise ValueError("not antisymmetric in the second index pair")
-        if not np.array_equal(h, np.transpose(h, (2, 3, 0, 1))):
-            raise ValueError("not symmetric under exchange of index pairs")
-        h.flags.writeable = False
-        object.__setattr__(self, "array", h)
-        object.__setattr__(self, "dim", h.shape[0])
-        object.__setattr__(self, "_slot", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberMetric is immutable")
+        if not np.array_equal(m, m.T):
+            raise ValueError("slot matrix is not symmetric")
+        m.flags.writeable = False
+        object.__setattr__(self, "slot_matrix", m)
+        object.__setattr__(self, "dim", dim)
 
     @property
-    def slot_matrix(self) -> np.ndarray:
-        """Symmetric (K, K) matrix ``h[I, J]`` over ordered index pairs."""
-        if self._slot is None:
-            a, b = _pair_columns(self.dim)
-            mat = self.array[a[:, None], b[:, None], a[None, :], b[None, :]]
-            mat.flags.writeable = False
-            object.__setattr__(self, "_slot", mat)
-        return self._slot
+    def array(self) -> np.ndarray:
+        """Dense ``h_{mu nu kappa lambda}`` (dim, dim, dim, dim), built on demand."""
+        rows = antisymmetric_from_slots(self.slot_matrix, self.dim)  # (I, kappa, lambda)
+        # the matrix is symmetric, so expanding its first axis last gives h itself
+        return antisymmetric_from_slots(np.moveaxis(rows, 0, -1), self.dim)
 
     @classmethod
     def from_point_metric(cls, g: np.ndarray) -> "FiberMetric":
         g = np.asarray(g, dtype=float)
-        h = np.einsum("mk,nl->mnkl", g, g) - np.einsum("ml,nk->mnkl", g, g)
-        return cls(h)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError(f"point metric must be a square matrix, got shape {g.shape}")
+        a, b = _pair_columns(g.shape[0])
+        i, j = a[:, None], b[:, None]
+        # + 0.0 turns -0.0 into 0.0: no minor is a negative zero
+        return cls(g[i, a] * g[j, b] - g[i, b] * g[j, a] + 0.0, g.shape[0])
 
 
 def induced_fiber_metric(g: Metric) -> FiberMetric:

@@ -476,6 +476,36 @@ def test_spec_lagrangian_dimension_mismatch_names_lagrangian(tmp_path, capsys, c
     assert "has dimension 4, the " in err and " has 3" in err
 
 
+_TABLE_UNIT = "dimension 3\nentry 1 2 1 2 1\nentry 1 3 1 3 1\nentry 2 3 2 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, table, reader",
+    [
+        ("phase-check", _TABLE_UNIT.replace("1 2 1 2 1\n", "1 2 1 2 1e308\n"),
+         _TABLE_READERS["phase-check"]),
+        ("nonholonomic-check", _TABLE_UNIT.replace("1 2 1 2 1\n", "1 2 1 2 1e308\n"),
+         _TABLE_READERS["nonholonomic-check"]),
+        ("phase-check", _TABLE_UNIT, "x 0.1 -0.2 0.3\nw 1e200 0.25 -0.5\n"),
+        ("phase-check", "dimension 3\nentry 1 2 1 3 1\n", "x 0.1 -0.2 0.3\nw 1e308 1e-308 0\n"),
+    ],
+    ids=["phase-table-overflow", "check-table-overflow", "phase-w-overflow",
+         "phase-momentum-overflow"],
+)
+def test_spec_overflowing_form_is_a_numeric_failure(tmp_path, capsys, command, table, reader):
+    # finite inputs whose quadratic form (w|w) or its gradient overflows: the
+    # form at 1e308 and (1e200)**2 are no numbers, so there is no value and no
+    # momentum; the last form is 8, but its gradient has a component 4e308
+    _plane_grid(tmp_path)
+    (tmp_path / "h.tbl").write_text(table)
+    spec = _spec(tmp_path, "t.spec", f"kind {command}\nlagrangian custom-table h.tbl\n{reader}")
+    assert main([command, "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("wedgemech: numeric failure: ")
+    assert " is not finite at some requested point\n" in captured.err
+    assert "result: PASS" not in captured.out
+
+
 @pytest.mark.parametrize(
     "argv, code, stop",
     [([], 0, None), (["--tol", "1e-15"], 2, "no-descent"), (["--max-iter", "1"], 2, "max-iter")],

@@ -250,6 +250,27 @@ def test_custom_fiber_metric_lagrangian_matches_induced():
     assert explicit.momentum(np.zeros(3), w) == implicit.momentum(np.zeros(3), w)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_scaled_form_equals_form_of_scaled_matrix_bitwise(dim):
+    # the reference is the form of an explicitly scaled slot matrix: 4 h for
+    # the area Lagrangians, 2 I for the graph-area one
+    rng = np.random.default_rng(30 + dim)
+    k = pair_count(dim)
+    w = rng.normal(size=(200, k)) * 10.0 ** rng.uniform(-100, 100, size=(200, 1))
+    x = np.zeros((200, dim))
+    fields = [(plateau_lagrangian(dim), 2.0 * np.eye(k))]
+    for g in (Metric.euclidean(dim), Metric.minkowski(dim), random_spd_metric(rng, dim)):
+        fields.append((nambu_goto(g), 4.0 * induced_fiber_metric(g).slot_matrix))
+        fields.append((quadratic_area_lagrangian(dual_fiber_metric(g)),
+                       4.0 * dual_fiber_metric(g).slot_matrix))
+    for L, q in fields:
+        form = np.einsum("...i,ij,...j->...", w, q, w)
+        inside = form > 0.0  # none for Minkowski 2-space, whose one slot is timelike
+        assert np.array_equal(L.value_slots(x[inside], w[inside]), np.sqrt(form[inside]))
+        momentum = w[inside] @ q / (2.0 * np.sqrt(form[inside]))[..., None]
+        assert np.array_equal(L.momentum_slots(x[inside], w[inside]), momentum)
+
+
 def test_vectorized_evaluation_matches_pointwise():
     L = plateau_lagrangian(3)
     rng = np.random.default_rng(28)

@@ -1,5 +1,7 @@
 """Grid tables, constraint files, and problem specs: round trips and rejects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,77 @@ def test_fiber_metric_table_rejects(tmp_path, text, field):
     with pytest.raises(SpecError) as err:
         read_fiber_metric_table(_write(tmp_path / "h.tbl", text))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("dimension 3\nentry 1 2 1 2 1.0\nentry 2 2 1 3 1.0\n", "line 3: diagonal"),
+        ("dimension 3\n# note\nentry 1 3 1 3 1.0\nentry 1 3 3 1 1.0\n", "line 4: conflicting"),
+        ("dimension 3\nentry 1 2 1 3 0.5\nentry 3 1 2 1 -0.5\n", "line 3: conflicting"),
+    ],
+)
+def test_fiber_metric_table_errors_name_the_line(tmp_path, text, line):
+    with pytest.raises(SpecError, match=f"^entry: {line}"):
+        read_fiber_metric_table(_write(tmp_path / "h.tbl", text))
+
+
+def eight_image_table(text):
+    """Slot matrix of a table as read before fiber metrics kept only their
+    slot matrix: every entry set all eight symmetry images of a dense ``h``."""
+    dim, components = None, {}
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "dimension":
+            dim = int(tokens[1])
+            continue
+        mu, nu, ka, la = (int(t) - 1 for t in tokens[1:5])
+        value = float(tokens[5])
+        for a, b, sign1 in ((mu, nu, 1.0), (nu, mu, -1.0)):
+            for c, d, sign2 in ((ka, la, 1.0), (la, ka, -1.0)):
+                for index in ((a, b, c, d), (c, d, a, b)):
+                    v = sign1 * sign2 * value
+                    assert components.get(index, v) == v
+                    components[index] = v
+    h = np.zeros((dim,) * 4)
+    h[tuple(np.array(list(components)).T)] = list(components.values())
+    pairs = np.array([(a, b) for a in range(dim) for b in range(a + 1, dim)])
+    return h[pairs[:, 0, None], pairs[:, 1, None], pairs[None, :, 0], pairs[None, :, 1]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dimension 3\nentry 1 2 1 2 3.0\nentry 1 2 1 3 0.5\n",
+        # swapped indices within a pair
+        "dimension 3\nentry 2 1 1 3 0.5\nentry 1 3 3 2 -2.0\nentry 3 2 3 2 4.0\n",
+        # pair-swapped: the (J, I) entry of an (I, J) entry
+        "dimension 4\nentry 1 4 2 3 0.25\nentry 2 3 1 4 0.25\nentry 3 4 1 2 -1.5\n",
+        # repeated equal entries, also in other index orders, and a signed zero
+        "dimension 4\nentry 1 2 3 4 7.0\nentry 1 2 3 4 7.0\nentry 2 1 4 3 7.0\n"
+        "entry 4 3 1 2 -7.0\nentry 1 3 1 3 0.0\nentry 3 1 1 3 -0.0\n",
+        "dimension 5\n" + "".join(f"entry {a} {b} {a} {b} {a + b}\n"
+                                   for a in range(1, 6) for b in range(a + 1, 6)),
+    ],
+)
+def test_fiber_metric_table_equals_eight_image_reference(tmp_path, text):
+    metric = read_fiber_metric_table(_write(tmp_path / "h.tbl", text))
+    assert metric.slot_matrix.tobytes() == eight_image_table(text).tobytes()  # signed zeros too
+
+
+def test_fiber_metric_table_memory_is_its_slot_matrix(tmp_path):
+    # dimension 30: 435 slots, a 1.5 MB slot matrix; a dense h is 6.5 MB a copy
+    text = "dimension 30\n" + "".join(f"entry {a} {b} {a} {b} 1\n"
+                                      for a in range(1, 31) for b in range(a + 1, 31))
+    path = _write(tmp_path / "h.tbl", text)
+    tracemalloc.start()
+    try:
+        metric = read_fiber_metric_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(metric.slot_matrix, np.eye(435))
+    assert peak < 4e6
 
 
 def test_problem_spec_accessors(tmp_path):

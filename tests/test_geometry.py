@@ -228,11 +228,58 @@ def test_induced_fiber_metric_index_identity(dim):
                     assert h.array[m, n, k, l] == gm[m, k] * gm[n, l] - gm[m, l] * gm[n, k]
 
 
-def test_fiber_metric_symmetry_validation():
-    bad = np.zeros((3, 3, 3, 3))
-    bad[0, 1, 0, 1] = 1.0  # missing the antisymmetric partners
-    with pytest.raises(ValueError):
-        FiberMetric(bad)
+def test_fiber_metric_slot_matrix_validation():
+    with pytest.raises(ValueError, match="not symmetric"):
+        FiberMetric(np.triu(np.ones((3, 3))), 3)
+    with pytest.raises(ValueError, match="finite"):
+        FiberMetric(np.diag([1.0, np.inf, 1.0]), 3)
+    with pytest.raises(ValueError, match="shape"):
+        FiberMetric(np.eye(6), 3)  # the slot matrix of dimension 4
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        FiberMetric(np.zeros((0, 0)), 1)
+    with pytest.raises(ValueError, match="square"):
+        FiberMetric.from_point_metric(np.ones((3, 4)))
+    with pytest.raises(AttributeError):
+        FiberMetric(np.eye(3), 3).dim = 4
+
+
+def test_fiber_metric_copies_what_it_does_not_own():
+    given = np.eye(3)
+    h = FiberMetric(given, 3)
+    given[0, 0] = 5.0
+    assert h.slot_matrix[0, 0] == 1.0 and not h.slot_matrix.flags.writeable
+    view = given[:, :]
+    view.flags.writeable = False  # read-only, but its memory is writable through given
+    assert not np.shares_memory(FiberMetric(view, 3).slot_matrix, given)
+    owned = np.eye(3)
+    owned.flags.writeable = False  # a frozen array of its own is kept, not copied
+    assert FiberMetric(owned, 3).slot_matrix is owned
+
+
+def dense_reference(g):
+    """The dense ``h`` of a point metric and its slot gather, as stored before
+    fiber metrics kept only their slot matrix."""
+    h = np.einsum("mk,nl->mnkl", g, g) - np.einsum("ml,nk->mnkl", g, g)
+    pairs = index_pairs(g.shape[0])
+    loop = np.empty((len(pairs), len(pairs)))
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            loop[i, j] = h[a, b, c, d]
+    return h, loop
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["euclidean", "minkowski", "spd"])
+def test_slot_matrix_equals_dense_reference_bitwise(dim, kind):
+    if kind == "spd":
+        g = Metric.from_matrix(random_spd(np.random.default_rng(90 + dim), dim))
+    else:
+        g = getattr(Metric, kind)(dim)
+    for point, h in ((g.matrix, induced_fiber_metric(g)), (g.inverse, dual_fiber_metric(g)),
+                     (g.matrix, FiberMetric.from_point_metric(g.matrix))):
+        dense, slot = dense_reference(point)
+        assert h.slot_matrix.tobytes() == slot.tobytes()  # the signs of zeros too
+        assert np.array_equal(h.array, dense)
 
 
 def test_fiber_metric_frozen_components():
