@@ -389,15 +389,25 @@ class _QuadraticCurveLagrangian(CurveLagrangian):
         self.omega = float(omega)
         self.mass = float(mass)
 
+    @property
+    def _omega_squared(self) -> float:
+        try:  # a Python float power raises where numpy would give inf
+            squared = self.omega**2
+        except OverflowError:
+            squared = np.inf
+        if not np.isfinite(self.mass * squared):
+            raise FieldDomainError(f"mass * omega**2 is not finite: {self.mass!r} * {self.omega!r}**2")
+        return squared
+
     def value_slots(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         kinetic = 0.5 * self.mass * np.einsum("...i,...i->...", v, v)
-        potential = 0.5 * self.mass * self.omega**2 * np.einsum("...i,...i->...", x, x)
+        potential = 0.5 * self.mass * self._omega_squared * np.einsum("...i,...i->...", x, x)
         return kinetic - potential
 
     def gradient_x_slots(self, x, v):
-        return -self.mass * self.omega**2 * np.asarray(x, dtype=float) * np.ones_like(np.asarray(v, dtype=float))
+        return -self.mass * self._omega_squared * np.asarray(x, dtype=float) * np.ones_like(np.asarray(v, dtype=float))
 
     def momentum_slots(self, x, v):
         return self.mass * np.asarray(v, dtype=float) * np.ones_like(np.asarray(x, dtype=float))

@@ -21,7 +21,8 @@ value`` pairs for curve constraints).  Components may be given in either
 index order; conflicting duplicates are rejected.  ``builtin NAME``
 selects a packaged constraint instead.  Only ``generator`` lines repeat;
 a second ``kind``, ``dimension``, ``builtin`` or ``section`` line is an
-error, as is a second ``dimension`` line in a fiber-metric table.
+error, as is a second ``dimension`` line in a fiber-metric table.  An
+error in a component or table entry names its line.
 
 Problem spec files are ``key value...`` lines; `ProblemSpec` only
 tokenizes and type-checks, the per-kind field requirements live with
@@ -70,7 +71,7 @@ _PROBLEM_KEYS = frozenset(
         "kind", "metric", "lagrangian", "constraint", "grid", "curve",
         "domain", "shape", "boundary", "system",
         "tol", "max-iter", "damping", "fit-tol", "constraint-tol", "force-tol",
-        "x", "w", "r", "omega", "mass",
+        "x", "w", "omega", "mass",
     ]
 )
 
@@ -263,80 +264,87 @@ def builtin_constraint(name: str, dim: int | None):
     raise SpecError("builtin", f"unknown name {name!r}; known: example7, first-axis-drift")
 
 
-def _signed_slot(dim: int, mu: int, nu: int) -> tuple[int, float]:
-    """Slot of the pair {mu, nu}, mu != nu, and the sign of (mu, nu) relative to it."""
-    return (pair_slot(dim, mu, nu), 1.0) if mu < nu else (pair_slot(dim, nu, mu), -1.0)
-
-
-def _slot_components(field: str, tokens, dim: int, arity: int) -> np.ndarray:
-    """Assemble slot storage from 1-based indexed component groups."""
-    if len(tokens) % (arity + 1) != 0 or not tokens:
-        raise SpecError(field, f"expected groups of {arity + 1} tokens")
-    size = pair_count(dim) if arity == 2 else dim
-    slots = np.zeros(size)
-    seen = np.zeros(size, dtype=bool)
-    for g in range(0, len(tokens), arity + 1):
-        idx = tokens[g : g + arity]
-        value = _parse_floats(field, tokens[g + arity : g + arity + 1], 1)[0]
-        if not np.isfinite(value):
-            raise SpecError(field, f"components must be finite, got {tokens[g + arity]}")
-        try:
-            idx = [int(t) - 1 for t in idx]
-        except ValueError as err:
-            raise SpecError(field, f"indices must be integers, got {idx}") from err
-        if any(not 0 <= k < dim for k in idx):
-            raise SpecError(field, f"index out of range for dimension {dim}")
-        if arity == 2:
-            mu, nu = idx
-            if mu == nu:
-                raise SpecError(field, f"diagonal component ({mu + 1}, {nu + 1}) must vanish")
-            slot, sign = _signed_slot(dim, mu, nu)
-            value = sign * value
-        else:
-            slot = idx[0]
-        if seen[slot] and slots[slot] != value:
-            raise SpecError(field, "conflicting duplicate component (antisymmetry violated)")
-        seen[slot] = True
-        slots[slot] = value
-    return slots
-
-
-def read_constraint_spec(path):
-    """Read an affine constraint file; returns the surface or curve variant."""
-    kind = None  # surface unless the file says otherwise
-    dim = None
-    builtin = None
-    section_tokens = None
-    generator_tokens = []
+def _keyed_lines(path, fields, repeated=()):
+    """``(number, key, values)`` of each ``key values...`` line, ``#`` lines skipped; a key
+    not in ``fields``, or a second line of one not in ``repeated``, is refused at its line."""
     seen = set()
     for number, line in _content_lines(path):
         if line.startswith("#"):
             continue
-        tokens = line.split()
-        key, rest = tokens[0], tokens[1:]
-        if key in seen and key != "generator":
+        key, *values = line.split()
+        if key not in fields:
+            raise SpecError(key, f"line {number}: unknown field")
+        if key in seen and key not in repeated:
             raise SpecError(key, f"line {number}: duplicate field")
         seen.add(key)
+        yield number, key, values
+
+
+def _component(field: str, number: int, tokens, dim: int) -> tuple:
+    """Slot index and signed value of 1-based indices and a number: one index is a vector
+    slot, a pair of distinct indices a bivector slot, two pairs a slot-matrix entry; each
+    pair that runs downward negates the value."""
+    index = [k - 1 for k in _parse_indices(field, tokens[:-1], number)]
+    if any(not 0 <= k < dim for k in index):
+        raise SpecError(field, f"line {number}: index out of range for dimension {dim}")
+    value = _parse_floats(field, tokens[-1:], 1, number)[0]
+    if not np.isfinite(value):
+        raise SpecError(field, f"line {number}: components must be finite, got {tokens[-1]}")
+    if len(index) == 1:
+        return tuple(index), value
+    slots = []
+    for mu, nu in zip(index[::2], index[1::2]):
+        if mu == nu:
+            raise SpecError(field, f"line {number}: diagonal component ({mu + 1}, {nu + 1}) "
+                                   "must vanish")
+        slots.append(pair_slot(dim, min(mu, nu), max(mu, nu)))
+        value = value if mu < nu else -value
+    return tuple(slots), value
+
+
+def _set_once(field: str, number: int, array, seen, index, value) -> None:
+    """``array[index] = value``, refusing an entry already set to another value."""
+    if (seen[index] & (array[index] != value)).any():
+        raise SpecError(field, f"line {number}: conflicting duplicate component")
+    seen[index] = True
+    array[index] = value
+
+
+def _slot_components(field: str, number: int, tokens, dim: int, arity: int):
+    """The vector (arity 1) or `Bivector` (arity 2) of a line of groups of
+    ``arity`` 1-based indices and a value."""
+    if len(tokens) % (arity + 1) != 0 or not tokens:
+        raise SpecError(field, f"line {number}: expected groups of {arity + 1} tokens")
+    size = pair_count(dim) if arity == 2 else dim
+    slots, seen = np.zeros(size), np.zeros(size, dtype=bool)
+    for g in range(0, len(tokens), arity + 1):
+        index, value = _component(field, number, tokens[g : g + arity + 1], dim)
+        _set_once(field, number, slots, seen, index, value)
+    return Bivector(slots, dim) if arity == 2 else slots
+
+
+def read_constraint_spec(path):
+    """Read an affine constraint file; returns the surface or curve variant."""
+    kind = dim = builtin = None  # surface unless the file says otherwise
+    components = []  # (field, line number, tokens) of the section and each generator
+    fields = ("kind", "dimension", "builtin", "section", "generator")
+    for number, key, values in _keyed_lines(path, fields, repeated=("generator",)):
         if key == "kind":
-            if rest not in (["surface"], ["curve"]):
+            if values not in (["surface"], ["curve"]):
                 raise SpecError("kind", f"line {number}: expected surface or curve")
-            kind = rest[0]
+            kind = values[0]
         elif key == "dimension":
-            dim = _parse_counts("dimension", rest, 1)[0]
+            dim = _parse_counts("dimension", values, 1)[0]
             if dim < 1:
                 raise SpecError("dimension", f"line {number}: must be at least 1, got {dim}")
         elif key == "builtin":
-            if len(rest) != 1:
-                raise SpecError("builtin", f"line {number}: expected one name, got {rest}")
-            builtin = rest[0]
-        elif key == "section":
-            section_tokens = rest
-        elif key == "generator":
-            generator_tokens.append(rest)
+            if len(values) != 1:
+                raise SpecError("builtin", f"line {number}: expected one name, got {values}")
+            builtin = values[0]
         else:
-            raise SpecError(key, f"line {number}: unknown constraint field")
+            components.append((key, number, values))
     if builtin is not None:
-        if section_tokens is not None or generator_tokens:
+        if components:
             raise SpecError("builtin", "builtin constraints take no explicit components")
         constraint = builtin_constraint(builtin, dim)
         degree_kind = "surface" if constraint.degree == 2 else "curve"
@@ -345,19 +353,12 @@ def read_constraint_spec(path):
         return constraint
     if dim is None:
         raise SpecError("dimension", "missing required field")
-    if section_tokens is None:
+    components.sort(key=lambda c: c[0] != "section")  # the section first, generators in order
+    if not components or components[0][0] != "section":
         raise SpecError("section", "missing required field")
-    if kind in (None, "surface"):
-        section = Bivector(_slot_components("section", section_tokens, dim, 2), dim)
-        generators = [
-            Bivector(_slot_components("generator", toks, dim, 2), dim)
-            for toks in generator_tokens
-        ]
-        constraint = AffineConstraint2(dim, section, generators)
-    else:
-        section = _slot_components("section", section_tokens, dim, 1)
-        generators = [_slot_components("generator", toks, dim, 1) for toks in generator_tokens]
-        constraint = AffineConstraint1(dim, section, generators)
+    arity = 1 if kind == "curve" else 2
+    section, *generators = [_slot_components(*c, dim, arity) for c in components]
+    constraint = (AffineConstraint2 if arity == 2 else AffineConstraint1)(dim, section, generators)
     try:
         constraint.at(np.zeros(dim))  # independence is a load-time invariant
     except ValueError as err:
@@ -369,14 +370,9 @@ def read_fiber_metric_table(path) -> FiberMetric:
     """Read a coefficient table h_{mu nu kappa lambda} (1-based ``entry`` rows) as its slot
     matrix; an entry sets its antisymmetric and pair-exchange images, the rest are zero."""
     dim = None
-    for number, line in _content_lines(path):
-        if line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "dimension":
-            if dim is not None:
-                raise SpecError("dimension", f"line {number}: duplicate field")
-            dim = _parse_counts("dimension", tokens[1:], 1)[0]
+    for number, key, values in _keyed_lines(path, ("dimension", "entry"), repeated=("entry",)):
+        if key == "dimension":
+            dim = _parse_counts("dimension", values, 1)[0]
             if dim < 2:
                 raise SpecError("dimension", f"line {number}: bivectors need at least 2, got {dim}")
             size = pair_count(dim)
@@ -388,28 +384,13 @@ def read_fiber_metric_table(path) -> FiberMetric:
             except MemoryError as err:
                 raise SpecError("dimension", f"line {number}: a {size} x {size} slot matrix "
                                              "does not fit in memory") from err
-        elif tokens[0] == "entry":
-            if dim is None:
-                raise SpecError("dimension", "must precede entry rows")
-            if len(tokens) != 6:
-                raise SpecError("entry", f"line {number}: expected 4 indices and a value")
-            mu, nu, ka, la = [k - 1 for k in _parse_indices("entry", tokens[1:5], number)]
-            if any(not 0 <= k < dim for k in (mu, nu, ka, la)):
-                raise SpecError("entry", f"line {number}: index out of range")
-            value = _parse_floats("entry", tokens[5:], 1)[0]
-            if not np.isfinite(value):
-                raise SpecError("entry", f"line {number}: coefficients must be finite, "
-                                         f"got {tokens[5]}")
-            if mu == nu or ka == la:
-                raise SpecError("entry", f"line {number}: diagonal components must vanish")
-            (i, sign1), (j, sign2) = _signed_slot(dim, mu, nu), _signed_slot(dim, ka, la)
-            value = sign1 * sign2 * value
-            if seen[i, j] and slots[i, j] != value:
-                raise SpecError("entry", f"line {number}: conflicting duplicate component")
-            seen[i, j] = seen[j, i] = True
-            slots[i, j] = slots[j, i] = value
+        elif dim is None:
+            raise SpecError("dimension", "must precede entry rows")
+        elif len(values) != 5:
+            raise SpecError("entry", f"line {number}: expected 4 indices and a value")
         else:
-            raise SpecError(tokens[0], f"line {number}: unknown table field")
+            (i, j), value = _component("entry", number, values, dim)
+            _set_once("entry", number, slots, seen, ((i, j), (j, i)), value)  # (i, j) and (j, i)
     if dim is None:
         raise SpecError("dimension", "missing required field")
     slots.flags.writeable = False  # handed over, not copied
@@ -499,16 +480,8 @@ class ProblemSpec:
 
 def read_problem_spec(path) -> ProblemSpec:
     entries = {}
-    for number, line in _content_lines(path):
-        if line.startswith("#"):
-            continue
-        tokens = line.split()
-        key = tokens[0]
-        if key not in _PROBLEM_KEYS:
-            raise SpecError(key, f"line {number}: unknown field")
-        if key in entries:
-            raise SpecError(key, f"line {number}: duplicate field")
-        if len(tokens) == 1:
+    for number, key, values in _keyed_lines(path, _PROBLEM_KEYS):
+        if not values:
             raise SpecError(key, f"line {number}: missing value")
-        entries[key] = tokens[1:]
+        entries[key] = values
     return ProblemSpec(entries, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .constraints import ConstraintCheckReport, nonholonomic_check, symmetric_slope_constraint
 from .fields import plateau_lagrangian
-from .variational import SurfaceGrid
+from .variational import NodeDomainError, SurfaceGrid
 
 __all__ = [
     "ConstrainedPlateauResult",
@@ -91,6 +91,8 @@ class GraphGrid:
             raise ValueError("height samples must be finite")
         object.__setattr__(self, "domain", (x0, x1, y0, y1))
         object.__setattr__(self, "z", z)
+        if not all(np.finfo(float).tiny <= h * h < math.inf for h in (self.hx, self.hy)):
+            raise ValueError(f"grid steps {self.hx!r}, {self.hy!r} square out of the normal floats")
         z.flags.writeable = False
 
     @property
@@ -234,18 +236,28 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     return solve
 
 
+def _finite_start(interior: np.ndarray, what: str) -> np.ndarray:
+    """``interior`` (the interior block of a start), or `NodeDomainError` where it is not finite."""
+    finite = np.isfinite(interior)
+    if finite.all():
+        return interior
+    node = np.unravel_index(finite.argmin(), finite.shape)  # the first node that is not
+    raise NodeDomainError(f"plateau start is not finite ({what})", tuple(int(k) + 1 for k in node))
+
+
 def initial_guess(grid: GraphGrid) -> GraphGrid:
     """Replace the interior by the discrete harmonic fill of the ring data."""
     nx, ny = grid.shape
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    rhs = np.zeros((nx - 2, ny - 2))
-    rhs[0, :] -= ax * grid.z[0, 1:-1]
-    rhs[-1, :] -= ax * grid.z[-1, 1:-1]
-    rhs[:, 0] -= ay * grid.z[1:-1, 0]
-    rhs[:, -1] -= ay * grid.z[1:-1, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fill is refused below
+        rhs = np.zeros((nx - 2, ny - 2))
+        rhs[0, :] -= ax * grid.z[0, 1:-1]
+        rhs[-1, :] -= ax * grid.z[-1, 1:-1]
+        rhs[:, 0] -= ay * grid.z[1:-1, 0]
+        rhs[:, -1] -= ay * grid.z[1:-1, -1]
+        fill = _poisson_solver(nx - 2, ny - 2, grid.hx, grid.hy)(rhs)
     z = np.array(grid.z)
-    fill = _poisson_solver(nx - 2, ny - 2, grid.hx, grid.hy)(rhs)
-    z[1:-1, 1:-1] = fill.reshape(nx - 2, ny - 2)
+    z[1:-1, 1:-1] = _finite_start(fill.reshape(nx - 2, ny - 2), "harmonic fill")
     return grid.with_heights(z)
 
 
@@ -435,7 +447,8 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
     hx, hy = grid.hx, grid.hy
     nx, ny = grid.shape
     precond = _poisson_solver(nx - 2, ny - 2, hx, hy)
-    residual = _quasilinear(current.z, hx, hy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _finite_start(_quasilinear(current.z, hx, hy), "minimal-surface residual")
     trace = [float(np.abs(residual).max())]
     steps = []
     linear_iters = []

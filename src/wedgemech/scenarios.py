@@ -386,7 +386,10 @@ def _graph_grid(spec) -> GraphGrid:
         if (np.abs(pts[..., 0] - xs[:, None]).max() > 1e-12
                 or np.abs(pts[..., 1] - ys[None, :]).max() > 1e-12):
             raise SpecError("grid", "nodes are not a graph over a uniform rectangle")
-        return GraphGrid((xs[0], xs[-1], ys[0], ys[-1]), pts[..., 2])
+        try:
+            return GraphGrid((xs[0], xs[-1], ys[0], ys[-1]), pts[..., 2])
+        except ValueError as err:  # descending coordinates, or steps too large or small to square
+            raise SpecError("grid", str(err)) from err
     for field in ("domain", "shape", "boundary"):
         if not spec.has(field):
             raise SpecError(field, "missing (give grid PATH, or domain/shape/boundary)")

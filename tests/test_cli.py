@@ -366,10 +366,16 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
         ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\nmax-iter 0\n", ("max-iter:",)),
         ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ndamping nan\n", ("damping:",)),
         ("domain 0 1 0 1\nshape 9 9\nboundary\n", ("boundary:", "missing value")),
+        # steps whose squares leave the normal doubles: the stencils divide by them
+        ("domain 0 1e200 0 1\nshape 7 7\nboundary affine 1 1 0\n", ("domain:", "normal floats")),
+        ("domain 0 1e300 0 1e300\nshape 7 7\nboundary affine 1 1 0\n", ("domain:", "normal floats")),
+        ("domain 0 1e-300 0 1e-300\nshape 7 7\nboundary affine 1 1 0\n",
+         ("domain:", "normal floats")),
     ],
     ids=["shape", "scherk-past-pi-half", "degenerate-domain", "constant-non-numeric",
          "affine-non-numeric", "diagonal-plane-non-numeric", "affine-too-few", "shape-nan",
-         "shape-past-int64", "tol-negative", "max-iter-zero", "damping-nan", "boundary-empty"],
+         "shape-past-int64", "tol-negative", "max-iter-zero", "damping-nan", "boundary-empty",
+         "step-squared-overflows", "both-steps-overflow", "steps-squared-underflow"],
 )
 def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragments):
     spec = _spec(tmp_path, "p.spec", "kind plateau\n" + body)
@@ -504,6 +510,56 @@ def test_spec_overflowing_form_is_a_numeric_failure(tmp_path, capsys, command, t
     assert captured.err.startswith("wedgemech: numeric failure: ")
     assert " is not finite at some requested point\n" in captured.err
     assert "result: PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "xs, fragment",
+    [(np.linspace(0.0, 1e200, 9), "normal floats"), (np.linspace(1.0, 0.0, 9), "degenerate")],
+    ids=["steps-squared-overflow", "descending"],
+)
+def test_spec_plateau_grid_file_rectangle_names_grid(tmp_path, capsys, xs, fragment):
+    # node coordinates no graph rectangle has, whatever the table's steps say
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    write_grid(tmp_path / "g.grid", SurfaceGrid(0.125, 0.125, np.stack([X, Y, 0 * X], -1)))
+    spec = _spec(tmp_path, "p.spec", "kind plateau\ngrid g.grid\n")
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: grid: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "boundary, what",
+    [("affine 1e308 -0.25 1", "harmonic fill"), ("affine 1e300 1e300 0", "minimal-surface residual")],
+    ids=["fill-overflows", "residual-overflows"],
+)
+def test_spec_plateau_start_overflow_is_a_numeric_failure(tmp_path, capsys, boundary, what):
+    # finite ring heights whose harmonic fill, or whose first residual, is no number
+    spec = _spec(tmp_path, "p.spec",
+                 f"kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary {boundary}\n")
+    assert main(["plateau-solve", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"wedgemech: numeric failure: plateau start is not finite ({what}) "
+                            "at node (1, 1)\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("classical-el", "system oscillator\nomega 1e155\n"),
+        ("classical-el", "system oscillator\nomega 1e300\nmass 1e-300\n"),
+        ("nonholonomic-check", "constraint builtin first-axis-drift\nconstraint-tol 1e-6\n"
+         "omega 1e200\n"),
+    ],
+    ids=["omega-1e155", "omega-1e300-mass-1e-300", "check-omega-1e200"],
+)
+def test_spec_curve_omega_overflow_is_a_numeric_failure(tmp_path, capsys, command, body):
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    field = "curve" if command == "classical-el" else "grid"
+    spec = _spec(tmp_path, "c.spec", f"kind {command}\n{field} line.grid\n{body}")
+    assert main([command, "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: numeric failure: mass * omega**2 is not finite")
 
 
 @pytest.mark.parametrize(

@@ -331,6 +331,35 @@ def test_fiber_metric_table_errors_name_the_line(tmp_path, text, line):
         read_fiber_metric_table(_write(tmp_path / "h.tbl", text))
 
 
+@pytest.mark.parametrize(
+    "text, field, line",
+    [
+        ("dimension 3\nsection 1 2 1.0 1 3\n", "section", "line 2: expected groups"),
+        ("dimension 3\nsection 1 2 1.0 1 4 1.0\n", "section", "line 2: index out of range"),
+        ("dimension 3\nsection 2 2 1.0\n", "section", "line 2: diagonal"),
+        ("dimension 3\nsection 1 2 nan\n", "section", "line 2: components must be finite"),
+        ("dimension 3\nsection 1 2 1.0 2 1 1.0\n", "section", "line 2: conflicting"),
+        ("kind curve\ndimension 2\nsection 1 1 3\n", "section", "line 3: expected groups"),
+        ("kind curve\ndimension 2\nsection 1 1 1 2\n", "section", "line 3: conflicting"),
+        ("dimension 3\nsection 1 2 1.0\n# note\ngenerator 1 3 1.0\ngenerator 2 3\n",
+         "generator", "line 5: expected groups"),
+        ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 0 3 1.0\n",
+         "generator", "line 4: index out of range"),
+        ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 3 3 1.0\n",
+         "generator", "line 4: diagonal"),
+        ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 2 3 -inf\n",
+         "generator", "line 4: components must be finite"),
+        ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 2 3 1 3 2 -2\n",
+         "generator", "line 4: conflicting"),
+        ("kind curve\ndimension 2\nsection 1 1\ngenerator 3 1\n", "generator",
+         "line 4: index out of range"),
+    ],
+)
+def test_constraint_spec_errors_name_the_line(tmp_path, text, field, line):
+    with pytest.raises(SpecError, match=f"^{field}: {line}"):
+        read_constraint_spec(_write(tmp_path / "c.spec", text))
+
+
 def eight_image_table(text):
     """Slot matrix of a table as read before fiber metrics kept only their
     slot matrix: every entry set all eight symmetry images of a dense ``h``."""
@@ -436,6 +465,7 @@ def test_problem_spec_metric_families(tmp_path):
         ("kind plateau\nmax-iter nan\n", "max-iter"),
         ("kind plateau\nmax-iter inf\n", "max-iter"),
         ("kind plateau\n# caf\u00e9\n", "encoding"),
+        ("kind plateau\nr 1\n", "r"),  # no problem kind reads r
     ],
 )
 def test_problem_spec_rejects(tmp_path, text, field):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import mutate_lines
 from wedgemech.cli import main
+from wedgemech.formats import write_grid
+from wedgemech.variational import CurveGrid, SurfaceGrid
 
 # counts and tolerances at and past their limits, not finite, not a number,
 # not an integer, past int64; no large count an array could still hold
@@ -35,6 +37,56 @@ def test_mutated_spec_exits_with_a_code(tmp_path_factory, command, data):
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         mutate_lines(lines, data, _REPLACEMENTS)
     path = tmp_path_factory.getbasetemp() / f"mutated-{command}.spec"
+    path.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--spec", str(path)])
+    assert code in (0, 1, 2)
+
+
+# finite numbers near the ends of the double range: large ones whose squares
+# overflow (1e155 is past the square root of the largest double), a tiny one
+# whose square underflows, and the smallest subnormal
+_EXTREMES = ("1e300", "-1e300", "1e-300", "1e155", "5e-324")
+
+# one spec per command, the checks with a constraint and an induced-metric
+# Lagrangian; they read the grids `extreme_grids` writes
+_EXTREME_SPECS = {
+    "plateau-solve": (
+        "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary affine 0.5 -0.25 1\n"
+        "tol 1e-10\nmax-iter 25\ndamping 1\n"
+    ),
+    "nonholonomic-check": (
+        "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
+        "lagrangian quadratic\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
+    ),
+    "phase-check": (
+        "kind phase-check\nmetric euclidean 3\nlagrangian nambu-goto\n"
+        "x 0.1 -0.2 0.3\nw 1.0 0.25 -0.5\ntol 1e-10\n"
+    ),
+    "classical-el": (
+        "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\n"
+        "constraint builtin first-axis-drift\ntol 1e-8\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def extreme_grids(tmp_path_factory):
+    path = tmp_path_factory.mktemp("extreme-specs")
+    write_grid(path / "plane.grid",
+               SurfaceGrid.sample(lambda t, s: (t, s, 0.5 * (t + s)), (0.0, 1.0, 5), (0.0, 1.0, 5)))
+    write_grid(path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(_EXTREME_SPECS))
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(data=st.data())
+def test_spec_with_extreme_numbers_exits_with_a_code(extreme_grids, command, data):
+    lines = _EXTREME_SPECS[command].splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutate_lines(lines, data, _EXTREMES)
+    path = extreme_grids / f"extreme-{command}.spec"
     path.write_text("\n".join(lines) + "\n")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--spec", str(path)])
