@@ -1,13 +1,11 @@
 """Command-line entry point.
 
-Four subcommands mirror the computational modules: ``plateau-solve``
-(unconstrained and constrained minimal graphs), ``nonholonomic-check``
-(membership / force-balance verdicts), ``phase-check`` (phase-space
-residuals through both canonical maps), and ``classical-el`` (curve
-residuals).  A run is driven either by ``--scenario NAME`` (builtin,
-fully determined, compared byte-for-byte against a stored golden report)
-or by ``--spec PATH`` (a problem spec file; ``--tol`` / ``--max-iter``
-override the file's values).
+The four subcommands (``plateau-solve``, ``nonholonomic-check``,
+``phase-check``, ``classical-el``) and their help lines come from the
+command table of `scenarios`.  A run is driven either by ``--scenario
+NAME`` (builtin, fully determined, compared byte-for-byte against a
+stored golden report) or by ``--spec PATH`` (a problem spec file;
+``--tol`` / ``--max-iter`` override the file's values).
 
 Every report is built in `scenarios`, by ``run_scenario`` or ``run_spec``
 through the same bodies.  This module parses the arguments, and one path
@@ -29,14 +27,14 @@ from .constraints import RankDecisionError
 from .fields import FieldDomainError
 from .formats import SpecError, write_grid
 from .plateau import SingularJacobianError
-from .scenarios import run_scenario, run_spec, scenario_names
+from .scenarios import _SPEC_COMMANDS, run_scenario, run_spec, scenario_names
 from .variational import NodeDomainError
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-COMMANDS = ("plateau-solve", "nonholonomic-check", "phase-check", "classical-el")
+COMMANDS = tuple(_SPEC_COMMANDS)
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -54,14 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wedgemech", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
-    helps = {
-        "plateau-solve": "solve the (constrained) minimal-graph problem",
-        "nonholonomic-check": "membership and force-balance check of a sampled candidate",
-        "phase-check": "phase-space residuals at a phase element",
-        "classical-el": "curve Euler-Lagrange residuals",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=helps[command])
+    for command, (help_line, _, _) in _SPEC_COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--scenario", metavar="NAME",
                        help=f"builtin scenario ({', '.join(scenario_names(command))})")
         p.add_argument("--spec", metavar="PATH", help="problem spec file")

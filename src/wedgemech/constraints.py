@@ -45,7 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Bivector, antisymmetric_from_slots, pair_count, wedge
-from .variational import CurveGrid, delta_L_curve, delta_L_surface, velocity_prolongation
+from .variational import (CurveGrid, delta_L_curve, delta_L_surface, velocity_prolongation,
+                          worst_node)
 
 __all__ = [
     "AffineConstraint",
@@ -362,11 +363,6 @@ def _in_user_basis(delta: np.ndarray, ann: np.ndarray, generators) -> np.ndarray
     return (delta @ user.T) @ np.linalg.inv(user @ user.T)
 
 
-def _worst(values: np.ndarray) -> tuple:
-    """Grid index of the largest per-node value."""
-    return tuple(int(i) + 1 for i in np.unravel_index(int(np.argmax(values)), values.shape))
-
-
 def _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generators):
     """Body of both check spellings, which call it rather than each other so
     that one call is one check (perfbench/tracing.py wraps both names)."""
@@ -392,9 +388,9 @@ def _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generator
         multipliers=multipliers,
         orthogonal_norms=orth_norms,
         constraint_max=cmax,
-        constraint_worst=_worst(node_residuals),
+        constraint_worst=worst_node(node_residuals),
         dalembert_max=dmax,
-        dalembert_worst=_worst(orth_norms),
+        dalembert_worst=worst_node(orth_norms),
         constraint_passed=bool(cmax <= constraint_tol),
         dalembert_passed=bool(dmax <= force_tol),
     )

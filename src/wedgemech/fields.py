@@ -158,10 +158,11 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
     """``L = sqrt(scale * w^T H w)`` over slots, H the slot matrix of a fiber metric.
 
     The area Lagrangians take scale 4, which makes the form the
-    unrestricted four-index sum ``(w|w)``.  H is the metric's own matrix,
-    not a scaled copy; a power-of-two scale commutes with rounding away
-    from overflow and subnormals, so the form is bit for bit that of the
-    scaled matrix.  ``strict`` fields (indefinite H) are undefined wherever
+    unrestricted four-index sum ``(w|w)``; the Morse family's root
+    ``sqrt((p|p)*)`` takes scale 1 on the dual metric.  H is the metric's
+    own matrix, not a scaled copy; a power-of-two scale commutes with
+    rounding away from overflow and subnormals, so the form is bit for bit
+    that of the scaled matrix.  ``strict`` fields (indefinite H) are undefined wherever
     the form is nonpositive; lenient ones (positive semidefinite H)
     evaluate everywhere but lose derivative access on the zero set.
     """
@@ -183,25 +184,26 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
         q = self._form(np.asarray(w, dtype=float))
         if self.strict and np.any(q <= 0.0):
             raise FieldDomainError(
-                "bivector outside the positivity domain: (w|w) = "
-                f"{float(np.min(q))!r} <= 0"
+                f"outside the positivity domain: quadratic form is {float(np.min(q))!r} <= 0"
             )
         return np.sqrt(np.maximum(q, 0.0))
 
     gradient_x_slots = _zero_gradient_x
 
     def momentum_slots(self, x, w):
+        return self._half_gradient(w, self.scale)
+
+    def _half_gradient(self, w, factor: float):
+        """``factor H w / (2 sqrt(w^T H w))``: the momentum at the scale, a Morse velocity at r."""
         w = np.asarray(w, dtype=float)
         q = self._form(w)
         if np.any(q <= 0.0):
-            raise FieldDomainError(
-                "momentum undefined: quadratic form is "
-                f"{float(np.min(q))!r} <= 0 at some requested point"
-            )
+            raise FieldDomainError(f"derivative undefined: quadratic form is {float(np.min(q))!r} "
+                                   "<= 0 at some requested point")
         with np.errstate(over="ignore"):  # a finite form can still have an infinite gradient
-            p = self.scale * (w @ self.fiber_metric.slot_matrix) / (2.0 * np.sqrt(q))[..., None]
+            p = factor * (w @ self.fiber_metric.slot_matrix) / (2.0 * np.sqrt(q))[..., None]
         if not np.isfinite(p).all():
-            raise FieldDomainError("momentum is not finite at some requested point")
+            raise FieldDomainError("gradient is not finite at some requested point")
         return p
 
     def derivative_mask(self, x, w):
@@ -266,47 +268,39 @@ class MorseFamily:
     """Generating family ``H(p, r) = r (sqrt((p|p)*) - 1)`` of the area dynamics.
 
     ``(p|p)*`` is the dual momentum pairing (slot-restricted sum with the
-    inverse-metric fiber coefficients), so criticality in the auxiliary
-    parameter r carves out exactly the unit momentum sphere, and the
-    p-gradient at a Legendre image ``p = dL/dw`` recovers the velocity ray:
-    at r = L(w) it returns w itself.
+    inverse-metric fiber coefficients), and its root is the scale-1 area
+    field of the dual metric: the same domain (``(p|p)*`` positive and
+    finite) and the same half-gradient, times r.  Criticality in the
+    auxiliary parameter r carves out exactly the unit momentum sphere, and
+    the p-gradient at a Legendre image ``p = dL/dw`` recovers the velocity
+    ray: at r = L(w) it returns w itself.
     """
 
     def __init__(self, g: Metric):
         self.metric = g
         self.dim = g.dim
         self.dual = dual_fiber_metric(g)
-        self._dual_slot = self.dual.slot_matrix
+        self._root = _SqrtQuadraticLagrangian(self.dual, 1.0, strict=True)
 
     def momentum_square_slots(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.einsum("...i,ij,...j->...", p, self._dual_slot, p)
+        return self._root._form(np.asarray(p, dtype=float))
 
     def momentum_square(self, p: MomentumBivector) -> float:
         """Dual pairing ``(p|p)*``; unit on Legendre images of the area field."""
         return float(self.momentum_square_slots(p.slots))
 
-    def _positive_square(self, p) -> np.ndarray:
-        """``(p|p)*``, outside whose positive set the family is undefined."""
-        q = self.momentum_square_slots(p)
-        if np.any(q <= 0.0):
-            raise FieldDomainError(f"Morse family undefined: (p|p)* = {float(np.min(q))!r} <= 0")
-        return q
-
     def value_slots(self, p, r):
-        return r * (np.sqrt(self._positive_square(p)) - 1.0)
+        return r * (self._root.value_slots(None, p) - 1.0)
 
     def value(self, p: MomentumBivector, r: float) -> float:
         return float(self.value_slots(p.slots, float(r)))
 
     def d_r(self, p: MomentumBivector, r: float = 0.0) -> float:
         """Partial in the family parameter; zero exactly on the unit sphere."""
-        return float(np.sqrt(self._positive_square(p.slots)) - 1.0)
+        return float(self._root.value_slots(None, p.slots) - 1.0)
 
     def velocity_slots(self, p, r):
-        p = np.asarray(p, dtype=float)
-        q = self._positive_square(p)
-        return float(r) * (p @ self._dual_slot) / (2.0 * np.sqrt(q))[..., None]
+        return self._root._half_gradient(p, float(r))
 
     def velocity(self, p: MomentumBivector, r: float) -> Bivector:
         """Half-gradient in p; at ``p = dL/dw`` and ``r = L(w)`` equals w."""

@@ -139,7 +139,7 @@ def _parse_floats(field: str, tokens, count: int | None = None,
 
 # nodes of three float64 coordinates whose array numpy can still index
 _MAX_NODES = np.iinfo(np.intp).max // 24
-# float64 slot-matrix coefficients of a fiber-metric table numpy can still index
+# float64 coefficients of a slot array (a vector, bivector or slot matrix) numpy can still index
 _MAX_COEFFICIENTS = np.iinfo(np.intp).max // 8
 
 
@@ -302,6 +302,20 @@ def _component(field: str, number: int, tokens, dim: int) -> tuple:
     return tuple(slots), value
 
 
+def _slot_arrays(shape: tuple, number: int):
+    """Zero coefficients of ``shape`` and an all-false mask of those set, for the dimension
+    on line ``number``; a size no array can index or memory hold is refused there."""
+    count = math.prod(shape)
+    if count > _MAX_COEFFICIENTS:
+        raise SpecError("dimension", f"line {number}: {count} coefficients are more than an "
+                                     "array can index")
+    try:
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
+    except MemoryError as err:
+        raise SpecError("dimension", f"line {number}: {count} coefficients do not fit in "
+                                     "memory") from err
+
+
 def _set_once(field: str, number: int, array, seen, index, value) -> None:
     """``array[index] = value``, refusing an entry already set to another value."""
     if (seen[index] & (array[index] != value)).any():
@@ -310,13 +324,12 @@ def _set_once(field: str, number: int, array, seen, index, value) -> None:
     array[index] = value
 
 
-def _slot_components(field: str, number: int, tokens, dim: int, arity: int):
+def _slot_components(field: str, number: int, tokens, dim: int, arity: int, dim_line: int):
     """The vector (arity 1) or `Bivector` (arity 2) of a line of groups of
-    ``arity`` 1-based indices and a value."""
+    ``arity`` 1-based indices and a value; ``dimension`` is on line ``dim_line``."""
     if len(tokens) % (arity + 1) != 0 or not tokens:
         raise SpecError(field, f"line {number}: expected groups of {arity + 1} tokens")
-    size = pair_count(dim) if arity == 2 else dim
-    slots, seen = np.zeros(size), np.zeros(size, dtype=bool)
+    slots, seen = _slot_arrays((pair_count(dim) if arity == 2 else dim,), dim_line)
     for g in range(0, len(tokens), arity + 1):
         index, value = _component(field, number, tokens[g : g + arity + 1], dim)
         _set_once(field, number, slots, seen, index, value)
@@ -325,7 +338,7 @@ def _slot_components(field: str, number: int, tokens, dim: int, arity: int):
 
 def read_constraint_spec(path):
     """Read an affine constraint file; returns the surface or curve variant."""
-    kind = dim = builtin = None  # surface unless the file says otherwise
+    kind = dim = dim_line = builtin = None  # surface unless the file says otherwise
     components = []  # (field, line number, tokens) of the section and each generator
     fields = ("kind", "dimension", "builtin", "section", "generator")
     for number, key, values in _keyed_lines(path, fields, repeated=("generator",)):
@@ -334,7 +347,7 @@ def read_constraint_spec(path):
                 raise SpecError("kind", f"line {number}: expected surface or curve")
             kind = values[0]
         elif key == "dimension":
-            dim = _parse_counts("dimension", values, 1)[0]
+            dim, dim_line = _parse_counts("dimension", values, 1)[0], number
             if dim < 1:
                 raise SpecError("dimension", f"line {number}: must be at least 1, got {dim}")
         elif key == "builtin":
@@ -346,7 +359,11 @@ def read_constraint_spec(path):
     if builtin is not None:
         if components:
             raise SpecError("builtin", "builtin constraints take no explicit components")
-        constraint = builtin_constraint(builtin, dim)
+        try:  # first-axis-drift holds vectors of the file's dimension
+            constraint = builtin_constraint(builtin, dim)
+        except MemoryError as err:
+            raise SpecError("dimension", f"line {dim_line}: {dim} coefficients do not fit in "
+                                         "memory") from err
         degree_kind = "surface" if constraint.degree == 2 else "curve"
         if kind not in (None, degree_kind):
             raise SpecError("kind", f"{kind}, but builtin {builtin} is a {degree_kind} constraint")
@@ -357,7 +374,7 @@ def read_constraint_spec(path):
     if not components or components[0][0] != "section":
         raise SpecError("section", "missing required field")
     arity = 1 if kind == "curve" else 2
-    section, *generators = [_slot_components(*c, dim, arity) for c in components]
+    section, *generators = [_slot_components(*c, dim, arity, dim_line) for c in components]
     constraint = (AffineConstraint2 if arity == 2 else AffineConstraint1)(dim, section, generators)
     try:
         constraint.at(np.zeros(dim))  # independence is a load-time invariant
@@ -375,15 +392,7 @@ def read_fiber_metric_table(path) -> FiberMetric:
             dim = _parse_counts("dimension", values, 1)[0]
             if dim < 2:
                 raise SpecError("dimension", f"line {number}: bivectors need at least 2, got {dim}")
-            size = pair_count(dim)
-            if size**2 > _MAX_COEFFICIENTS:
-                raise SpecError("dimension", f"line {number}: {dim}**4 coefficients are more "
-                                             "than an array can index")
-            try:
-                slots, seen = np.zeros((size, size)), np.zeros((size, size), dtype=bool)
-            except MemoryError as err:
-                raise SpecError("dimension", f"line {number}: a {size} x {size} slot matrix "
-                                             "does not fit in memory") from err
+            slots, seen = _slot_arrays((pair_count(dim),) * 2, number)
         elif dim is None:
             raise SpecError("dimension", "must precede entry rows")
         elif len(values) != 5:

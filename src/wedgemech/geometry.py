@@ -364,8 +364,10 @@ class FiberMetric:
             raise ValueError(f"point metric must be a square matrix, got shape {g.shape}")
         a, b = _pair_columns(g.shape[0])
         i, j = a[:, None], b[:, None]
-        # + 0.0 turns -0.0 into 0.0: no minor is a negative zero
-        return cls(g[i, a] * g[j, b] - g[i, b] * g[j, a] + 0.0, g.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+            # + 0.0 turns -0.0 into 0.0: no minor is a negative zero
+            minors = g[i, a] * g[j, b] - g[i, b] * g[j, a] + 0.0
+        return cls(minors, g.shape[0])
 
 
 def induced_fiber_metric(g: Metric) -> FiberMetric:

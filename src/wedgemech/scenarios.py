@@ -51,7 +51,7 @@ from .formats import (
     read_grid,
     read_problem_spec,
 )
-from .geometry import Bivector, Metric, MomentumBivector, induced_fiber_metric, pair_count
+from .geometry import Bivector, Metric, MomentumBivector, pair_count
 from .plateau import GraphGrid, SolveOptions, solve_constrained_plateau, solve_plateau
 from .tulczyjew import PhaseElement2, alpha2, beta2, cotangent_flip2
 from .variational import CurveGrid, SurfaceGrid, delta_L_curve
@@ -274,10 +274,7 @@ def _run_constrained_quadratic(lines):
 
 
 def _example7_scenario(lines, height, label, domain, force_tol):
-    xs = np.linspace(domain[0], domain[1], 65)
-    ys = np.linspace(domain[2], domain[3], 65)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    grid = SurfaceGrid.from_graph(xs, ys, height(X, Y))
+    grid = GraphGrid.sample(domain, 65, 65, height).surface_grid()
     lines.append("constraint: example7 (section e1^e2, generator (e1-e2)^e3)")
     lines.append(f"surface: {label}")
     lines.append("shape: 65 65")
@@ -382,14 +379,15 @@ def _graph_grid(spec) -> GraphGrid:
         pts = grid.points
         if pts.shape[-1] != 3:
             raise SpecError("grid", "graph surfaces live in 3 coordinates")
-        xs, ys = pts[:, 0, 0], pts[0, :, 1]
-        if (np.abs(pts[..., 0] - xs[:, None]).max() > 1e-12
-                or np.abs(pts[..., 1] - ys[None, :]).max() > 1e-12):
-            raise SpecError("grid", "nodes are not a graph over a uniform rectangle")
-        try:
-            return GraphGrid((xs[0], xs[-1], ys[0], ys[-1]), pts[..., 2])
+        try:  # the rectangle of the corner nodes, whose nodes must be the file's
+            corners = (pts[0, 0, 0], pts[-1, 0, 0], pts[0, 0, 1], pts[0, -1, 1])
+            graph = GraphGrid(corners, pts[..., 2])
+            nodes = graph.surface_grid().points
         except ValueError as err:  # descending coordinates, or steps too large or small to square
             raise SpecError("grid", str(err)) from err
+        if not np.allclose(nodes, pts, rtol=1e-12, atol=1e-14):  # the tolerance of from_graph
+            raise SpecError("grid", "nodes are not a graph over a uniform rectangle")
+        return graph
     for field in ("domain", "shape", "boundary"):
         if not spec.has(field):
             raise SpecError(field, "missing (give grid PATH, or domain/shape/boundary)")
@@ -430,15 +428,31 @@ def _constraint(spec, grid):
     return constraint
 
 
+def _from_metric(spec, build):
+    """``build(metric)`` for the spec's metric; fiber-metric minors that overflow, or a slot
+    matrix memory cannot hold, are faults of the metric."""
+    metric, tokens = spec.get_metric(), " ".join(spec.tokens("metric"))
+    try:
+        return build(metric)
+    except ValueError as err:  # FiberMetric's "coefficients must be finite"
+        raise SpecError("metric", f"{tokens}: fiber metric {err}") from err
+    except MemoryError as err:
+        raise SpecError("metric", f"{tokens}: its fiber metric does not fit in memory") from err
+
+
 def _lagrangian(spec, dim: int, against: str):
     """The spec's bivector Lagrangian, which must have the dimension ``dim`` of ``against``."""
     name = spec.tokens("lagrangian") if spec.has("lagrangian") else ["plateau"]
+
+    def mismatch(other: int) -> SpecError:
+        return SpecError("lagrangian", f"{name[0]} has dimension {other}, the {against} has {dim}")
+
     if name[0] == "plateau":
         L = plateau_lagrangian(dim)
-    elif name[0] == "nambu-goto":
-        L = nambu_goto(spec.get_metric())
-    elif name[0] == "quadratic":
-        L = quadratic_area_lagrangian(induced_fiber_metric(spec.get_metric()))
+    elif name[0] in ("nambu-goto", "quadratic"):  # one Lagrangian under two names
+        if (metric_dim := spec.get_metric().dim) != dim:  # refused before any slot matrix
+            raise mismatch(metric_dim)
+        L = _from_metric(spec, nambu_goto)
     elif name[0] == "custom-table":
         if len(name) != 2:
             raise SpecError("lagrangian", "custom-table takes a path")
@@ -446,7 +460,7 @@ def _lagrangian(spec, dim: int, against: str):
     else:
         raise SpecError("lagrangian", f"unknown lagrangian {name[0]!r}")
     if L.dim != dim:
-        raise SpecError("lagrangian", f"{name[0]} has dimension {L.dim}, the {against} has {dim}")
+        raise mismatch(L.dim)
     return L
 
 
@@ -497,7 +511,7 @@ def _spec_phase(spec, lines, tol, max_iter):
     element = _phase_point(lines, L, x, w)
     tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
     nambu = spec.get_str("lagrangian", default="plateau").split()[0] == "nambu-goto"
-    family = morse_family_H(spec.get_metric()) if nambu else None
+    family = _from_metric(spec, morse_family_H) if nambu else None
     return _phase(lines, L, element, _f(tolerance), family)
 
 
@@ -516,12 +530,14 @@ def _spec_classical(spec, lines, tol, max_iter):
     return _curve_residual(lines, L, grid, _f(tolerance))
 
 
-# the spec kinds each command runs, and the function that runs them
+# each command's help line, the spec kinds it runs and the function that runs them
 _SPEC_COMMANDS = {
-    "plateau-solve": (("plateau", "constrained-plateau"), _spec_plateau),
-    "nonholonomic-check": (("nonholonomic-check",), _spec_nonholonomic),
-    "phase-check": (("phase-check",), _spec_phase),
-    "classical-el": (("classical-el",), _spec_classical),
+    "plateau-solve": ("solve the (constrained) minimal-graph problem",
+                      ("plateau", "constrained-plateau"), _spec_plateau),
+    "nonholonomic-check": ("membership and force-balance check of a sampled candidate",
+                           ("nonholonomic-check",), _spec_nonholonomic),
+    "phase-check": ("phase-space residuals at a phase element", ("phase-check",), _spec_phase),
+    "classical-el": ("curve Euler-Lagrange residuals", ("classical-el",), _spec_classical),
 }
 
 
@@ -533,7 +549,7 @@ def run_spec(command: str, path, tol: float | None = None,
     Input faults raise `SpecError`; an unreadable file raises `OSError`.
     """
     spec = read_problem_spec(path)
-    kinds, run = _SPEC_COMMANDS[command]
+    _, kinds, run = _SPEC_COMMANDS[command]
     if spec.kind not in kinds:
         raise SpecError("kind", f"{spec.kind!r} is not handled by {command}")
     return _report(command, f"spec: {os.path.basename(path)}",

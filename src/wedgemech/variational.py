@@ -181,27 +181,29 @@ def velocity_prolongation(grid) -> np.ndarray:
 wedge_prolongation = velocity_prolongation  # the surface spelling
 
 
+def worst_node(values: np.ndarray) -> tuple:
+    """Grid index of the largest of per-interior-node ``values``, the first in C order on ties."""
+    return tuple(int(i) + 1 for i in np.unravel_index(int(np.argmax(values)), values.shape))
+
+
 @dataclass(frozen=True)
 class CovectorField:
     """Covector samples over the interior nodes of a parameter grid.
 
-    ``values[i - offset, ..., :]`` belongs to global node ``i, ...``.
+    ``values[i - 1, ..., :]`` belongs to global node ``i, ...``.
     """
 
     values: np.ndarray
-    offset: int = 1
 
     def max_norm(self) -> float:
         return float(np.abs(self.values).max())
 
     def worst_node(self) -> tuple:
         """Global grid index of the largest-magnitude component."""
-        flat = int(np.argmax(np.abs(self.values)))
-        idx = np.unravel_index(flat, self.values.shape)
-        return tuple(int(i) + self.offset for i in idx[:-1])
+        return worst_node(np.abs(self.values).max(axis=-1))
 
     def at_node(self, *node) -> np.ndarray:
-        return self.values[tuple(i - self.offset for i in node)]
+        return self.values[tuple(i - 1 for i in node)]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import wedgemech
 import wedgemech.cli as cli
 from wedgemech.cli import main
 from wedgemech.formats import read_grid, write_grid
+from wedgemech.geometry import FiberMetric
 from wedgemech.plateau import GraphGrid
 from wedgemech.scenarios import scenario_names
 from wedgemech.variational import CurveGrid, SurfaceGrid
@@ -281,9 +282,17 @@ def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
          ("generator:", "finite")),
         ("classical-el", "kind curve\ndimension -1\nsection 1 1\n", ("dimension:", "at least 1")),
         ("classical-el", "kind curve\ndimension 2\nsection 1 inf\n", ("section:", "finite")),
+        # slot arrays past the intp range, and of 4e18 bytes: no address space holds them
+        ("nonholonomic-check", "dimension 10000000000\nsection 1 2 1\n",
+         ("dimension:", "line 1:", "more than an array can index")),
+        ("nonholonomic-check", "# slots\ndimension 1000000000\nsection 1 2 1\n",
+         ("dimension:", "line 2:", "do not fit in memory")),
+        ("nonholonomic-check", "kind curve\ndimension 3\nsection 1 1\n",
+         ("constraint:", "surface grids need a surface constraint")),
     ],
     ids=["surface-section-nan", "surface-section-inf", "surface-generator-inf",
-         "curve-dimension-negative", "curve-section-inf"],
+         "curve-dimension-negative", "curve-section-inf", "dimension-past-intp",
+         "dimension-past-memory", "curve-constraint-on-surface"],
 )
 def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, command, constraint,
                                                     fragments):
@@ -298,7 +307,7 @@ def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_spec_constraint_spanning_the_fiber(tmp_path, capsys):
@@ -482,6 +491,70 @@ def test_spec_lagrangian_dimension_mismatch_names_lagrangian(tmp_path, capsys, c
     assert "has dimension 4, the " in err and " has 3" in err
 
 
+_HUGE = "metric explicit 1e200 0 0 0 1e200 0 0 0 1e200\n"
+_TINY = "metric explicit 1e-155 0 0 0 1e-155 0 0 0 1e-155\n"
+_CHECK = _TABLE_READERS["nonholonomic-check"]
+
+
+@pytest.mark.parametrize(
+    "command, body, fragments",
+    [
+        # induced minors of 1e200 square past the largest double
+        ("nonholonomic-check", f"lagrangian nambu-goto\n{_HUGE}{_CHECK}",
+         ("metric: explicit 1e200", "coefficients must be finite")),
+        ("nonholonomic-check", f"lagrangian quadratic\n{_HUGE}{_CHECK}",
+         ("metric: explicit 1e200", "coefficients must be finite")),
+        ("phase-check", f"lagrangian quadratic\n{_HUGE}{_TABLE_READERS['phase-check']}",
+         ("metric: explicit 1e200", "coefficients must be finite")),
+        # the induced minors are subnormal; the dual ones, of 1e155, overflow in the Morse family
+        ("phase-check", f"lagrangian nambu-goto\n{_TINY}{_TABLE_READERS['phase-check']}",
+         ("metric: explicit 1e-155", "coefficients must be finite")),
+        ("nonholonomic-check", f"lagrangian custom-table\n{_CHECK}",
+         ("lagrangian:", "custom-table takes a path")),
+        ("classical-el", "curve plane.grid\n", ("curve:", "needs a curve grid")),
+    ],
+    ids=["check-nambu-goto-overflow", "check-quadratic-overflow", "phase-quadratic-overflow",
+         "phase-dual-overflow", "custom-table-without-path", "classical-el-surface-curve"],
+)
+def test_spec_lagrangian_input_rejection_names_field(tmp_path, capsys, command, body, fragments):
+    _plane_grid(tmp_path)
+    spec = _spec(tmp_path, "t.spec", f"kind {command}\n{body}")
+    assert main([command, "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wedgemech: spec error: ")
+    assert all(fragment in err for fragment in fragments)
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_READERS))
+def test_spec_metric_out_of_memory_names_metric(tmp_path, capsys, monkeypatch, command):
+    # a slot matrix of a dimension the machine cannot hold; simulated, nothing is allocated
+    def exhausted(cls, g):
+        raise MemoryError
+
+    monkeypatch.setattr(FiberMetric, "from_point_metric", classmethod(exhausted))
+    _plane_grid(tmp_path)
+    spec = _spec(tmp_path, "t.spec", f"kind {command}\nlagrangian nambu-goto\n"
+                 f"metric euclidean 3\n{_TABLE_READERS[command]}")
+    assert main([command, "--spec", spec]) == 1
+    assert capsys.readouterr().err == (
+        "wedgemech: spec error: metric: euclidean 3: its fiber metric does not fit in memory\n")
+
+
+def test_spec_metric_dimension_is_checked_before_its_fiber_metric(tmp_path, capsys, monkeypatch):
+    # euclidean 300 has a 44850 x 44850 slot matrix (15 GiB); the grid's dimension refuses it first
+    def unbuilt(cls, g):
+        raise AssertionError("a fiber metric was built")
+
+    monkeypatch.setattr(FiberMetric, "from_point_metric", classmethod(unbuilt))
+    _plane_grid(tmp_path)
+    spec = _spec(tmp_path, "t.spec", "kind nonholonomic-check\nlagrangian nambu-goto\n"
+                 f"metric euclidean 300\n{_CHECK}")
+    assert main(["nonholonomic-check", "--spec", spec]) == 1
+    assert capsys.readouterr().err == (
+        "wedgemech: spec error: lagrangian: nambu-goto has dimension 300, the grid has 3\n")
+
+
 _TABLE_UNIT = "dimension 3\nentry 1 2 1 2 1\nentry 1 3 1 3 1\nentry 2 3 2 3 1\n"
 
 
@@ -512,19 +585,52 @@ def test_spec_overflowing_form_is_a_numeric_failure(tmp_path, capsys, command, t
     assert "result: PASS" not in captured.out
 
 
+def _graph_nodes(xs, z=lambda X, Y: 0 * X):
+    """A surface grid whose nodes are (x, y, z(x, y)) on the x columns ``xs`` and y = 0..1."""
+    X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 9), indexing="ij")
+    return SurfaceGrid(0.125, 0.125, np.stack([X, Y, z(X, Y)], -1))
+
+
+_NON_UNIFORM_X = np.array([0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 1.0])
+
+
 @pytest.mark.parametrize(
-    "xs, fragment",
-    [(np.linspace(0.0, 1e200, 9), "normal floats"), (np.linspace(1.0, 0.0, 9), "degenerate")],
-    ids=["steps-squared-overflow", "descending"],
+    "grid, fragment",
+    [(_graph_nodes(np.linspace(0.0, 1e200, 9)), "normal floats"),
+     (_graph_nodes(np.linspace(1.0, 0.0, 9)), "degenerate"),
+     (_graph_nodes(_NON_UNIFORM_X, lambda X, Y: X**2), "not a graph over a uniform rectangle"),
+     (CurveGrid.sample(lambda t: (t, t, 0.0), 0.0, 1.0, 9), "need a surface grid"),
+     (SurfaceGrid.sample(lambda t, s: (t, s, 0.0, 0.0), (0.0, 1.0, 9), (0.0, 1.0, 9)),
+      "3 coordinates")],
+    ids=["steps-squared-overflow", "descending", "non-uniform-x", "curve-grid",
+         "four-coordinates"],
 )
-def test_spec_plateau_grid_file_rectangle_names_grid(tmp_path, capsys, xs, fragment):
+def test_spec_plateau_grid_file_rectangle_names_grid(tmp_path, capsys, grid, fragment):
     # node coordinates no graph rectangle has, whatever the table's steps say
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    write_grid(tmp_path / "g.grid", SurfaceGrid(0.125, 0.125, np.stack([X, Y, 0 * X], -1)))
+    write_grid(tmp_path / "g.grid", grid)
     spec = _spec(tmp_path, "p.spec", "kind plateau\ngrid g.grid\n")
     assert main(["plateau-solve", "--spec", spec]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wedgemech: spec error: grid: ") and fragment in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [(0.0, 1.0, 0.0, 1.0), (-0.7, 0.7, -0.7, 0.7), (0.1, 0.3, -2.0, 5.0), (1e-3, 2e-3, 0.0, 1e-6),
+     (-1e5, 3e5, 7.0, 7.0 + 1e-9)],
+)
+def test_spec_grid_file_reads_back_as_the_same_graph(tmp_path, domain):
+    # a written graph comes back with its own domain and heights, bit for bit
+    from wedgemech.formats import read_problem_spec
+    from wedgemech.scenarios import _graph_grid
+
+    rng = np.random.default_rng(5)
+    graph = GraphGrid(domain, rng.standard_normal((9, 13)))
+    write_grid(tmp_path / "g.grid", graph.surface_grid())
+    back = _graph_grid(read_problem_spec(_spec(tmp_path, "p.spec", "kind plateau\ngrid g.grid\n")))
+    assert back.domain == graph.domain
+    assert np.array_equal(back.z, graph.z)
 
 
 @pytest.mark.parametrize(
@@ -635,6 +741,16 @@ def test_scenario_listing_by_command():
     assert set(scenario_names()) == {
         name for cmd in cli.COMMANDS for name in scenario_names(cmd)
     }
+
+
+def test_commands_and_their_help_come_from_the_spec_table():
+    from wedgemech.scenarios import _SPEC_COMMANDS
+
+    assert cli.COMMANDS == tuple(_SPEC_COMMANDS)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert tuple(sub.choices) == cli.COMMANDS
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert helps == {command: entry[0] for command, entry in _SPEC_COMMANDS.items()}
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():

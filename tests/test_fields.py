@@ -173,6 +173,78 @@ def test_morse_family_criticality_and_ray():
         H.d_r(bad)
 
 
+def _reference_morse(g, p, r):
+    """Reference value and velocity of the Morse family, from the dual slot matrix directly."""
+    dual = dual_fiber_metric(g).slot_matrix
+    q = np.einsum("...i,ij,...j->...", p, dual, p)
+    return r * (np.sqrt(q) - 1.0), float(r) * (p @ dual) / (2.0 * np.sqrt(q))[..., None]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_morse_family_equals_its_own_formulas_bitwise(dim):
+    rng = np.random.default_rng(60 + dim)
+    k = pair_count(dim)
+    p = rng.normal(size=(300, k)) * 10.0 ** rng.uniform(-60, 60, size=(300, 1))
+    for g in (Metric.euclidean(dim), Metric.minkowski(dim), random_spd_metric(rng, dim)):
+        H = morse_family_H(g)
+        inside = np.einsum("...i,ij,...j->...", p, H.dual.slot_matrix, p) > 0.0
+        for r in (1.0, 0.37, 2.0 / 3.0, 1e5):
+            value, velocity = _reference_morse(g, p[inside], r)
+            assert np.array_equal(H.value_slots(p[inside], r), value)
+            assert np.array_equal(H.velocity_slots(p[inside], r), velocity)
+            x = np.zeros((int(inside.sum()), dim))
+            assert np.array_equal(H.at_r(r).velocity_slots(x, p[inside]), velocity)
+
+
+def test_morse_slice_value_slots_on_stacks():
+    rng = np.random.default_rng(32)
+    g = random_spd_metric(rng, 3)
+    family = morse_family_H(g)
+    H = family.at_r(1.7)
+    ps = rng.normal(size=(4, 5, 3))
+    ps[..., 0] += 4.0  # (p|p)* > 0 everywhere
+    values = H.value_slots(rng.normal(size=(4, 5, 3)), ps)
+    assert values.shape == (4, 5)
+    for i, j in np.ndindex(4, 5):
+        assert values[i, j] == family.value(MomentumBivector(ps[i, j], 3), 1.7)
+        assert values[i, j] == H.value(np.zeros(3), MomentumBivector(ps[i, j], 3))
+    # one momentum at a stack of points, and a stack of momenta at one point
+    one = H.value_slots(rng.normal(size=(2, 3, 3)), ps[0, 0])
+    assert one.shape == (2, 3) and np.all(one == values[0, 0])
+    assert np.array_equal(H.value_slots(np.zeros(3), ps), values)
+
+
+def test_morse_family_refuses_an_overflowing_square():
+    # (p|p)* = 1e400 is no number: no root, no value, no velocity
+    H = morse_family_H(Metric.euclidean(3))
+    p = MomentumBivector([1e200, 0.0, 0.0], 3)
+    for call in (lambda: H.d_r(p), lambda: H.value(p, 1.0), lambda: H.velocity(p, 1.0),
+                 lambda: H.momentum_square(p)):
+        with pytest.raises(FieldDomainError, match="^quadratic form is not finite"):
+            call()
+
+
+def test_domain_messages_name_the_quadratic_form():
+    # one message for the area field of (w|w) and the Morse family's root of (p|p)*
+    e = np.eye(4)
+    L = nambu_goto(Metric.minkowski(4))
+    timelike = wedge(e[0], e[1])  # (w|w) = -4
+    with pytest.raises(FieldDomainError,
+                       match=r"^outside the positivity domain: quadratic form is -4\.0 <= 0$"):
+        L.value(np.zeros(4), timelike)
+    with pytest.raises(FieldDomainError, match=r"^derivative undefined: quadratic form is -4\.0 "
+                                               r"<= 0 at some requested point$"):
+        L.momentum(np.zeros(4), timelike)
+    H = morse_family_H(Metric.euclidean(3))
+    zero = MomentumBivector(np.zeros(3), 3)
+    with pytest.raises(FieldDomainError,
+                       match=r"^outside the positivity domain: quadratic form is 0\.0 <= 0$"):
+        H.d_r(zero)
+    with pytest.raises(FieldDomainError, match=r"^derivative undefined: quadratic form is 0\.0 "
+                                               r"<= 0 at some requested point$"):
+        H.velocity(zero, 1.0)
+
+
 def test_phase_residuals_vanish_on_consistent_elements():
     rng = np.random.default_rng(24)
     g = random_spd_metric(rng, 3)

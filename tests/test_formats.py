@@ -267,6 +267,13 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
         ("kind curve\nkind surface\ndimension 3\nsection 1 2 1.0\n", "kind"),
         ("builtin example7\nbuiltin first-axis-drift\n", "builtin"),
         ("dimension 3\nsection 1 2 1.0\nsection 1 3 1.0\n", "section"),
+        # example7 is a constraint in dimension 3 only
+        ("dimension 4\nbuiltin example7\n", "builtin"),
+        # slot arrays no array can index, or no address space can hold (2.4e18 bytes and more)
+        ("dimension 10000000000\nsection 1 2 1\n", "dimension"),
+        ("dimension 1000000000\nsection 1 2 1\n", "dimension"),
+        ("kind curve\ndimension 300000000000000000\nsection 1 1\n", "dimension"),
+        ("kind curve\ndimension 300000000000000000\nbuiltin first-axis-drift\n", "dimension"),
     ],
 )
 def test_constraint_spec_rejects(tmp_path, text, field):
@@ -310,6 +317,7 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
         ("dimension 3\nentry 1 2 1 2 inf\n", "entry"),
         ("dimension 3\nentry 1 2 1 2 nan\n", "entry"),
         ("dimension 4\ndimension 3\nentry 1 2 1 2 1\n", "dimension"),
+        ("# no dimension, no entries\n", "dimension"),
     ],
 )
 def test_fiber_metric_table_rejects(tmp_path, text, field):

@@ -49,24 +49,34 @@ def test_mutated_spec_exits_with_a_code(tmp_path_factory, command, data):
 _EXTREMES = ("1e300", "-1e300", "1e-300", "1e155", "5e-324")
 
 # one spec per command, the checks with a constraint and an induced-metric
-# Lagrangian; they read the grids `extreme_grids` writes
+# Lagrangian, and the two commands that build fiber metrics once more from an
+# explicit metric; they read the grids `extreme_grids` writes
+_EXPLICIT = "metric explicit 1 0 0 0 1 0 0 0 1\n"
 _EXTREME_SPECS = {
-    "plateau-solve": (
+    "plateau-solve": ("plateau-solve", (
         "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary affine 0.5 -0.25 1\n"
         "tol 1e-10\nmax-iter 25\ndamping 1\n"
-    ),
-    "nonholonomic-check": (
+    )),
+    "nonholonomic-check": ("nonholonomic-check", (
         "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
         "lagrangian quadratic\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
-    ),
-    "phase-check": (
+    )),
+    "nonholonomic-check-explicit-metric": ("nonholonomic-check", (
+        "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
+        f"lagrangian nambu-goto\n{_EXPLICIT}constraint-tol 1e-6\nforce-tol 1e-6\n"
+    )),
+    "phase-check": ("phase-check", (
         "kind phase-check\nmetric euclidean 3\nlagrangian nambu-goto\n"
         "x 0.1 -0.2 0.3\nw 1.0 0.25 -0.5\ntol 1e-10\n"
-    ),
-    "classical-el": (
+    )),
+    "phase-check-explicit-metric": ("phase-check", (
+        f"kind phase-check\n{_EXPLICIT}lagrangian nambu-goto\n"
+        "x 0.1 -0.2 0.3\nw 1.0 0.25 -0.5\ntol 1e-10\n"
+    )),
+    "classical-el": ("classical-el", (
         "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\n"
         "constraint builtin first-axis-drift\ntol 1e-8\n"
-    ),
+    )),
 }
 
 
@@ -79,14 +89,15 @@ def extreme_grids(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(_EXTREME_SPECS))
+@pytest.mark.parametrize("name", sorted(_EXTREME_SPECS))
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(data=st.data())
-def test_spec_with_extreme_numbers_exits_with_a_code(extreme_grids, command, data):
-    lines = _EXTREME_SPECS[command].splitlines()
+def test_spec_with_extreme_numbers_exits_with_a_code(extreme_grids, name, data):
+    command, text = _EXTREME_SPECS[name]
+    lines = text.splitlines()
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         mutate_lines(lines, data, _EXTREMES)
-    path = extreme_grids / f"extreme-{command}.spec"
+    path = extreme_grids / f"extreme-{name}.spec"
     path.write_text("\n".join(lines) + "\n")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--spec", str(path)])

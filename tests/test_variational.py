@@ -396,3 +396,16 @@ def test_covector_field_indexing():
     assert f.max_norm() == 5.0
     assert f.worst_node() == (3, 2)
     np.testing.assert_array_equal(f.at_node(3, 2), [-5.0, 0.0])
+
+
+def test_covector_worst_node_is_the_largest_component_first_in_order():
+    # small integers make ties; the first node in C order holding the largest |component| wins
+    rng = np.random.default_rng(33)
+    for shape in [(7, 3), (4, 5, 2), (3, 4, 3)]:
+        for _ in range(50):
+            values = rng.integers(-4, 5, size=shape).astype(float)
+            flat = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+            assert CovectorField(values).worst_node() == tuple(int(i) + 1 for i in flat[:-1])
+    values = np.zeros((3, 4, 2))
+    values[1, 2, 1] = values[2, 0, 0] = np.nan  # a non-number is the largest, as in numpy
+    assert CovectorField(values).worst_node() == (2, 3)
