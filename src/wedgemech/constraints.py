@@ -25,8 +25,13 @@ rows once, a constant field is broadcast to every node, and a callable
 field (a function of one base point) is called once per row; its values
 are stacked and validated in one step, so a value that is not a velocity
 element of the constraint raises `ValueError` naming the field and the
-node.  All annihilators then come from one batched singular value
-decomposition; a constant constraint runs the same code without node
+node.  The generator stacks of all nodes are then grouped by their bytes,
+once per check, and each distinct stack is decomposed once: one batched
+rank test for linear independence and one batched singular value
+decomposition for the annihilator, whose rows are gathered back to the
+nodes.  A generator that depends on one coordinate repeats down a grid
+column, and a constant-returning callable gives a single stack; a
+constant constraint is the one-stack case of the same code, without node
 axes.  A singular value kept by the rank cutoff but within a factor of
 ten of it makes the kernel dimension ill-determined; that, like an
 annihilator dimension that changes between nodes, raises
@@ -79,32 +84,52 @@ def _maps(elements: np.ndarray, degree: int, dim: int) -> np.ndarray:
     return np.swapaxes(antisymmetric_from_slots(elements, dim), -1, -2)
 
 
-def _annihilator(generators: np.ndarray, degree: int, dim: int, points=None) -> np.ndarray:
-    """Orthonormal annihilator rows (..., r, dim) of generator stacks (..., g, s).
+def _distinct(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of the first of each distinct stack among N stacks (N, ...), and the
+    inverse (N,) mapping each row to its distinct stack.
 
-    Rank is decided per stacked contraction matrix by the usual cutoff
-    ``max(shape) * eps * sigma_max``; singular values kept by the cutoff
-    but within a factor 10 of it raise instead of guessing, and so does a
-    rank that differs between nodes.  ``points`` (..., dim) name the node
-    in those errors.
+    Stacks are compared by their bytes, so -0.0 and +0.0 stay apart and each
+    distinct stack is exactly the input of every node it stands for.
     """
-    nodes = generators.shape[:-2]
+    rows = np.ascontiguousarray(stacks).reshape(len(stacks), -1)
+    if not rows.shape[1]:  # no generators: every node holds the empty stack
+        return np.zeros(min(len(rows), 1), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _annihilator(generators: np.ndarray, inverse: np.ndarray, degree: int, dim: int,
+                 points=None) -> np.ndarray:
+    """Orthonormal annihilator rows (..., r, dim) at nodes (...) whose generator
+    stacks are ``generators[inverse]``, given distinct stacks (U, g, s).
+
+    Each distinct stack is decomposed once, in one batched SVD, and its rows
+    are gathered back to the nodes through ``inverse``.  Rank is decided per
+    contraction matrix by the usual cutoff ``max(shape) * eps * sigma_max``;
+    singular values kept by the cutoff but within a factor 10 of it raise
+    instead of guessing, and so does a rank that differs between nodes.
+    ``points`` (..., dim) name the first such node, in C order, in those errors.
+    """
+    nodes = inverse.shape
     if generators.shape[-2] == 0:
         return np.broadcast_to(np.eye(dim), nodes + (dim, dim))
-    mats = _maps(generators, degree, dim).reshape(nodes + (-1, dim))
+    mats = _maps(generators, degree, dim).reshape(len(generators), -1, dim)
     _, s, vh = np.linalg.svd(mats, full_matrices=True)
-    cutoff = max(mats.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    cutoff = max(mats.shape[-2:]) * np.finfo(float).eps * s[:, :1]
     ambiguous = (s > cutoff) & (s < cutoff * 10.0)
-    if ambiguous.any():
-        node = np.unravel_index(np.argmax(ambiguous.any(axis=-1)), nodes)
+    flagged = ambiguous.any(axis=-1)[inverse]
+    if flagged.any():
+        node = np.unravel_index(np.argmax(flagged), nodes)
+        stack = inverse[node]
         where = f" at x = {points[node].tolist()}" if nodes else ""
-        k = int(np.argmax(ambiguous[node]))
+        k = int(np.argmax(ambiguous[stack]))
         element = ("vector", "bivector")[degree - 1]
         raise RankDecisionError(
-            f"{element} annihilator{where}: singular value {s[node][k]:.3e} sits within a "
-            f"factor 10 of the rank cutoff {cutoff[node][0]:.3e}; refine the generators or rescale"
+            f"{element} annihilator{where}: singular value {s[stack][k]:.3e} sits within a "
+            f"factor 10 of the rank cutoff {cutoff[stack][0]:.3e}; refine the generators or rescale"
         )
-    rank = np.sum(s > cutoff, axis=-1)
+    rank = np.sum(s > cutoff, axis=-1)[inverse]
     first = int(rank.flat[0])
     if np.any(rank != first):
         node = np.unravel_index(np.argmax(rank != first), nodes)
@@ -112,7 +137,7 @@ def _annihilator(generators: np.ndarray, degree: int, dim: int, points=None) -> 
             f"annihilator dimension changes from {dim - first} to {dim - rank[node]} "
             f"at x = {points[node].tolist()}"
         )
-    return vh[..., first:, :]
+    return vh[:, first:, :][inverse]
 
 
 def annihilator_basis(generators: Sequence, dim: int | None = None) -> np.ndarray:
@@ -130,9 +155,10 @@ def annihilator_basis(generators: Sequence, dim: int | None = None) -> np.ndarra
     if isinstance(generators[0], Bivector):
         if any(u.dim != generators[0].dim for u in generators):
             raise ValueError("generators have mixed dimensions")
-        return _annihilator(np.stack([u.slots for u in generators]), 2, generators[0].dim)
+        return _annihilator(np.stack([u.slots for u in generators])[None], np.array(0), 2,
+                            generators[0].dim)
     stacked = np.vstack([np.asarray(u, dtype=float) for u in generators])
-    return _annihilator(stacked, 1, stacked.shape[1])
+    return _annihilator(stacked[None], np.array(0), 1, stacked.shape[1])
 
 
 def _field_name(k: int) -> str:
@@ -193,12 +219,15 @@ class AffineConstraint:
         return stacked
 
     def _fields_at(self, x: np.ndarray):
-        """Section (..., s) and generators (..., g, s), as vectors or bivector
-        slots, at base points (..., dim); a constant constraint without node axes.
+        """Section (..., s) at base points (..., dim), as vectors or bivector
+        slots, the distinct generator stacks (U, g, s) and the index (...) of
+        each node's stack; a constant constraint without node axes.
 
         The base points are flattened to rows once.  A constant field is
         written to every node by one broadcast; a callable is called once
-        per row and its values are stacked and validated in one step.
+        per row and its values are stacked and validated in one step.  The
+        generator stacks are grouped by their bytes and each distinct one
+        is tested for linear independence once.
         """
         x = np.asarray(x, dtype=float)
         if self.constant:
@@ -217,24 +246,26 @@ class AffineConstraint:
                 node, problem = next((i, p) for i, p in enumerate(map(self._invalid, column)) if p)
                 raise ValueError(f"{_field_name(k)} at x = {points[node].tolist()} must be {problem}")
             values[:, k] = stacked
-        generators = values[:, 1:]
+        first, inverse = _distinct(values[:, 1:])
+        generators = values[first, 1:]
         if generators.shape[-2]:
-            dependent = np.linalg.matrix_rank(generators) < generators.shape[-2]
+            dependent = (np.linalg.matrix_rank(generators) < generators.shape[-2])[inverse]
             if np.any(dependent):
                 raise ValueError(f"constraint generators are linearly dependent at "
                                  f"x = {points[np.argmax(dependent)].tolist()}")
-        values = values.reshape(nodes + values.shape[1:])
-        return values[..., 0, :], values[..., 1:, :]
+        return values[:, 0].reshape(nodes + (size,)), generators, inverse.reshape(nodes)
 
     def at(self, x):
         """Section and generators at a base point, with independence checked."""
-        section, generators = self._fields_at(x)
+        section, generators, inverse = self._fields_at(x)
         element = (lambda s: Bivector(s, self.dim)) if self.degree == 2 else (lambda s: s)
-        return element(section), [element(u) for u in generators]
+        return element(section), [element(u) for u in generators[inverse]]
 
     def annihilator_at(self, x) -> np.ndarray:
-        _, generators = self._fields_at(x)
-        return _annihilator(generators, self.degree, self.dim)
+        """Orthonormal annihilator rows (r, dim) at a base point, or (..., r, dim)
+        at a stack of them."""
+        _, generators, inverse = self._fields_at(x)
+        return _annihilator(generators, inverse, self.degree, self.dim, np.asarray(x, dtype=float))
 
 
 class AffineConstraint1(AffineConstraint):
@@ -339,8 +370,8 @@ def constraint_residual(grid, constraint: AffineConstraint):
                          f"degree-{degree} grid")
     interior = (slice(1, -1),) * degree
     x, w = grid.points[interior], velocity_prolongation(grid)[interior]
-    section, generators = constraint._fields_at(x)
-    ann = _annihilator(generators, degree, grid.dim, x)
+    section, generators, inverse = constraint._fields_at(x)
+    ann = _annihilator(generators, inverse, degree, grid.dim, x)
     defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, degree, grid.dim))
     return np.abs(defect).max(axis=-1), ann
 

@@ -76,14 +76,13 @@ def _pair_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-@lru_cache(maxsize=None)
-def _pair_slot(dim: int) -> dict[tuple[int, int], int]:
-    return {pair: k for k, pair in enumerate(index_pairs(dim))}
-
-
 def pair_slot(dim: int, mu: int, nu: int) -> int:
-    """Slot index of the ordered pair (mu, nu) with mu < nu."""
-    return _pair_slot(dim)[(mu, nu)]
+    """Slot index of the ordered pair (mu, nu) with 0 <= mu < nu < dim: its
+    position in `index_pairs`, after the dim - 1 + ... + dim - mu pairs that
+    start below mu.  Any other pair is a `KeyError`."""
+    if not 0 <= mu < nu < dim:
+        raise KeyError((mu, nu))
+    return mu * (2 * dim - mu - 1) // 2 + nu - mu - 1
 
 
 def antisymmetric_from_slots(slots: np.ndarray, dim: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wedgemech import constraints
 from wedgemech.constraints import (
     AffineConstraint1,
     AffineConstraint2,
@@ -30,10 +31,12 @@ from wedgemech.constraints import (
     nonholonomic_check,
     nonholonomic_check_curve,
     symmetric_slope_constraint,
+    _maps,
 )
 from wedgemech.fields import plateau_lagrangian, quadratic_curve_lagrangian
 from wedgemech.geometry import Bivector, contract, index_pairs, pair_count, wedge
-from wedgemech.variational import CurveGrid, SurfaceGrid, delta_L_surface, wedge_prolongation
+from wedgemech.variational import (CurveGrid, SurfaceGrid, delta_L_surface, velocity_prolongation,
+                                   wedge_prolongation)
 
 
 def contraction_matrix(generators, dim):
@@ -72,6 +75,41 @@ def ndindex_fields(degree, dim, fields, x):
             value = field(x[node]) if callable(field) else field
             values[node + (k,)] = value.slots if degree == 2 else value
     return values[..., 0, :], values[..., 1:, :]
+
+
+def per_node_annihilator(degree, dim, generators, x):
+    """Annihilator rows (..., r, dim) of the generator stacks (..., g, s) of every
+    node, each node decomposed on its own: the `matrix_rank` dependence test and
+    the batched SVD that grouping by distinct stacks replaced, kept as their
+    reference with the same errors and the same named nodes."""
+    points = np.asarray(x, dtype=float).reshape(-1, dim)
+    nodes = generators.shape[:-2]
+    dependent = np.linalg.matrix_rank(generators) < generators.shape[-2]
+    if np.any(dependent):
+        raise ValueError(f"constraint generators are linearly dependent at "
+                         f"x = {points[np.argmax(dependent)].tolist()}")
+    mats = _maps(generators, degree, dim).reshape(nodes + (-1, dim))
+    _, s, vh = np.linalg.svd(mats, full_matrices=True)
+    cutoff = max(mats.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    ambiguous = (s > cutoff) & (s < cutoff * 10.0)
+    if ambiguous.any():
+        node = np.unravel_index(np.argmax(ambiguous.any(axis=-1)), nodes)
+        where = f" at x = {np.asarray(x)[node].tolist()}" if nodes else ""
+        k = int(np.argmax(ambiguous[node]))
+        element = ("vector", "bivector")[degree - 1]
+        raise RankDecisionError(
+            f"{element} annihilator{where}: singular value {s[node][k]:.3e} sits within a "
+            f"factor 10 of the rank cutoff {cutoff[node][0]:.3e}; refine the generators or rescale"
+        )
+    rank = np.sum(s > cutoff, axis=-1)
+    first = int(rank.flat[0])
+    if np.any(rank != first):
+        node = np.unravel_index(np.argmax(rank != first), nodes)
+        raise RankDecisionError(
+            f"annihilator dimension changes from {dim - first} to {dim - rank[node]} "
+            f"at x = {np.asarray(x)[node].tolist()}"
+        )
+    return vh[..., first:, :]
 
 
 def test_symmetric_slope_annihilator_direction():
@@ -200,7 +238,8 @@ def test_fields_at_equals_ndindex_reference_bitwise(case, nodes):
     degree, dim, section, generators = FIELD_CASES[case]
     constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](dim, section, generators)
     x = _points(dim, nodes)
-    got = constraint._fields_at(x)
+    section_at, distinct, inverse = constraint._fields_at(x)
+    got = section_at, distinct[inverse]
     want = ndindex_fields(degree, dim, [section, *generators], x)
     for have, reference in zip(got, want):
         assert have.shape == reference.shape
@@ -245,6 +284,139 @@ def test_dependent_generators_are_reported_at_their_node():
         constraint_residual(grid, constraint)
     with pytest.raises(ValueError, match=r"linearly dependent at x = \[0\.0, 0\.0, 0\.0\]"):
         constraint.at(np.zeros(3))
+
+
+def _signed_zero_generator(x):
+    # +0.0 where x1 >= 0 and -0.0 where x1 < 0: equal values, different bytes
+    return Bivector([0.0 * x[0], 1.0, -1.0], 3)
+
+
+# (degree, dim, section, generators, grid): generator stacks that repeat down
+# grid columns, repeat at every node, never repeat, or differ by a signed zero only
+GROUPED_CASES = {
+    "surface-column-repeating": (2, 3, _SECTION, [_turning_generator],
+                                 graph_grid(lambda x, y: x * x + y, n=17)),
+    "surface-constant-returning": (2, 3, lambda x: _SECTION, [lambda x: _GENERATOR],
+                                   graph_grid(lambda x, y: (x + y) ** 2, n=17)),
+    "surface-signed-zero": (2, 3, _SECTION, [_signed_zero_generator],
+                            graph_grid(lambda x, y: x * y, n=17, lo=-1.0)),
+    "surface-mixed": (2, 3, _tilted_section, [_turning_generator, wedge(E3[0], E3[1])],
+                      graph_grid(lambda x, y: x - y * y, n=17)),
+    "curve-all-distinct": (1, 2, _drift, [_drift],
+                           CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 101)),
+    "curve-constant-returning": (1, 2, lambda x: [1.0, 0.0], [lambda x: (1.0, 0.0)],
+                                 CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 101)),
+    "curve-signed-zero": (1, 2, _drift, [lambda x: np.array([1.0, 0.0 * x[0]])],
+                          CurveGrid.sample(lambda t: (t, 0.3 * t), -1.0, 1.0, 101)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED_CASES))
+def test_grouped_annihilator_equals_per_node_reference_bitwise(case):
+    degree, dim, section, generators, grid = GROUPED_CASES[case]
+    constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](dim, section, generators)
+    interior = (slice(1, -1),) * degree
+    x, w = grid.points[interior], velocity_prolongation(grid)[interior]
+    a, stacks = ndindex_fields(degree, dim, [section, *generators], x)
+    want = per_node_annihilator(degree, dim, stacks, x)
+    defect = np.einsum("...rm,...km->...rk", want, _maps(w - a, degree, dim))
+    residuals, ann = constraint_residual(grid, constraint)
+    assert ann.shape == want.shape and np.array_equal(ann, want)
+    assert np.array_equal(residuals, np.abs(defect).max(axis=-1))
+    assert np.array_equal(constraint.annihilator_at(x), want)
+    distinct = constraint._fields_at(x)[1]
+    if "signed-zero" in case:  # -0.0 and +0.0 are not merged
+        assert len(distinct) == 2
+
+
+def _ambiguous_from(x):
+    # a sliver of eps e1^e3 on e1^e2, eps = 1.2e-14 x1: ambiguous for x1 > 0.3, a
+    # different stack on each such row; for x1 <= 0.3 the pair clearly spans rank 3
+    eps = 1.2e-14 * x[0] if x[0] > 0.3 else 1e-13
+    return Bivector(wedge(E3[0], E3[1]).slots + eps * wedge(E3[0], E3[2]).slots, 3)
+
+
+def _dependent_from(x):
+    # (e1 - f e2)^e3 with f = (x1 - 0.25)(x1 + 0.5) meets e1^e3 on two rows, as
+    # two stacks that differ by the sign of a zero
+    return wedge(np.array([1.0, -(x[0] - 0.25) * (x[0] + 0.5), 0.0]), E3[2])
+
+
+def _changing_from(x):
+    # e3^e4 alone (annihilator dx1, dx2) for x1 < 0.5; nondegenerate, and a
+    # different stack on each row, for x1 >= 0.5, where the row x1 = 0.75 holds
+    # the stack whose bytes sort first
+    e = np.eye(4)
+    return (1.5 - x[0]) * float(x[0] >= 0.5) * wedge(e[0], e[1]) + wedge(e[2], e[3])
+
+
+# each failing stack repeats along x2 after its first node, and two or more
+# distinct stacks fail; x1 runs up (forward) or down the grid rows
+@pytest.mark.parametrize("dim, generators, error, forward, backward", [
+    (3, [_dependent_from, wedge(E3[0], E3[2])], ValueError,
+     r"linearly dependent at x = \[-0\.5, 0\.2, 0\.0\]",
+     r"linearly dependent at x = \[0\.25, 0\.2, 0\.0\]"),
+    (3, [lambda x: wedge(E3[0], E3[1]), _ambiguous_from], RankDecisionError,
+     r"bivector annihilator at x = \[0\.5, 0\.2, 0\.0\]",
+     r"bivector annihilator at x = \[0\.75, 0\.2, 0\.0\]"),
+    (4, [_changing_from], RankDecisionError,
+     r"changes from 2 to 0 at x = \[0\.5, 0\.2, 0\.0, 0\.0\]",
+     r"changes from 0 to 2 at x = \[0\.25, 0\.2, 0\.0, 0\.0\]"),
+])
+@pytest.mark.parametrize("up", [1.0, -1.0])
+def test_grouped_errors_name_the_first_node_in_c_order(dim, generators, error, forward,
+                                                       backward, up):
+    grid = SurfaceGrid.sample(lambda t, s: (up * t, s) + (0.0,) * (dim - 2), (-1.0, 1.0, 9),
+                              (0.0, 1.0, 6))
+    constraint = AffineConstraint2(dim, Bivector(np.zeros(pair_count(dim)), dim), generators)
+    x = grid.points[1:-1, 1:-1]
+    _, stacks = ndindex_fields(2, dim, [constraint._fields[0], *generators], x)
+    with pytest.raises(error) as want:
+        per_node_annihilator(2, dim, stacks, x)
+    node = forward if up > 0 else backward
+    for query in (lambda: constraint_residual(grid, constraint),
+                  lambda: constraint.annihilator_at(x)):
+        with pytest.raises(error, match=node) as got:
+            query()
+        assert str(got.value) == str(want.value)
+
+
+def test_annihilator_at_a_stack_names_the_node():
+    e = np.eye(4)
+    changing = AffineConstraint2(4, Bivector(np.zeros(6), 4),
+                                 [lambda x: wedge(e[0], e[1]) + x[0] * wedge(e[2], e[3])])
+    with pytest.raises(RankDecisionError,
+                       match=r"changes from 0 to 2 at x = \[0\.0, 0\.0, 0\.0, 0\.0\]"):
+        changing.annihilator_at(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    u1 = wedge(E3[0], E3[1])
+    u2 = Bivector(u1.slots + 3e-15 * wedge(E3[0], E3[2]).slots, 3)
+    ambiguous = AffineConstraint2(3, _SECTION, [lambda x: u1, lambda x: u2])
+    with pytest.raises(RankDecisionError,
+                       match=r"bivector annihilator at x = \[0\.0, 0\.0, 0\.0\]: singular"):
+        ambiguous.annihilator_at(np.zeros((2, 3)))
+
+
+def test_each_distinct_generator_stack_is_decomposed_once(monkeypatch):
+    counts = {"svd": 0, "matrix_rank": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(constraints.np.linalg, name, counting(name))
+    # a generator of x1 alone repeats down the 31 columns of the 31 x 31 interior
+    rotating = AffineConstraint2(3, _SECTION, [_turning_generator])
+    grid = graph_grid(lambda x, y: x * x + y)
+    nonholonomic_check(plateau_lagrangian(), grid, rotating, 1e-6)
+    assert counts == {"svd": 31, "matrix_rank": 31}
+    counts.update(svd=0, matrix_rank=0)
+    nonholonomic_check(plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6)
+    assert counts == {"svd": 1, "matrix_rank": 1}
 
 
 def test_callables_are_called_once_per_interior_node():

@@ -1,5 +1,6 @@
 """Grid tables, constraint files, and problem specs: round trips and rejects."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_constraint_spec_consistent_duplicate_ok(tmp_path):
     constraint = read_constraint_spec(_write(tmp_path / "c.spec", text))
     a, _ = constraint.at(np.zeros(3))
     assert a.slots[0] == 0.5
+
+
+def test_high_dimension_constraint_file_reads_fast(tmp_path):
+    # one component of a 3000-dimensional section: its slot is computed, not looked up
+    # in a table of all 4,498,500 index pairs
+    path = _write(tmp_path / "c.spec", "dimension 3000\nsection 1 2 1\n")
+    start = time.perf_counter()
+    constraint = read_constraint_spec(path)
+    assert time.perf_counter() - start < 1.0
+    assert constraint.dim == 3000
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from wedgemech.geometry import (
     induced_fiber_metric,
     momentum_scalar_product,
     pair_count,
+    pair_slot,
     scalar_product,
     slots_from_antisymmetric,
     wedge,
@@ -35,6 +36,19 @@ def random_spd(rng, dim):
 def test_pair_ordering_dim4():
     assert index_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert pair_count(4) == 6
+
+
+def test_pair_slot_closed_form_matches_index_pairs():
+    for dim in range(2, 41):
+        assert [pair_slot(dim, mu, nu) for mu, nu in index_pairs(dim)] == list(range(pair_count(dim)))
+        for mu, nu in [(0, 0), (dim - 1, dim - 1), (1, 0), (dim - 1, 0), (-1, 0), (-1, 1),
+                       (0, dim), (dim - 1, dim), (dim, dim + 1)]:
+            with pytest.raises(KeyError):
+                pair_slot(dim, mu, nu)
+    u = Bivector([1.0, 2.0, 3.0], 3)
+    for mu, nu in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(KeyError):
+            u.component(mu, nu)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
