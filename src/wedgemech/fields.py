@@ -45,9 +45,7 @@ __all__ = [
     "euler_pairing",
     "hamiltonian_phase_residual",
     "lagrangian_phase_residual",
-    "morse_family_H",
     "nambu_goto",
-    "partial_L_bivector",
     "plateau_lagrangian",
     "quadratic_area_lagrangian",
     "quadratic_curve_lagrangian",
@@ -310,11 +308,6 @@ class MorseFamily:
         return _MorseSlice(self, r)
 
 
-def morse_family_H(g: Metric) -> MorseFamily:
-    """Morse family generating the area dynamics for a point metric."""
-    return MorseFamily(g)
-
-
 class PhaseResidual2:
     """Defect of the degree-2 phase equations at a single element."""
 
@@ -333,11 +326,6 @@ class PhaseResidual2:
 
     def __repr__(self):
         return f"PhaseResidual2(force={self.force.tolist()}, momentum={self.momentum!r})"
-
-
-def partial_L_bivector(L: BivectorLagrangian, x, w: Bivector) -> MomentumBivector:
-    """Fiber derivative (Legendre map) of a bivector Lagrangian."""
-    return L.momentum(x, w)
 
 
 def lagrangian_phase_residual(L: BivectorLagrangian, e: PhaseElement2) -> PhaseResidual2:

@@ -15,10 +15,12 @@ a small in-house GMRES preconditioned by that Laplacian inverse solves
 each step.  A step GMRES cannot finish in one restart cycle (steep
 slopes) falls back to a sparse LU factorization of the assembled
 Jacobian for the rest of the solve.  There a pivot falling below 1e-12
-aborts the solve rather than returning garbage.  scipy is imported inside
-the functions that use it, so only a solve pays its import, not every
-command that loads this module; a solve that stays on GMRES loads only
-``scipy.fft``, the direct fallback adds the sparse matrices and LU.
+of the largest Jacobian entry aborts the solve rather than returning
+garbage; being relative, the guard does not depend on the units of the
+domain.  scipy is imported inside the functions that use it, so only a
+solve pays its import, not every command that loads this module; a solve
+that stays on GMRES loads only ``scipy.fft``, the direct fallback adds
+the sparse matrices and LU.
 
 The divergence form div(grad z / sqrt(1 + |grad z|^2)) equals the
 quasilinear form divided by W^3, W^2 = 1 + z_x^2 + z_y^2; it is exposed
@@ -58,7 +60,7 @@ __all__ = [
     "solve_plateau",
 ]
 
-_MIN_PIVOT = 1e-12
+_MIN_PIVOT = 1e-12  # relative to the largest Jacobian entry
 # GMRES settings of a Newton step: one restart cycle, near-exact solves
 _KRYLOV_RESTART = 30
 _KRYLOV_RTOL = 1e-12
@@ -197,15 +199,17 @@ def divergence_form_residual(grid: GraphGrid) -> np.ndarray:
 def _factorize(matrix, context: str):
     from scipy.sparse.linalg import splu
 
+    matrix = matrix.tocsc()
     try:
-        lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # exactly singular
         raise SingularJacobianError(f"{context}: {err}") from err
     pivot = float(np.abs(lu.U.diagonal()).min())
-    if pivot < _MIN_PIVOT:
+    scale = float(np.abs(matrix.data).max())
+    if pivot < _MIN_PIVOT * scale:
         raise SingularJacobianError(
-            f"{context}: pivot {pivot:.3e} below {_MIN_PIVOT:.0e}; the linearized "
-            f"system is numerically singular"
+            f"{context}: pivot {pivot:.3e} below {_MIN_PIVOT:.0e} of the largest entry "
+            f"{scale:.3e}; the linearized system is numerically singular"
         )
     return lu
 

@@ -7,7 +7,9 @@ residual.  Each body runs its check and appends its report lines.  A
 scenario and a spec differ only in where the inputs come from: a
 scenario builds fixed objects in Python and writes its title lines, a
 spec parses its file and writes its ``kind:``/``shape:``/``system:``
-lines; both then call the same body.
+lines; both then call the same body.  Each builtin scenario is one row of
+a table: its command, the function that reports it and that function's
+fixed arguments.
 
 Every scenario fixes all of its numbers — domain, resolution, tolerances,
 random seed where randomness is part of the point — so a report is a pure
@@ -32,9 +34,9 @@ import numpy as np
 from .constraints import first_axis_drift_constraint, nonholonomic_check, symmetric_slope_constraint
 from .fields import (
     CallableBivectorLagrangian,
+    MorseFamily,
     lagrangian_phase_residual,
     hamiltonian_phase_residual,
-    morse_family_H,
     nambu_goto,
     plateau_lagrangian,
     quadratic_area_lagrangian,
@@ -194,28 +196,6 @@ def _curve_residual(lines, L, grid, tol: str):
 
 # ---------------------------------------------------------------- scenarios
 
-_REGISTRY = {}
-
-
-def _scenario(name: str, command: str):
-    def register(fn):
-        _REGISTRY[name] = (command, fn)
-        return fn
-
-    return register
-
-
-def scenario_names(command: str | None = None) -> list:
-    return sorted(n for n, (c, _) in _REGISTRY.items() if command is None or c == command)
-
-
-def run_scenario(name: str) -> ScenarioOutcome:
-    if name not in _REGISTRY:
-        raise KeyError(name)
-    command, fn = _REGISTRY[name]
-    return _report(command, f"scenario: {name}", fn)
-
-
 # boundary families by spec name: coefficient count, their description, z(X, Y) from them
 _BOUNDARIES = {
     "affine": (3, "three coefficients: a b c", lambda a, b, c: lambda X, Y: a * X + b * Y + c),
@@ -245,32 +225,9 @@ def _exact_solve(lines, surface, domain, n, height, error_tol):
     return result.converged and err < error_tol, result.grid
 
 
-@_scenario("plane", "plateau-solve")
-def _run_plane(lines):
-    return _exact_solve(lines, "z = 2x - y/2 + 1 on [0,1]x[0,1]", _UNIT, 33,
-                        _height("affine", 2.0, -0.5, 1.0), 1e-10)
-
-
-@_scenario("scherk-65", "plateau-solve")
-def _run_scherk(lines):
-    return _exact_solve(lines, "z = log(cos y / cos x) boundary on [-0.7,0.7]^2", _SCHERK, 65,
-                        _height("scherk"), 1e-3)
-
-
 def _constrained_scenario(lines, label, height):
     lines += ["kind: constrained-plateau", f"boundary: {label}", "shape: 33 33"]
     return _constrained(lines, GraphGrid.from_boundary(_UNIT, 33, 33, height), 1e-8, 1e-6, 1e-6)
-
-
-@_scenario("constrained-plane", "plateau-solve")
-def _run_constrained_plane(lines):
-    return _constrained_scenario(lines, "z = 2(x+y) - 1 on [0,1]^2",
-                                 _height("diagonal-plane", 2.0, -1.0))
-
-
-@_scenario("constrained-quadratic", "plateau-solve")
-def _run_constrained_quadratic(lines):
-    return _constrained_scenario(lines, "z = (x+y)^2 on [0,1]^2", _height("diagonal-quadratic"))
 
 
 def _example7_scenario(lines, height, label, domain, force_tol):
@@ -281,44 +238,23 @@ def _example7_scenario(lines, height, label, domain, force_tol):
     return _check(lines, plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6, force_tol)
 
 
-@_scenario("example7-plane", "nonholonomic-check")
-def _run_example7_plane(lines):
-    return _example7_scenario(lines, _height("diagonal-plane", 1.0, 1.0),
-                              "z = x + y + 1 on [0,1]^2", _UNIT, 1e-6)
-
-
-@_scenario("example7-quadratic", "nonholonomic-check")
-def _run_example7_quadratic(lines):
-    return _example7_scenario(lines, _height("diagonal-quadratic"),
-                              "z = (x+y)^2 on [0,1]^2", _UNIT, 5e-3)
-
-
-@_scenario("example7-scherk", "nonholonomic-check")
-def _run_example7_scherk(lines):
-    return _example7_scenario(lines, _height("scherk"),
-                              "z = log(cos y / cos x) on [-0.7,0.7]^2", _SCHERK, 5e-3)
-
-
-@_scenario("nambu-goto-euclid", "phase-check")
-def _run_nambu_goto_euclid(lines):
+def _nambu_goto_euclid(lines):
     g = Metric.euclidean(3)
     L = nambu_goto(g)
     x, w = np.array([0.1, -0.2, 0.3]), Bivector([1.0, 0.25, -0.5], 3)
     lines += ["metric: euclidean 3", "lagrangian: nambu-goto"]
     element = _phase_point(lines, L, x, w)
     lines.append(f"area-density: {_f(L.value(x, w))}")
-    return _phase(lines, L, element, "1e-10", morse_family_H(g))
+    return _phase(lines, L, element, "1e-10", MorseFamily(g))
 
 
-@_scenario("zero-field", "phase-check")
-def _run_zero_field(lines):
+def _zero_field(lines):
     lines += ["lagrangian: identically zero", "element: zero phase element, dimension 3"]
     L = CallableBivectorLagrangian(3, lambda x, w: 0.0)
     return _phase(lines, L, PhaseElement2.zero(3), "1e-12")
 
 
-@_scenario("phase-cross-check", "phase-check")
-def _run_phase_cross_check(lines):
+def _phase_cross_check(lines):
     rng = np.random.default_rng(20260814)
     dim, k = 3, pair_count(3)
     x = rng.standard_normal(dim)
@@ -333,20 +269,10 @@ def _run_phase_cross_check(lines):
     return _phase(lines, plateau_lagrangian(dim), element, "1e-14", flip=True)
 
 
-@_scenario("free-line", "classical-el")
-def _run_free_line(lines):
-    lines += ["system: free particle, dimension 2",
-              "curve: (0.2 + t, -0.4 + t/2) on [0,1], 101 nodes"]
-    grid = CurveGrid.sample(lambda t: (0.2 + t, -0.4 + 0.5 * t), 0.0, 1.0, 101)
-    return _curve_residual(lines, quadratic_curve_lagrangian(2), grid, "1e-12")
-
-
-@_scenario("oscillator-cos", "classical-el")
-def _run_oscillator(lines):
-    lines += ["system: harmonic oscillator, omega 1, dimension 1",
-              "curve: cos t on [0,2pi], 1001 nodes"]
-    grid = CurveGrid.sample(lambda t: (np.cos(t),), 0.0, 2.0 * np.pi, 1001)
-    return _curve_residual(lines, quadratic_curve_lagrangian(1, omega=1.0), grid, "0.001")
+def _sampled_curve(lines, system, dim, omega, curve, fn, t_end, nodes, tol):
+    lines += [f"system: {system}", f"curve: {curve}, {nodes} nodes"]
+    grid = CurveGrid.sample(fn, 0.0, t_end, nodes)
+    return _curve_residual(lines, quadratic_curve_lagrangian(dim, omega=omega), grid, tol)
 
 
 def _constrained_line_scenario(lines, fn, label):
@@ -358,14 +284,45 @@ def _constrained_line_scenario(lines, fn, label):
                   1e-10, 1e-10)
 
 
-@_scenario("constrained-line", "classical-el")
-def _run_constrained_line(lines):
-    return _constrained_line_scenario(lines, lambda t: (t, 0.7), "(t, 0.7) on [0,1]")
+# each builtin scenario: its command, the body that reports it and the body's arguments
+_SCENARIOS = {
+    "plane": ("plateau-solve", _exact_solve, (
+        "z = 2x - y/2 + 1 on [0,1]x[0,1]", _UNIT, 33, _height("affine", 2.0, -0.5, 1.0), 1e-10)),
+    "scherk-65": ("plateau-solve", _exact_solve, (
+        "z = log(cos y / cos x) boundary on [-0.7,0.7]^2", _SCHERK, 65, _height("scherk"), 1e-3)),
+    "constrained-plane": ("plateau-solve", _constrained_scenario, (
+        "z = 2(x+y) - 1 on [0,1]^2", _height("diagonal-plane", 2.0, -1.0))),
+    "constrained-quadratic": ("plateau-solve", _constrained_scenario, (
+        "z = (x+y)^2 on [0,1]^2", _height("diagonal-quadratic"))),
+    "example7-plane": ("nonholonomic-check", _example7_scenario, (
+        _height("diagonal-plane", 1.0, 1.0), "z = x + y + 1 on [0,1]^2", _UNIT, 1e-6)),
+    "example7-quadratic": ("nonholonomic-check", _example7_scenario, (
+        _height("diagonal-quadratic"), "z = (x+y)^2 on [0,1]^2", _UNIT, 5e-3)),
+    "example7-scherk": ("nonholonomic-check", _example7_scenario, (
+        _height("scherk"), "z = log(cos y / cos x) on [-0.7,0.7]^2", _SCHERK, 5e-3)),
+    "nambu-goto-euclid": ("phase-check", _nambu_goto_euclid, ()),
+    "zero-field": ("phase-check", _zero_field, ()),
+    "phase-cross-check": ("phase-check", _phase_cross_check, ()),
+    "free-line": ("classical-el", _sampled_curve, (
+        "free particle, dimension 2", 2, 0.0, "(0.2 + t, -0.4 + t/2) on [0,1]",
+        lambda t: (0.2 + t, -0.4 + 0.5 * t), 1.0, 101, "1e-12")),
+    "oscillator-cos": ("classical-el", _sampled_curve, (
+        "harmonic oscillator, omega 1, dimension 1", 1, 1.0, "cos t on [0,2pi]",
+        lambda t: (np.cos(t),), 2.0 * np.pi, 1001, "0.001")),
+    "constrained-line": ("classical-el", _constrained_line_scenario, (
+        lambda t: (t, 0.7), "(t, 0.7) on [0,1]")),
+    "constrained-line-violating": ("classical-el", _constrained_line_scenario, (
+        lambda t: (t, t), "(t, t) on [0,1]")),
+}
 
 
-@_scenario("constrained-line-violating", "classical-el")
-def _run_constrained_line_violating(lines):
-    return _constrained_line_scenario(lines, lambda t: (t, t), "(t, t) on [0,1]")
+def scenario_names(command: str | None = None) -> list:
+    return sorted(n for n, (c, _, _) in _SCENARIOS.items() if command is None or c == command)
+
+
+def run_scenario(name: str) -> ScenarioOutcome:
+    command, body, arguments = _SCENARIOS[name]
+    return _report(command, f"scenario: {name}", lambda lines: body(lines, *arguments))
 
 
 # ---------------------------------------------------------------- specs
@@ -511,7 +468,7 @@ def _spec_phase(spec, lines, tol, max_iter):
     element = _phase_point(lines, L, x, w)
     tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
     nambu = spec.get_str("lagrangian", default="plateau").split()[0] == "nambu-goto"
-    family = _from_metric(spec, morse_family_H) if nambu else None
+    family = _from_metric(spec, MorseFamily) if nambu else None
     return _phase(lines, L, element, _f(tolerance), family)
 
 

@@ -24,8 +24,8 @@ from wedgemech.constraints import (
 )
 from wedgemech.fields import (
     FieldDomainError,
+    MorseFamily,
     euler_pairing,
-    morse_family_H,
     nambu_goto,
     plateau_lagrangian,
     quadratic_curve_lagrangian,
@@ -145,7 +145,7 @@ def test_criterion_4_legendre_images_on_morse_sphere():
     with criterion(4, "Legendre images on the unit momentum sphere"):
         for g in metrics:
             L = nambu_goto(g)
-            family = morse_family_H(g)
+            family = MorseFamily(g)
             for _ in range(250):
                 w = _cone_sample(rng, L, 3)
                 p = L.momentum(rng.normal(size=3), w)

@@ -49,6 +49,11 @@ def test_every_scenario_matches_its_stored_golden(name, capsys):
     assert out.endswith(("result: PASS\n", "result: FAIL\n"))
 
 
+def test_golden_files_are_exactly_the_scenarios():
+    stems = {name[:-len(".txt")] for name in os.listdir(cli._GOLDEN_DIR) if name.endswith(".txt")}
+    assert stems == set(scenario_names())
+
+
 def test_golden_mismatch_exits_two(monkeypatch, tmp_path, capsys):
     with open(os.path.join(cli._GOLDEN_DIR, "free-line.txt"), encoding="ascii") as handle:
         stored = handle.read()
@@ -147,6 +152,47 @@ def test_spec_tol_and_max_iter_override(tmp_path, capsys):
     # the discretization residual is ~2e-5, so a tightened override must fail
     assert main(["classical-el", "--spec", spec, "--tol", "1e-12"]) == 2
     assert capsys.readouterr().out.endswith("result: FAIL\n")
+
+
+# a spec of each kind that sets every tolerance key the kind reads, and the
+# values its report shows under --tol 0.25: which keys --tol replaces
+_TOL_OVERRIDES = {
+    "plateau": ("plateau-solve", "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 9 9\n"
+                "boundary scherk\ntol 1e-9\nmax-iter 7\n", {"tol": 0.25}),
+    "constrained-plateau": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
+                            "shape 9 9\nboundary diagonal-plane 2 -1\nfit-tol 1e-9\n"
+                            "constraint-tol 1e-5\nforce-tol 1e-4\n",
+                            {"fit-tol": 1e-9, "constraint-tol": 0.25, "force-tol": 1e-4}),
+    "nonholonomic-check": ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+                           "constraint builtin example7\nconstraint-tol 1e-5\nforce-tol 1e-4\n",
+                           {"constraint-tol": 0.25, "force-tol": 0.25}),
+    "phase-check": ("phase-check", "kind phase-check\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\ntol 1e-9\n",
+                    {"tol": 0.25}),
+    "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-9\n",
+                     {"tol": 0.25}),
+    "classical-el-constrained": ("classical-el", "kind classical-el\ncurve line.grid\n"
+                                 "constraint builtin first-axis-drift\ntol 1e-9\n"
+                                 "force-tol 1e-4\n", {"constraint-tol": 0.25, "force-tol": 1e-4}),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOL_OVERRIDES))
+def test_spec_tol_replaces_these_keys_and_max_iter_only_plateaus(tmp_path, capsys, case):
+    command, body, shown = _TOL_OVERRIDES[case]
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    spec = _spec(tmp_path, "t.spec", body)
+    reports = []
+    for argv in (["--tol", "0.25"], ["--tol", "0.25", "--max-iter", "3"]):
+        assert main([command, "--spec", spec, *argv]) in (0, 2)
+        reports.append(capsys.readouterr().out)
+    fields = [dict(line.split(": ", 1) for line in r.splitlines()[1:]) for r in reports]
+    assert {key: float(fields[0][key]) for key in shown} == shown
+    if case == "plateau":
+        assert (fields[0]["max-iter"], fields[1]["max-iter"]) == ("7", "3")
+    else:
+        assert reports[1] == reports[0]
 
 
 def test_spec_constrained_plateau_feasible(tmp_path, capsys):

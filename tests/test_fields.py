@@ -24,12 +24,11 @@ from wedgemech.geometry import (
 from wedgemech.fields import (
     CallableBivectorLagrangian,
     FieldDomainError,
+    MorseFamily,
     euler_pairing,
     hamiltonian_phase_residual,
     lagrangian_phase_residual,
-    morse_family_H,
     nambu_goto,
-    partial_L_bivector,
     plateau_lagrangian,
     quadratic_area_lagrangian,
     quadratic_curve_lagrangian,
@@ -59,7 +58,7 @@ def test_area_lagrangian_frozen_values():
     w = wedge(e[0], e[1])
     L = nambu_goto(Metric.euclidean(3))
     assert L.value(np.zeros(3), w) == 2.0
-    p = partial_L_bivector(L, np.zeros(3), w)
+    p = L.momentum(np.zeros(3), w)
     np.testing.assert_array_equal(p.slots, [1.0, 0.0, 0.0])
 
     P = plateau_lagrangian(3)
@@ -153,7 +152,7 @@ def test_morse_family_criticality_and_ray():
     rng = np.random.default_rng(23)
     g = random_spd_metric(rng, 3)
     L = nambu_goto(g)
-    H = morse_family_H(g)
+    H = MorseFamily(g)
     w = positive_cone_bivector(rng, L, 3)
     val = L.value(np.zeros(3), w)
     p = L.momentum(np.zeros(3), w)
@@ -186,7 +185,7 @@ def test_morse_family_equals_its_own_formulas_bitwise(dim):
     k = pair_count(dim)
     p = rng.normal(size=(300, k)) * 10.0 ** rng.uniform(-60, 60, size=(300, 1))
     for g in (Metric.euclidean(dim), Metric.minkowski(dim), random_spd_metric(rng, dim)):
-        H = morse_family_H(g)
+        H = MorseFamily(g)
         inside = np.einsum("...i,ij,...j->...", p, H.dual.slot_matrix, p) > 0.0
         for r in (1.0, 0.37, 2.0 / 3.0, 1e5):
             value, velocity = _reference_morse(g, p[inside], r)
@@ -199,7 +198,7 @@ def test_morse_family_equals_its_own_formulas_bitwise(dim):
 def test_morse_slice_value_slots_on_stacks():
     rng = np.random.default_rng(32)
     g = random_spd_metric(rng, 3)
-    family = morse_family_H(g)
+    family = MorseFamily(g)
     H = family.at_r(1.7)
     ps = rng.normal(size=(4, 5, 3))
     ps[..., 0] += 4.0  # (p|p)* > 0 everywhere
@@ -216,7 +215,7 @@ def test_morse_slice_value_slots_on_stacks():
 
 def test_morse_family_refuses_an_overflowing_square():
     # (p|p)* = 1e400 is no number: no root, no value, no velocity
-    H = morse_family_H(Metric.euclidean(3))
+    H = MorseFamily(Metric.euclidean(3))
     p = MomentumBivector([1e200, 0.0, 0.0], 3)
     for call in (lambda: H.d_r(p), lambda: H.value(p, 1.0), lambda: H.velocity(p, 1.0),
                  lambda: H.momentum_square(p)):
@@ -235,7 +234,7 @@ def test_domain_messages_name_the_quadratic_form():
     with pytest.raises(FieldDomainError, match=r"^derivative undefined: quadratic form is -4\.0 "
                                                r"<= 0 at some requested point$"):
         L.momentum(np.zeros(4), timelike)
-    H = morse_family_H(Metric.euclidean(3))
+    H = MorseFamily(Metric.euclidean(3))
     zero = MomentumBivector(np.zeros(3), 3)
     with pytest.raises(FieldDomainError,
                        match=r"^outside the positivity domain: quadratic form is 0\.0 <= 0$"):
@@ -258,7 +257,7 @@ def test_phase_residuals_vanish_on_consistent_elements():
     res = lagrangian_phase_residual(L, e)
     assert res.max_norm <= 1e-14
 
-    H = morse_family_H(g).at_r(L.value(x, w))
+    H = MorseFamily(g).at_r(L.value(x, w))
     force, velocity = hamiltonian_phase_residual(H, e)
     assert float(np.abs(force).max()) <= 1e-14
     assert float(np.abs(velocity.slots).max()) <= 1e-11

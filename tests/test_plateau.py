@@ -259,6 +259,31 @@ def test_steep_scherk_falls_back_to_direct_steps():
     assert np.abs(result.grid.z - exact.z).max() < 5e-3
 
 
+def _steep_scherk_in_units(k):
+    # domain, heights and tol scaled by 2^k: exact in floating point, it scales
+    # the residual by 2^-k and the Jacobian by 2^-2k
+    s = 2.0**k
+    a = 1.45 * s
+    grid = GraphGrid.from_boundary((-a, a, -a, a), 65, 65, lambda X, Y: s * scherk(X / s, Y / s))
+    return solve_plateau(grid, SolveOptions(tol=1e-10 / s))
+
+
+@pytest.fixture(scope="module")
+def steep_scherk_unit_scale():
+    return _steep_scherk_in_units(0)
+
+
+@pytest.mark.parametrize("k", [-20, 10, 30])
+def test_pivot_guard_does_not_depend_on_units(k, steep_scherk_unit_scale):
+    # an absolute pivot cutoff refused the 2^30 case as numerically singular
+    ref = steep_scherk_unit_scale
+    result = _steep_scherk_in_units(k)
+    assert result.stop == ref.stop == "converged"
+    np.testing.assert_array_equal(result.linear_iters, ref.linear_iters)
+    assert np.all(result.linear_iters == 0)  # every step went through the guard
+    np.testing.assert_array_equal(result.trace, ref.trace * 2.0**-k)
+
+
 def test_converged_solve_passes_el_check():
     # the embedded-surface defect of a converged solve is limited by the
     # mismatch between the solver stencil and the smoothed-gradient one;

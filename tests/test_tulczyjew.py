@@ -164,6 +164,18 @@ def test_pdot_full_symmetries():
             assert full[a, b, c, d] == e.pdot[i, j]
 
 
+def test_y_full_is_antisymmetric_and_traces_like_trace_y():
+    rng = np.random.default_rng(9)
+    for dim in (2, 3, 4):
+        e = random_phase_element2(rng, dim, nodes=(4, 5))
+        full = e.y_full
+        assert full.shape == (4, 5, dim, dim, dim)
+        assert np.array_equal(full, -np.swapaxes(full, -1, -2))
+        for i, (a, b) in enumerate(index_pairs(dim)):
+            assert np.array_equal(full[..., a, b], e.y[..., i])
+        assert np.array_equal(trace_y(e.y, dim), np.einsum("...aab->...b", full))
+
+
 def _node(e, idx):
     """Element ``idx`` of a stacked phase element, built on its own."""
     return PhaseElement2(e.x[idx], MomentumBivector(e.p.slots[idx], e.dim),
