@@ -5,8 +5,9 @@ The package provides, in rough dependency order:
 * `wedgemech.geometry` - bivectors, momenta, fiber metrics and their pairings;
 * `wedgemech.tulczyjew` - the canonical maps between phase prolongations and
   cotangent bundles, for curves and for surfaces;
-* `wedgemech.fields` - Lagrangian and Hamiltonian fields (area functionals,
-  their Morse family, quadratic curve Lagrangians) with derivative access;
+* `wedgemech.fields` - Lagrangian fields (area functionals, quadratic curve
+  Lagrangians) with derivative access, the Morse family that generates the
+  Hamiltonian side of the area dynamics, and both phase residuals;
 * `wedgemech.variational` - sampled curves/surfaces and discrete
   Euler-Lagrange residuals;
 * `wedgemech.constraints` - affine velocity constraints, annihilators, and

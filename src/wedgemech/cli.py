@@ -5,7 +5,8 @@ The four subcommands (``plateau-solve``, ``nonholonomic-check``,
 command table of `scenarios`.  A run is driven either by ``--scenario
 NAME`` (builtin, fully determined, compared byte-for-byte against a
 stored golden report) or by ``--spec PATH`` (a problem spec file;
-``--tol`` / ``--max-iter`` override the file's values).
+``--tol`` overrides the file's tolerances and ``--max-iter`` the iteration
+budget of a ``plateau`` spec, the only kind that has one).
 
 Every report is built in `scenarios`, by ``run_scenario`` or ``run_spec``
 through the same bodies.  This module parses the arguments, and one path
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, metavar="REAL",
                        help="override the spec tolerance (spec runs only)")
         p.add_argument("--max-iter", type=int, metavar="INT", dest="max_iter",
-                       help="override the spec iteration budget (spec runs only)")
+                       help="override the iteration budget (plateau specs only)")
         p.add_argument("--golden-regen", action="store_true", dest="golden_regen",
                        help="rewrite the scenario's stored golden report")
     return parser

@@ -1,4 +1,5 @@
-"""Lagrangian and Hamiltonian fields on vector and bivector bundles.
+"""Lagrangian fields on vector and bivector bundles, and the Morse family
+that generates the Hamiltonian side of the area dynamics.
 
 Curves (n = 1) and surfaces (n = 2) share one derivative protocol: a field
 is a scalar ``F(x, e)`` of a base point and a fiber element of ``wedge^n``
@@ -9,9 +10,11 @@ index pairs).  Fiber derivatives are antisymmetrized, with the 1/n! factor,
 
 so a curve momentum is the plain partial and a bivector momentum is half
 the slot derivative; that makes the Legendre map of the area Lagrangian
-come out as ``p = h(w, .) / L`` with no stray factors of two.  Hamiltonian
-velocities use the same convention, ``xdot^I = (1/2) dH/dp_I``.
-Derivatives in the base point are plain partials.
+come out as ``p = h(w, .) / L`` with no stray factors of two.  The Morse
+family ``H(p, r)`` has no base point; its velocities use the same
+convention, ``xdot^I = (1/2) dH/dp_I``.  Derivatives in the base point
+are plain partials.  Both phase residuals are pairs: (force, momentum)
+on the Lagrangian side, (force, velocity) on the Hamiltonian side.
 
 Subclasses provide `value_slots` (vectorized over leading axes); the
 gradient methods fall back to central finite differences with step
@@ -35,13 +38,11 @@ from .geometry import (
 from .tulczyjew import PhaseElement2, trace_y
 
 __all__ = [
-    "BivectorHamiltonian",
     "BivectorLagrangian",
     "CallableBivectorLagrangian",
     "CurveLagrangian",
     "FieldDomainError",
     "MorseFamily",
-    "PhaseResidual2",
     "euler_pairing",
     "hamiltonian_phase_residual",
     "lagrangian_phase_residual",
@@ -84,7 +85,7 @@ def _arrays(x, e):
 
 class _SlotField:
     """Scalar field ``F(x, e)`` of points (..., dim) and fiber slots (..., s); a subclass
-    names its fiber derivative (`momentum_slots` or `velocity_slots`) and its element type."""
+    names its element type and wraps `momentum_slots` in its `momentum`."""
 
     fiber_scale: float  # the 1/n! of the module's convention
 
@@ -100,7 +101,7 @@ class _SlotField:
     def gradient_x_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         return _fd_gradient(lambda xs: self.value_slots(xs, e), x)
 
-    def _fiber_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def momentum_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         return _fd_gradient(lambda es: self.value_slots(x, es), e, scale=self.fiber_scale)
 
     def derivative_mask(self, x: np.ndarray, e: np.ndarray):
@@ -116,18 +117,10 @@ class _SlotField:
         return self.gradient_x_slots(*_arrays(x, e))
 
 
-def _zero_gradient_x(self, x, e):
-    """`gradient_x_slots` of a field that does not depend on the base point."""
-    x = np.asarray(x, dtype=float)
-    e = np.asarray(e, dtype=float)
-    return np.zeros(np.broadcast_shapes(x.shape[:-1], e.shape[:-1]) + x.shape[-1:])
-
-
 class BivectorLagrangian(_SlotField):
     """Scalar field ``L(x, w)`` on the velocity bivector bundle."""
 
     fiber_scale = 0.5
-    momentum_slots = _SlotField._fiber_slots
 
     def momentum(self, x, w: Bivector) -> MomentumBivector:
         return MomentumBivector(self.momentum_slots(*_arrays(x, w)), self.dim)
@@ -186,7 +179,10 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
             )
         return np.sqrt(np.maximum(q, 0.0))
 
-    gradient_x_slots = _zero_gradient_x
+    def gradient_x_slots(self, x, w):  # no dependence on the base point
+        x = np.asarray(x, dtype=float)
+        w = np.asarray(w, dtype=float)
+        return np.zeros(np.broadcast_shapes(x.shape[:-1], w.shape[:-1]) + x.shape[-1:])
 
     def momentum_slots(self, x, w):
         return self._half_gradient(w, self.scale)
@@ -233,35 +229,6 @@ def plateau_lagrangian(dim: int = 3) -> BivectorLagrangian:
     return _SqrtQuadraticLagrangian(FiberMetric(np.eye(pair_count(dim)), dim), 2.0, strict=False)
 
 
-class BivectorHamiltonian(_SlotField):
-    """Scalar field ``H(x, p)`` on the momentum bivector bundle."""
-
-    fiber_scale = 0.5
-    velocity_slots = _SlotField._fiber_slots
-
-    def velocity(self, x, p: MomentumBivector) -> Bivector:
-        return Bivector(self.velocity_slots(*_arrays(x, p)), self.dim)
-
-
-class _MorseSlice(BivectorHamiltonian):
-    """The Morse family at a fixed value of the area parameter."""
-
-    def __init__(self, family: "MorseFamily", r: float):
-        super().__init__(family.dim)
-        self.family = family
-        self.r = float(r)
-
-    def value_slots(self, x, p):
-        out = self.family.value_slots(p, self.r)
-        lead = np.broadcast_shapes(np.asarray(x).shape[:-1], np.asarray(p).shape[:-1])
-        return np.broadcast_to(out, lead).copy() if lead else out
-
-    gradient_x_slots = _zero_gradient_x
-
-    def velocity_slots(self, x, p):
-        return self.family.velocity_slots(p, self.r)
-
-
 class MorseFamily:
     """Generating family ``H(p, r) = r (sqrt((p|p)*) - 1)`` of the area dynamics.
 
@@ -280,12 +247,9 @@ class MorseFamily:
         self.dual = dual_fiber_metric(g)
         self._root = _SqrtQuadraticLagrangian(self.dual, 1.0, strict=True)
 
-    def momentum_square_slots(self, p: np.ndarray) -> np.ndarray:
-        return self._root._form(np.asarray(p, dtype=float))
-
     def momentum_square(self, p: MomentumBivector) -> float:
         """Dual pairing ``(p|p)*``; unit on Legendre images of the area field."""
-        return float(self.momentum_square_slots(p.slots))
+        return float(self._root._form(p.slots))
 
     def value_slots(self, p, r):
         return r * (self._root.value_slots(None, p) - 1.0)
@@ -293,7 +257,7 @@ class MorseFamily:
     def value(self, p: MomentumBivector, r: float) -> float:
         return float(self.value_slots(p.slots, float(r)))
 
-    def d_r(self, p: MomentumBivector, r: float = 0.0) -> float:
+    def d_r(self, p: MomentumBivector) -> float:
         """Partial in the family parameter; zero exactly on the unit sphere."""
         return float(self._root.value_slots(None, p.slots) - 1.0)
 
@@ -304,45 +268,22 @@ class MorseFamily:
         """Half-gradient in p; at ``p = dL/dw`` and ``r = L(w)`` equals w."""
         return Bivector(self.velocity_slots(p.slots, r), self.dim)
 
-    def at_r(self, r: float) -> BivectorHamiltonian:
-        return _MorseSlice(self, r)
+
+def lagrangian_phase_residual(L: BivectorLagrangian, e: PhaseElement2):
+    """Defect of ``ybar = dL/dx`` and ``p = dL/dw`` at a phase element.
+
+    Returns the pair (force defect, momentum defect).
+    """
+    return trace_y(e.y, e.dim) - L.gradient_x(e.x, e.xdot), e.p - L.momentum(e.x, e.xdot)
 
 
-class PhaseResidual2:
-    """Defect of the degree-2 phase equations at a single element."""
-
-    __slots__ = ("force", "momentum")
-
-    def __init__(self, force: np.ndarray, momentum: MomentumBivector):
-        self.force = np.asarray(force, dtype=float)
-        self.momentum = momentum
-
-    @property
-    def max_norm(self) -> float:
-        return max(
-            float(np.abs(self.force).max()),
-            float(np.abs(self.momentum.slots).max(initial=0.0)),
-        )
-
-    def __repr__(self):
-        return f"PhaseResidual2(force={self.force.tolist()}, momentum={self.momentum!r})"
-
-
-def lagrangian_phase_residual(L: BivectorLagrangian, e: PhaseElement2) -> PhaseResidual2:
-    """Defect of ``ybar = dL/dx`` and ``p = dL/dw`` at a phase element."""
-    force = trace_y(e.y, e.dim) - L.gradient_x(e.x, e.xdot)
-    momentum = e.p - L.momentum(e.x, e.xdot)
-    return PhaseResidual2(force, momentum)
-
-
-def hamiltonian_phase_residual(H: BivectorHamiltonian, e: PhaseElement2):
-    """Defect of ``ybar = -dH/dx`` and ``w = (1/2) dH/dp`` at a phase element.
+def hamiltonian_phase_residual(family: MorseFamily, e: PhaseElement2, r: float):
+    """Defect of ``ybar = -dH/dx`` and ``w = (1/2) dH/dp`` at a phase element, for the
+    Morse family at ``r``; H has no base point, so the force defect is the trace itself.
 
     Returns the pair (force defect, velocity defect).
     """
-    force = trace_y(e.y, e.dim) + H.gradient_x(e.x, e.p)
-    velocity = e.xdot - H.velocity(e.x, e.p)
-    return force, velocity
+    return trace_y(e.y, e.dim), e.xdot - family.velocity(e.p, r)
 
 
 def euler_pairing(p: MomentumBivector, w: Bivector) -> float:
@@ -359,7 +300,6 @@ class CurveLagrangian(_SlotField):
     the slots of a velocity vector are its components."""
 
     fiber_scale = 1.0
-    momentum_slots = _SlotField._fiber_slots
 
     def momentum(self, x, v) -> np.ndarray:
         return self.momentum_slots(*_arrays(x, v))

@@ -154,22 +154,23 @@ def _phase(lines, L, element, tol: str, family=None, flip=False):
     the two route gaps are held to ``tol``.
     """
     x, xdot = element.x, element.xdot
-    residual = lagrangian_phase_residual(L, element)
-    lines.append(f"lagrangian-force-max: {_f(np.abs(residual.force).max())}")
-    lines.append(f"lagrangian-momentum-max: {_f(np.abs(residual.momentum.slots).max())}")
-    defects = [] if flip else [residual.max_norm]
+    force, momentum = lagrangian_phase_residual(L, element)
+    force_max, momentum_max = float(np.abs(force).max()), float(np.abs(momentum.slots).max())
+    lines.append(f"lagrangian-force-max: {_f(force_max)}")
+    lines.append(f"lagrangian-momentum-max: {_f(momentum_max)}")
+    defects = [] if flip else [max(force_max, momentum_max)]
     if family is not None:
         sphere = abs(family.d_r(element.p))
-        ham_force, ham_velocity = hamiltonian_phase_residual(family.at_r(L.value(x, xdot)), element)
-        force, velocity = float(np.abs(ham_force).max()), float(np.abs(ham_velocity.slots).max())
+        ham_force, velocity = hamiltonian_phase_residual(family, element, L.value(x, xdot))
+        ham_force_max, velocity_max = float(np.abs(ham_force).max()), float(np.abs(velocity.slots).max())
         lines.append(f"morse-sphere-defect: {_f(sphere)}")
-        lines.append(f"hamiltonian-force-max: {_f(force)}")
-        lines.append(f"hamiltonian-velocity-max: {_f(velocity)}")
-        defects += [sphere, force, velocity]
+        lines.append(f"hamiltonian-force-max: {_f(ham_force_max)}")
+        lines.append(f"hamiltonian-velocity-max: {_f(velocity_max)}")
+        defects += [sphere, ham_force_max, velocity_max]
     cov = alpha2(element)
     gap = max(
-        float(np.abs(residual.force - (cov.a - L.gradient_x(x, xdot))).max()),
-        float(np.abs((residual.momentum - (cov.c - L.momentum(x, xdot))).slots).max()),
+        float(np.abs(force - (cov.a - L.gradient_x(x, xdot))).max()),
+        float(np.abs((momentum - (cov.c - L.momentum(x, xdot))).slots).max()),
     )
     lines.append(f"alpha2-cross-gap: {_f(gap)}")
     defects.append(gap)
@@ -342,7 +343,8 @@ def _graph_grid(spec) -> GraphGrid:
             nodes = graph.surface_grid().points
         except ValueError as err:  # descending coordinates, or steps too large or small to square
             raise SpecError("grid", str(err)) from err
-        if not np.allclose(nodes, pts, rtol=1e-12, atol=1e-14):  # the tolerance of from_graph
+        # from_graph's tolerance: atol scales with each coordinate's magnitude
+        if not np.allclose(nodes, pts, rtol=1e-12, atol=1e-14 * np.abs(pts).max(axis=(0, 1))):
             raise SpecError("grid", "nodes are not a graph over a uniform rectangle")
         return graph
     for field in ("domain", "shape", "boundary"):
@@ -502,12 +504,15 @@ def run_spec(command: str, path, tol: float | None = None,
              max_iter: int | None = None) -> ScenarioOutcome:
     """Run the problem spec file at ``path`` through ``command``.
 
-    ``tol`` and ``max_iter``, when given, override the file's values.
-    Input faults raise `SpecError`; an unreadable file raises `OSError`.
+    ``tol`` and ``max_iter``, when given, override the file's values;
+    only a ``plateau`` spec has an iteration budget to override.  Input
+    faults raise `SpecError`; an unreadable file raises `OSError`.
     """
     spec = read_problem_spec(path)
     _, kinds, run = _SPEC_COMMANDS[command]
     if spec.kind not in kinds:
         raise SpecError("kind", f"{spec.kind!r} is not handled by {command}")
+    if max_iter is not None and spec.kind != "plateau":
+        raise SpecError("kind", f"--max-iter applies to plateau specs only, not to {spec.kind}")
     return _report(command, f"spec: {os.path.basename(path)}",
                    lambda lines: run(spec, lines, tol, max_iter))

@@ -122,9 +122,10 @@ class SurfaceGrid:
         z = np.asarray(z, dtype=float)
         if z.shape != (xs.size, ys.size):
             raise ValueError(f"height samples {z.shape} do not match axes ({xs.size}, {ys.size})")
-        for name, axis in (("xs", xs), ("ys", ys)):
+        for name, axis in (("xs", xs), ("ys", ys)):  # atol scales with the coordinates
             steps = np.diff(axis)
-            if axis.size < 2 or not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
+            if axis.size < 2 or not np.allclose(steps, steps[0], rtol=1e-12,
+                                                atol=1e-14 * np.abs(axis).max()):
                 raise ValueError(f"{name} must be uniformly spaced")
         pts = np.empty(z.shape + (3,))
         pts[..., 0] = xs[:, None]

@@ -183,16 +183,17 @@ def test_spec_tol_replaces_these_keys_and_max_iter_only_plateaus(tmp_path, capsy
     write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
     write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
     spec = _spec(tmp_path, "t.spec", body)
-    reports = []
-    for argv in (["--tol", "0.25"], ["--tol", "0.25", "--max-iter", "3"]):
-        assert main([command, "--spec", spec, *argv]) in (0, 2)
-        reports.append(capsys.readouterr().out)
-    fields = [dict(line.split(": ", 1) for line in r.splitlines()[1:]) for r in reports]
-    assert {key: float(fields[0][key]) for key in shown} == shown
+    assert main([command, "--spec", spec, "--tol", "0.25"]) in (0, 2)
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert {key: float(fields[key]) for key in shown} == shown
+    code = main([command, "--spec", spec, "--tol", "0.25", "--max-iter", "3"])
+    out, err = capsys.readouterr()
     if case == "plateau":
-        assert (fields[0]["max-iter"], fields[1]["max-iter"]) == ("7", "3")
-    else:
-        assert reports[1] == reports[0]
+        assert code in (0, 2) and fields["max-iter"] == "7" and "\nmax-iter: 3\n" in out
+    else:  # no other kind has an iteration budget, so the option is refused, not ignored
+        kind = body.split("\n")[0].split()[1]
+        assert (code, out) == (1, "")
+        assert "--max-iter" in err and kind in err
 
 
 def test_spec_constrained_plateau_feasible(tmp_path, capsys):
@@ -659,6 +660,24 @@ def test_spec_plateau_grid_file_rectangle_names_grid(tmp_path, capsys, grid, fra
     err = capsys.readouterr().err
     assert err.startswith("wedgemech: spec error: grid: ") and fragment in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
+def test_spec_grid_file_uniformity_does_not_depend_on_units(tmp_path, capsys, k):
+    # a 5 x 5 flat grid, once on a uniform x column and once with x = 0 1 2 3.5 4, all
+    # scaled by 2**k: an exact scaling, so each keeps its verdict at every k
+    scale = 2.0**k
+    for xs, code in (([0.0, 1.0, 2.0, 3.0, 4.0], 0), ([0.0, 1.0, 2.0, 3.5, 4.0], 1)):
+        X, Y = np.meshgrid(np.array(xs) * scale, np.arange(5.0) * scale, indexing="ij")
+        write_grid(tmp_path / "g.grid", SurfaceGrid(scale, scale, np.stack([X, Y, 0 * X], -1)))
+        spec = _spec(tmp_path, "p.spec", "kind plateau\ngrid g.grid\n")
+        assert main(["plateau-solve", "--spec", spec]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err == ("wedgemech: spec error: grid: "
+                           "nodes are not a graph over a uniform rectangle\n")
+        else:
+            assert "converged: yes\n" in out
 
 
 @pytest.mark.parametrize(

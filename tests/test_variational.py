@@ -78,6 +78,18 @@ def test_grid_validation():
         SurfaceGrid(0.1, 0.1, pts)
 
 
+@pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
+def test_from_graph_spacing_verdict_does_not_depend_on_units(k):
+    # scaling the axes by 2**k is exact, so it must not move the uniform-spacing verdict
+    scale = 2.0**k
+    uniform = np.linspace(-0.7, 0.7, 9) * scale
+    grid = SurfaceGrid.from_graph(uniform, uniform, np.zeros((9, 9)))
+    assert (grid.dt, grid.ds) == (uniform[1] - uniform[0],) * 2
+    for uneven in ([0.0, 1.0, 2.0, 3.5, 4.0], [0.0, 1.0, 2.0, 3.0 + 1e-9, 4.0]):
+        with pytest.raises(ValueError, match="^xs must be uniformly spaced$"):
+            SurfaceGrid.from_graph(np.array(uneven) * scale, uniform[:5], np.zeros((5, 5)))
+
+
 def test_prolongation_of_affine_surface_is_constant():
     a = np.array([0.3, -0.2, 1.0])
     u = np.array([1.0, 0.0, 0.5])
