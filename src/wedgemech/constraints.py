@@ -389,7 +389,7 @@ def _in_user_basis(delta: np.ndarray, ann: np.ndarray, generators) -> np.ndarray
     if user.shape[0] != ann.shape[0] or np.linalg.matrix_rank(user) != ann.shape[0]:
         raise ValueError("user annihilator generators do not form a basis of the annihilator")
     back = np.abs(user - (user @ ann.T) @ ann).max()
-    if back > 1e-10 * max(1.0, float(np.abs(user).max())):
+    if back > 1e-10 * float(np.abs(user).max()):  # relative, so rescaling keeps the verdict
         raise ValueError("user annihilator generators leave the computed annihilator span")
     return (delta @ user.T) @ np.linalg.inv(user @ user.T)
 

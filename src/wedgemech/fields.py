@@ -14,7 +14,9 @@ come out as ``p = h(w, .) / L`` with no stray factors of two.  The Morse
 family ``H(p, r)`` has no base point; its velocities use the same
 convention, ``xdot^I = (1/2) dH/dp_I``.  Derivatives in the base point
 are plain partials.  Both phase residuals are pairs: (force, momentum)
-on the Lagrangian side, (force, velocity) on the Hamiltonian side.
+on the Lagrangian side, (force, velocity) on the Hamiltonian side, with
+the force the element's own (`tulczyjew`), so one Lagrangian residual
+serves a curve element and a surface element alike.
 
 Subclasses provide `value_slots` (vectorized over leading axes); the
 gradient methods fall back to central finite differences with step
@@ -35,7 +37,7 @@ from .geometry import (
     induced_fiber_metric,
     pair_count,
 )
-from .tulczyjew import PhaseElement2, trace_y
+from .tulczyjew import PhaseElement1, PhaseElement2
 
 __all__ = [
     "BivectorLagrangian",
@@ -269,21 +271,22 @@ class MorseFamily:
         return Bivector(self.velocity_slots(p.slots, r), self.dim)
 
 
-def lagrangian_phase_residual(L: BivectorLagrangian, e: PhaseElement2):
-    """Defect of ``ybar = dL/dx`` and ``p = dL/dw`` at a phase element.
+def lagrangian_phase_residual(L: _SlotField, e: PhaseElement1 | PhaseElement2):
+    """Defect of ``force = dL/dx`` and ``p = dL/dxdot`` at a phase element of
+    either degree (the force is ``pdot`` for a curve, ``ybar`` for a surface).
 
     Returns the pair (force defect, momentum defect).
     """
-    return trace_y(e.y, e.dim) - L.gradient_x(e.x, e.xdot), e.p - L.momentum(e.x, e.xdot)
+    return e.force - L.gradient_x(e.x, e.xdot), e.p - L.momentum(e.x, e.xdot)
 
 
 def hamiltonian_phase_residual(family: MorseFamily, e: PhaseElement2, r: float):
     """Defect of ``ybar = -dH/dx`` and ``w = (1/2) dH/dp`` at a phase element, for the
-    Morse family at ``r``; H has no base point, so the force defect is the trace itself.
+    Morse family at ``r``; H has no base point, so the force defect is the force itself.
 
     Returns the pair (force defect, velocity defect).
     """
-    return trace_y(e.y, e.dim), e.xdot - family.velocity(e.p, r)
+    return e.force, e.xdot - family.velocity(e.p, r)
 
 
 def euler_pairing(p: MomentumBivector, w: Bivector) -> float:

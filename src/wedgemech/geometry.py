@@ -42,6 +42,7 @@ __all__ = [
     "antisymmetric_from_slots",
     "contract",
     "dual_fiber_metric",
+    "exterior_square",
     "index_pairs",
     "induced_fiber_metric",
     "momentum_scalar_product",
@@ -225,6 +226,21 @@ def wedge_slots(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return v[..., a] * u[..., b] - v[..., b] * u[..., a]
 
 
+def exterior_square(A: np.ndarray) -> np.ndarray:
+    """The (K, K) matrix of 2x2 minors of a square matrix: ``wedge^2 A`` on slots.
+
+    Entry (I, J), I = (i, j), J = (a, b), is ``A[i, a] A[j, b] - A[i, b] A[j, a]``,
+    so ``exterior_square(A) @ wedge_slots(u, v) == wedge_slots(A u, A v)``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    a, b = _pair_columns(A.shape[0])
+    i, j = a[:, None], b[:, None]
+    # + 0.0 turns -0.0 into 0.0: no minor is a negative zero
+    return A[i, a] * A[j, b] - A[i, b] * A[j, a] + 0.0
+
+
 def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
     """Wedge product of two vectors, as one `Bivector`.
 
@@ -271,8 +287,8 @@ class Metric:
             raise ValueError("metric dimension must be at least 2")
         if not np.isfinite(g).all():
             raise ValueError("metric entries must be finite")
-        scale = max(1.0, float(np.abs(g).max()))
-        if float(np.abs(g - g.T).max()) > 1e-12 * scale:
+        # relative to the largest entry, so rescaling a metric keeps its verdict
+        if float(np.abs(g - g.T).max()) > 1e-12 * float(np.abs(g).max()):
             raise ValueError("metric matrix is not symmetric")
         g = (g + g.T) / 2.0
         eig = np.linalg.eigvalsh(g)
@@ -358,15 +374,10 @@ class FiberMetric:
 
     @classmethod
     def from_point_metric(cls, g: np.ndarray) -> "FiberMetric":
-        g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"point metric must be a square matrix, got shape {g.shape}")
-        a, b = _pair_columns(g.shape[0])
-        i, j = a[:, None], b[:, None]
+        """The fiber metric of a point metric ``g``: its `exterior_square`."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
-            # + 0.0 turns -0.0 into 0.0: no minor is a negative zero
-            minors = g[i, a] * g[j, b] - g[i, b] * g[j, a] + 0.0
-        return cls(minors, g.shape[0])
+            minors = exterior_square(g)
+        return cls(minors, np.shape(g)[0])
 
 
 def induced_fiber_metric(g: Metric) -> FiberMetric:

@@ -55,7 +55,7 @@ from .formats import (
 )
 from .geometry import Bivector, Metric, MomentumBivector, pair_count
 from .plateau import GraphGrid, SolveOptions, solve_constrained_plateau, solve_plateau
-from .tulczyjew import PhaseElement2, alpha2, beta2, cotangent_flip2
+from .tulczyjew import PhaseElement2, alpha, beta, cotangent_flip
 from .variational import CurveGrid, SurfaceGrid, delta_L_curve
 
 __all__ = ["ScenarioOutcome", "run_scenario", "run_spec", "scenario_names"]
@@ -146,11 +146,11 @@ def _phase_point(lines, L, x, w: Bivector) -> PhaseElement2:
 
 
 def _phase(lines, L, element, tol: str, family=None, flip=False):
-    """Phase residuals of ``element`` and their agreement with the alpha2 route.
+    """Phase residuals of ``element`` and their agreement with the alpha route.
 
     ``tol`` is the tolerance as the report prints it.  ``family`` (a Morse
     family) adds the Hamiltonian side.  ``flip`` adds the gap between
-    alpha2 and the flipped beta2; the element is then arbitrary, so only
+    alpha and the flipped beta; the element is then arbitrary, so only
     the two route gaps are held to ``tol``.
     """
     x, xdot = element.x, element.xdot
@@ -167,19 +167,19 @@ def _phase(lines, L, element, tol: str, family=None, flip=False):
         lines.append(f"hamiltonian-force-max: {_f(ham_force_max)}")
         lines.append(f"hamiltonian-velocity-max: {_f(velocity_max)}")
         defects += [sphere, ham_force_max, velocity_max]
-    cov = alpha2(element)
+    _, v, a, c = alpha(element)
     gap = max(
-        float(np.abs(force - (cov.a - L.gradient_x(x, xdot))).max()),
-        float(np.abs((momentum - (cov.c - L.momentum(x, xdot))).slots).max()),
+        float(np.abs(force - (a - L.gradient_x(x, xdot))).max()),
+        float(np.abs((momentum - (c - L.momentum(x, xdot))).slots).max()),
     )
     lines.append(f"alpha2-cross-gap: {_f(gap)}")
     defects.append(gap)
     if flip:
-        flipped = cotangent_flip2(beta2(element))
+        _, flip_v, flip_a, flip_c = cotangent_flip(beta(element))
         flip_gap = max(
-            float(np.abs(cov.a - flipped.a).max()),
-            float(np.abs((cov.c - flipped.c).slots).max()),
-            float(np.abs((cov.xdot - flipped.xdot).slots).max()),
+            float(np.abs(a - flip_a).max()),
+            float(np.abs((c - flip_c).slots).max()),
+            float(np.abs((v - flip_v).slots).max()),
         )
         lines.append(f"alpha-beta-flip-gap: {_f(flip_gap)}")
         defects.append(flip_gap)

@@ -1,37 +1,33 @@
-"""Canonical maps of the Tulczyjew triple, for curves and for surfaces.
+"""Canonical maps of the Tulczyjew triple: one triple for curves and surfaces.
 
-Degree 1 (curves).  An element of the tangent of the cotangent bundle is
-the block tuple ``(x, p, xdot, pdot)``.  The two legs of the triple are
+An element of the middle space carries, over a base point ``x``, a
+momentum ``p``, a velocity ``xdot`` and a force block:
 
-    alpha1: (x, p, xdot, pdot) -> (x, xdot, pdot, p)      on T*(TM)
-    beta1:  (x, p, xdot, pdot) -> (x, p, -pdot, xdot)     on T*(T*M)
+    degree 1 (curves)     `PhaseElement1`: blocks (x, p, xdot, pdot)
+    degree 2 (surfaces)   `PhaseElement2`: blocks (x, p, xdot, y, pdot)
 
-``beta1`` is contraction with the canonical symplectic form, whose sign
-is fixed here by requiring that matching ``beta1`` against dH reproduce
-Hamilton's equations ``xdot = dH/dp``, ``pdot = -dH/dx``.  ``alpha1`` is
-``beta1`` followed by the cotangent flip ``(x, p, a, b) -> (x, b, -a, p)``,
-and both identities are exact component permutations (with one negation),
-never arithmetic.
+In degree 2, ``p`` is a momentum bivector (slots p_{lambda kappa},
+lambda < kappa), ``xdot`` a velocity bivector, ``y`` the mixed block
+y^eta_{theta rho} stored as a (dim, K) array over slots theta < rho of the
+lower pair, and ``pdot`` the block p-dot_{(gamma delta)(epsilon zeta)},
+stored as an antisymmetric (K, K) matrix over slot pairs.
 
-Degree 2 (surfaces).  The middle space carries, over a base point ``x``,
-the blocks
+The degrees differ only in which block the maps carry as the force, and
+each element says it as ``e.force``: ``pdot`` in degree 1, and in degree 2
+the trace ``ybar_rho = y^eta_{eta rho}`` of the mixed block (the degree-2
+``pdot`` drops out identically, which is pinned by tests).  With it, each
+leg is one formula for both degrees, a plain 4-tuple:
 
-    p      momentum bivector, slots p_{lambda kappa}, lambda < kappa
-    xdot   velocity bivector, slots xdot^{nu sigma}
-    y      mixed block y^eta_{theta rho}, stored as a (dim, K) array over
-           slots theta < rho of the lower pair
-    pdot   block p-dot_{(gamma delta)(epsilon zeta)}, stored as an
-           antisymmetric (K, K) matrix over slot pairs
+    beta:  e -> (x, p, -force, xdot)      on the momentum side
+    alpha: e -> (x, xdot, +force, p)      on the velocity side
 
-Contraction with the canonical multisymplectic form (convention
-``i_{v^w} omega (z) = omega(v, w, z)``) gives
-
-    beta2:  -> (x, p, -ybar, xdot)       on the momentum side
-    alpha2: -> (x, xdot, +ybar, p)       on the velocity side
-
-where ``ybar_rho = y^eta_{eta rho}`` is the trace of the mixed block.  The
-``pdot`` block drops out of both maps identically, which is pinned by
-tests.  As in degree 1, ``alpha2 = flip . beta2`` exactly.
+``beta`` is contraction with the canonical (multi)symplectic form
+(convention ``i_{v^w} omega (z) = omega(v, w, z)`` in degree 2); its sign
+is fixed by requiring that matching ``beta`` against dH reproduce
+Hamilton's equations ``xdot = dH/dp``, ``pdot = -dH/dx`` in degree 1.
+``alpha`` is ``beta`` followed by the cotangent flip
+``(x, p, a, b) -> (x, b, -a, p)``; both identities are exact component
+permutations (with one negation), never arithmetic.
 
 Every degree-2 block may carry the same leading node axes, (..., dim),
 (..., K), (..., dim, K) and (..., K, K): a `PhaseElement2` is then a stack
@@ -53,16 +49,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "CovectorOnConfigSpace",
-    "CovectorOnPhaseSpace",
     "PhaseElement1",
     "PhaseElement2",
-    "alpha1",
-    "alpha2",
-    "beta1",
-    "beta2",
-    "cotangent_flip1",
-    "cotangent_flip2",
+    "alpha",
+    "beta",
+    "cotangent_flip",
     "trace_y",
 ]
 
@@ -99,21 +90,10 @@ class PhaseElement1:
     def dim(self) -> int:
         return self.x.shape[0]
 
-
-def alpha1(e: PhaseElement1) -> tuple:
-    """Velocity-side leg: (x, p, xdot, pdot) -> (x, xdot, pdot, p)."""
-    return (e.x, e.xdot, e.pdot, e.p)
-
-
-def beta1(e: PhaseElement1) -> tuple:
-    """Momentum-side leg: (x, p, xdot, pdot) -> (x, p, -pdot, xdot)."""
-    return (e.x, e.p, -e.pdot, e.xdot)
-
-
-def cotangent_flip1(cov: tuple) -> tuple:
-    """Flip T*(T*M) -> T*(TM): (x, p, a, b) -> (x, b, -a, p)."""
-    x, p, a, b = cov
-    return (x, b, -a, p)
+    @property
+    def force(self) -> np.ndarray:
+        """The block the maps carry as the force: ``pdot``."""
+        return self.pdot
 
 
 @dataclass(frozen=True)
@@ -155,6 +135,11 @@ class PhaseElement2:
         return self.p.dim
 
     @property
+    def force(self) -> np.ndarray:
+        """The block the maps carry as the force: the trace ``ybar`` of ``y``."""
+        return trace_y(self.y, self.dim)
+
+    @property
     def y_full(self) -> np.ndarray:
         """Mixed block as a (..., dim, dim, dim) array, antisymmetric in the lower pair."""
         return antisymmetric_from_slots(self.y, self.dim)
@@ -193,55 +178,17 @@ def trace_y(y: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("...aab->...b", antisymmetric_from_slots(y, dim))
 
 
-def _covector_blocks(cov, base, fiber) -> None:
-    """Validate ``x`` and ``a`` of a covector (stack) against its bivector blocks."""
-    dim, nodes = base.dim, base.slots.shape[:-1]
-    if fiber.dim != dim or fiber.slots.shape[:-1] != nodes:
-        raise ValueError("component dimensions disagree")
-    object.__setattr__(cov, "x", _block(cov.x, nodes + (dim,), "x"))
-    object.__setattr__(cov, "a", _block(cov.a, nodes + (dim,), "a"))
+def beta(e: PhaseElement1 | PhaseElement2) -> tuple:
+    """Momentum-side leg: ``e -> (x, p, -force, xdot)``."""
+    return (e.x, e.p, -e.force, e.xdot)
 
 
-@dataclass(frozen=True)
-class CovectorOnPhaseSpace:
-    """Covector on the momentum prolongation: base (x, p), components (a, b)."""
-
-    x: np.ndarray
-    p: MomentumBivector
-    a: np.ndarray
-    b: Bivector
-
-    def __post_init__(self):
-        _covector_blocks(self, self.p, self.b)
+def alpha(e: PhaseElement1 | PhaseElement2) -> tuple:
+    """Velocity-side leg: ``e -> (x, xdot, force, p)``."""
+    return (e.x, e.xdot, e.force, e.p)
 
 
-@dataclass(frozen=True)
-class CovectorOnConfigSpace:
-    """Covector on the velocity prolongation: base (x, xdot), components (a, c)."""
-
-    x: np.ndarray
-    xdot: Bivector
-    a: np.ndarray
-    c: MomentumBivector
-
-    def __post_init__(self):
-        _covector_blocks(self, self.xdot, self.c)
-
-
-def beta2(e: PhaseElement2) -> CovectorOnPhaseSpace:
-    """Momentum-side leg: contraction with the canonical multisymplectic form.
-
-    Component formula: ``(x, p, xdot, y, pdot) -> (x, p, -ybar, xdot)``.
-    The pdot block does not enter.
-    """
-    return CovectorOnPhaseSpace(e.x, e.p, -trace_y(e.y, e.dim), e.xdot)
-
-
-def alpha2(e: PhaseElement2) -> CovectorOnConfigSpace:
-    """Velocity-side leg: ``(x, p, xdot, y, pdot) -> (x, xdot, +ybar, p)``."""
-    return CovectorOnConfigSpace(e.x, e.xdot, trace_y(e.y, e.dim), e.p)
-
-
-def cotangent_flip2(cov: CovectorOnPhaseSpace) -> CovectorOnConfigSpace:
-    """Flip between the two cotangent descriptions: (x, p, a, b) -> (x, b, -a, p)."""
-    return CovectorOnConfigSpace(cov.x, cov.b, -cov.a, cov.p)
+def cotangent_flip(cov: tuple) -> tuple:
+    """Flip T*(T*M) -> T*(TM): ``(x, p, a, b) -> (x, b, -a, p)``."""
+    x, p, a, b = cov
+    return (x, b, -a, p)

@@ -567,6 +567,23 @@ def test_nonholonomic_user_annihilator_basis():
         )
 
 
+@pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
+def test_user_annihilator_span_verdict_does_not_depend_on_units(k):
+    # the span test is relative to max |user|: scaling the basis by 2^k is exact,
+    # keeps each verdict and scales the multipliers by exactly 2^-k
+    grid = graph_grid(lambda x, y: (x + y) ** 2, n=9)
+    L, constraint, scale = plateau_lagrangian(), symmetric_slope_constraint(), 2.0 ** k
+    with pytest.raises(ValueError, match="leave the computed annihilator span"):
+        nonholonomic_check(L, grid, constraint, 1e-6, 5e-3,
+                           annihilator_generators=[scale * np.array([0.0, 0.0, 1.0])])
+    unit, scaled = (
+        nonholonomic_check(L, grid, constraint, 1e-6, 5e-3,
+                           annihilator_generators=[s * np.array([1.0, 1.0, 0.0])])
+        for s in (1.0, scale)
+    )
+    assert np.array_equal(scaled.multipliers, unit.multipliers / scale)
+
+
 def test_nonholonomic_point_dependent_constraint():
     # wrapping the constant generator in a callable must route through the
     # per-node path and agree with the constant fast path

@@ -1,8 +1,9 @@
-"""Covariance of the area field and of the Morse sphere under a linear change of coordinates.
+"""Covariance under a linear change of coordinates: the area field, the
+Morse sphere, the one Tulczyjew triple and the Euler-Lagrange residuals.
 
 A point metric g pulled back by x = A x' is g' = A^T g A, and a velocity
 bivector w' in the new coordinates is w = E w' in the old ones, E = wedge^2 A
-the matrix of 2x2 minors of A.  The area Lagrangian is a scalar, so
+the matrix of 2x2 minors of A (`exterior_square`).  The area Lagrangian is a scalar, so
 L_{g'}(w') = L_g(E w'); its momenta are covectors, p' = E^T p; the Legendre
 image stays on the unit sphere of the Morse family of g', and the family's
 velocity at r = L_{g'}(w') gives w' back.  None of these needs a golden:
@@ -16,19 +17,37 @@ coordinates.  With cond(A) <= 4 and the SPD metrics below, the largest
 relative defect seen over 400 draws per dimension was 13 eps cond(A), for
 the velocity, and at most 3.3 eps cond(A) for the others, so a factor of 64
 leaves a margin of about 5 for the velocity and 20 for the rest.
+
+The triple is lifted from x -> A x in both degrees: base points and curve
+velocities move by A, bivector velocities by E, momenta and forces by the
+inverse transposes, the mixed block by y -> A y E^-1 and pdot by
+E^-T pdot E^-1.  Each map's image of the lifted element must be the lifted
+image, with the force written from the element's blocks (pdot, or the
+trace of y), so a sign slip in the force or in a map fails.  Only the
+degree-2 force is not reproduced exactly: it is the trace of a product
+with E^-1, measured at most 5 eps cond(A) of the magnitude of its terms.
+The Euler-Lagrange residuals are covectors, so on a grid mapped by an
+orthogonal A or a signed permutation they move by A; their rounding is
+that of the mapped points, amplified by 1/h^2 through two derivatives,
+and measured at most 2.2 eps |x|/h^2 (cond(A) = 1).  The same factor of
+64 applies throughout.
 """
 
 import numpy as np
 import pytest
 
+from conftest import random_phase_element2
 from wedgemech.fields import (
     MorseFamily,
     euler_pairing,
     hamiltonian_phase_residual,
     nambu_goto,
+    plateau_lagrangian,
+    quadratic_curve_lagrangian,
 )
-from wedgemech.geometry import Bivector, Metric, index_pairs, pair_count, wedge_slots
-from wedgemech.tulczyjew import PhaseElement2
+from wedgemech.geometry import Bivector, Metric, MomentumBivector, exterior_square, pair_count, wedge_slots
+from wedgemech.tulczyjew import PhaseElement1, PhaseElement2, alpha, beta, cotangent_flip
+from wedgemech.variational import CurveGrid, SurfaceGrid, delta_L_curve, delta_L_surface
 
 _EPS = np.finfo(float).eps
 _FACTOR = 64.0
@@ -39,9 +58,110 @@ def _change_of_coordinates(rng, dim):
     q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     A = q1 @ np.diag(rng.uniform(0.5, 2.0, dim)) @ q2
-    a, b = np.array(index_pairs(dim)).T
-    E = wedge_slots(A[:, a].T, A[:, b].T).T  # column J: the slots of A e_a ^ A e_b
-    return A, E
+    return A, exterior_square(A)
+
+
+def _signed_permutation(rng, dim):
+    return np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+
+
+def _changes(rng, dim, count):
+    """``count`` well-conditioned changes of coordinates, then ``count`` signed permutations."""
+    return ([_change_of_coordinates(rng, dim)[0] for _ in range(count)]
+            + [_signed_permutation(rng, dim) for _ in range(count)])
+
+
+def _orthogonal_changes(rng, dim, count):
+    """``count`` random orthogonal matrices, then ``count`` signed permutations."""
+    return ([np.linalg.qr(rng.normal(size=(dim, dim)))[0] for _ in range(count)]
+            + [_signed_permutation(rng, dim) for _ in range(count)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_exterior_square_maps_wedges(dim):
+    rng = np.random.default_rng(600 + dim)
+    for A in _changes(rng, dim, 50):
+        u, v = rng.normal(size=(2, dim))
+        got, want = exterior_square(A) @ wedge_slots(u, v), wedge_slots(A @ u, A @ v)
+        # each slot is a difference of two products of entries of A u and A v
+        scale = np.abs(A @ u).max() * np.abs(A @ v).max()
+        assert np.abs(got - want).max() <= _FACTOR * _EPS * np.linalg.cond(A) * scale
+
+
+def _lift(A, degree):
+    """How velocities and momenta move under x -> A x: (A, A^-T) or (E, E^-T)."""
+    velocity = A if degree == 1 else exterior_square(A)
+    return velocity, np.linalg.inv(velocity).T
+
+
+def _lifted(e, A, degree):
+    """The element ``e`` in the coordinates x' = A x."""
+    velocity, momentum = _lift(A, degree)
+    if degree == 1:
+        return PhaseElement1(A @ e.x, momentum @ e.p, velocity @ e.xdot, momentum @ e.pdot)
+    inverse = np.linalg.inv(velocity)
+    pdot = momentum @ e.pdot @ inverse
+    return PhaseElement2(A @ e.x, MomentumBivector(momentum @ e.p.slots, e.dim),
+                         Bivector(velocity @ e.xdot.slots, e.dim), A @ e.y @ inverse,
+                         (pdot - pdot.T) / 2.0)
+
+
+def _slots(v):
+    return getattr(v, "slots", v)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_one_triple_commutes_with_the_lifts(degree, dim):
+    rng = np.random.default_rng(800 + 10 * degree + dim)
+    for A in _changes(rng, dim, 50):
+        e = PhaseElement1(*rng.normal(size=(4, dim))) if degree == 1 else random_phase_element2(rng, dim)
+        lifted = _lifted(e, A, degree)
+        velocity, momentum = _lift(A, degree)
+        cotangent = np.linalg.inv(A).T
+        # the force written from the element's blocks, read neither from `e.force` nor `trace_y`
+        force = e.pdot if degree == 1 else np.einsum("aab->b", e.y_full)
+        x, v, p = A @ e.x, velocity @ _slots(e.xdot), momentum @ _slots(e.p)
+        tol = _FACTOR * _EPS * np.linalg.cond(A) * (np.abs(cotangent) @ np.abs(force)).max()
+        expected = {alpha: (x, v, cotangent @ force, p), beta: (x, p, -(cotangent @ force), v)}
+        for leg, want in expected.items():
+            got = [_slots(block) for block in leg(lifted)]
+            for block, value in zip(got, want):
+                assert np.abs(block - value).max() <= tol, leg.__name__
+        # the flip is a repacking, so it commutes with the lift bit for bit
+        _, _, a, b = beta(e)
+        _, c, d, _ = cotangent_flip(beta(e))
+        on_phase = (x, p, cotangent @ a, velocity @ _slots(b))
+        on_config = (x, velocity @ _slots(c), cotangent @ d, p)
+        for got, want in zip(cotangent_flip(on_phase), on_config):
+            assert np.array_equal(got, want)
+
+
+def _surface(dim):
+    """A non-minimal surface patch in dimension ``dim``."""
+    def point(t, s):
+        extra = [0.3 * t * s, np.cos(t + s)][:dim - 3]
+        return np.array([t, s, np.sin(t) * np.sin(s)] + extra)
+    return SurfaceGrid.sample(point, (-1.0, 1.0, 13), (-1.0, 1.0, 11))
+
+
+def _curve(dim):
+    return CurveGrid.sample(lambda t: np.array([np.cos(t), np.sin(2.0 * t)] + [t ** k for k in range(1, dim - 1)]),
+                            0.0, 2.0, 41)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_euler_lagrange_residuals_are_covectors(dim):
+    rng = np.random.default_rng(900 + dim)
+    cases = [(delta_L_surface, plateau_lagrangian(dim), _surface(dim)),
+             (delta_L_curve, quadratic_curve_lagrangian(dim, omega=1.5), _curve(dim))]
+    for A in _orthogonal_changes(rng, dim, 10):
+        for delta_L, L, grid in cases:
+            mapped = type(grid)(*grid.steps, grid.points @ A.T)
+            got, want = delta_L(L, mapped).values, delta_L(L, grid).values @ A.T
+            # two parameter derivatives amplify the rounding of the mapped points by 1/h^2
+            scale = np.abs(grid.points).max() / min(grid.steps) ** 2
+            assert np.abs(got - want).max() <= _FACTOR * _EPS * scale
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

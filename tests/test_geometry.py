@@ -217,6 +217,17 @@ def test_metric_degeneracy_is_relative_to_scale():
         Metric(np.zeros((2, 2)), "euclidean")
 
 
+@pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
+def test_metric_symmetry_verdict_does_not_depend_on_units(k):
+    # scaling by 2^k is exact, so the symmetry test, relative to max |g|, keeps its verdict
+    scale = 2.0 ** k
+    with pytest.raises(ValueError, match="not symmetric"):
+        Metric(scale * np.array([[2.0, 1.0], [0.0, 2.0]]), "euclidean")
+    near = scale * np.array([[2.0, 1.0 + 2.0 ** -50], [1.0, 2.0]])
+    g = Metric(near, "euclidean")
+    assert np.array_equal(g.matrix, (near + near.T) / 2.0)
+
+
 def test_metric_constructors_and_inverse():
     g = Metric.minkowski(4)
     assert g.signature == "lorentz"

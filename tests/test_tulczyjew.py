@@ -4,8 +4,8 @@ The degree-2 momentum-side map is checked against an oracle that builds
 the canonical 3-form by brute-force permutation extension and contracts
 it with the element's full coordinate bivector.  The degree-1 signs are
 checked behaviorally: a harmonic-oscillator trajectory must satisfy
-Hamilton's equations through `beta1` and the Euler-Lagrange matching
-through `alpha1`.
+Hamilton's equations through `beta` and the Euler-Lagrange matching
+through `alpha`.
 """
 
 from itertools import permutations
@@ -15,17 +15,13 @@ import pytest
 
 from conftest import random_bivector, random_momentum, random_phase_element2
 from wedgemech.geometry import Bivector, MomentumBivector, index_pairs, pair_count
+from wedgemech.fields import lagrangian_phase_residual, quadratic_curve_lagrangian
 from wedgemech.tulczyjew import (
-    CovectorOnConfigSpace,
-    CovectorOnPhaseSpace,
     PhaseElement1,
     PhaseElement2,
-    alpha1,
-    alpha2,
-    beta1,
-    beta2,
-    cotangent_flip1,
-    cotangent_flip2,
+    alpha,
+    beta,
+    cotangent_flip,
     trace_y,
 )
 
@@ -71,10 +67,10 @@ def test_beta2_matches_form_contraction(dim, seed):
     rng = np.random.default_rng(1000 * dim + seed)
     e = random_phase_element2(rng, dim)
     a_oracle, b_oracle = contraction_oracle(e)
-    cov = beta2(e)
-    np.testing.assert_allclose(cov.a, a_oracle, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(cov.b.slots, b_oracle, rtol=1e-13, atol=1e-13)
-    assert np.array_equal(cov.x, e.x) and cov.p == e.p
+    x, p, a, b = beta(e)
+    np.testing.assert_allclose(a, a_oracle, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(b.slots, b_oracle, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(x, e.x) and p == e.p
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -82,13 +78,13 @@ def test_alpha2_is_flip_of_beta2_exactly(dim):
     rng = np.random.default_rng(77 + dim)
     for _ in range(25):
         e = random_phase_element2(rng, dim)
-        via_flip = cotangent_flip2(beta2(e))
-        direct = alpha2(e)
+        via_flip = cotangent_flip(beta(e))
+        direct = alpha(e)
         # pure repacking plus one negation: bitwise agreement, not approximate
-        assert np.array_equal(via_flip.a, direct.a)
-        assert via_flip.xdot == direct.xdot
-        assert via_flip.c == direct.c
-        assert np.array_equal(via_flip.x, direct.x)
+        assert np.array_equal(via_flip[2], direct[2])
+        assert via_flip[1] == direct[1]
+        assert via_flip[3] == direct[3]
+        assert np.array_equal(via_flip[0], direct[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -97,10 +93,10 @@ def test_maps_ignore_pdot_exactly(dim):
     e = random_phase_element2(rng, dim)
     a = rng.normal(size=(pair_count(dim),) * 2)
     other = PhaseElement2(e.x, e.p, e.xdot, e.y, a - a.T)
-    for f in (alpha2, beta2):
-        assert np.array_equal(f(e).a, f(other).a)
-    assert beta2(e).b == beta2(other).b
-    assert alpha2(e).c == alpha2(other).c
+    for f in (alpha, beta):
+        assert np.array_equal(f(e)[2], f(other)[2])
+    assert beta(e)[3] == beta(other)[3]
+    assert alpha(e)[3] == alpha(other)[3]
 
 
 def test_trace_y_frozen_example():
@@ -186,20 +182,20 @@ def _node(e, idx):
 def test_stacked_maps_equal_per_node_calls_bitwise(dim):
     rng = np.random.default_rng(500 + dim)
     e = random_phase_element2(rng, dim, nodes=(4, 5))
-    stacked = {f: f(e) for f in (alpha2, beta2)}
-    flipped = cotangent_flip2(stacked[beta2])
+    stacked = {f: f(e) for f in (alpha, beta)}
+    flipped = cotangent_flip(stacked[beta])
     full = e.pdot_full
     for idx in np.ndindex(4, 5):
         one = _node(e, idx)
-        a, b = alpha2(one), beta2(one)
-        assert np.array_equal(stacked[alpha2].a[idx], a.a)
-        assert np.array_equal(stacked[alpha2].c.slots[idx], a.c.slots)
-        assert np.array_equal(stacked[alpha2].xdot.slots[idx], a.xdot.slots)
-        assert np.array_equal(stacked[alpha2].x[idx], a.x)
-        assert np.array_equal(stacked[beta2].a[idx], b.a)
-        assert np.array_equal(stacked[beta2].b.slots[idx], b.b.slots)
-        assert np.array_equal(flipped.a[idx], cotangent_flip2(b).a)
-        assert np.array_equal(flipped.c.slots[idx], cotangent_flip2(b).c.slots)
+        a, b = alpha(one), beta(one)
+        assert np.array_equal(stacked[alpha][2][idx], a[2])
+        assert np.array_equal(stacked[alpha][3].slots[idx], a[3].slots)
+        assert np.array_equal(stacked[alpha][1].slots[idx], a[1].slots)
+        assert np.array_equal(stacked[alpha][0][idx], a[0])
+        assert np.array_equal(stacked[beta][2][idx], b[2])
+        assert np.array_equal(stacked[beta][3].slots[idx], b[3].slots)
+        assert np.array_equal(flipped[2][idx], cotangent_flip(b)[2])
+        assert np.array_equal(flipped[3].slots[idx], cotangent_flip(b)[3].slots)
         assert np.array_equal(trace_y(e.y, dim)[idx], trace_y(one.y, dim))
         assert np.array_equal(full[idx], one.pdot_full)
 
@@ -218,10 +214,6 @@ def test_stacked_blocks_must_share_node_axes():
         PhaseElement2(e.x, e.p, e.xdot, e.y, np.zeros((5, 4, k, k)))
     with pytest.raises(ValueError):
         PhaseElement2(e.x, MomentumBivector(e.p.slots[:3], dim), e.xdot, e.y, e.pdot)
-    with pytest.raises(ValueError):
-        CovectorOnPhaseSpace(e.x, e.p, e.x, Bivector(e.xdot.slots[:3], dim))
-    with pytest.raises(ValueError):
-        CovectorOnConfigSpace(e.x[0], e.xdot, e.x, e.p)
     # one non-antisymmetric node is enough to refuse the stack
     pdot = e.pdot.copy()
     pdot[2, 3, 0, 1] += 1.0
@@ -235,36 +227,52 @@ def test_stacked_blocks_must_share_node_axes():
 
 def test_degree1_frozen_permutations():
     e = PhaseElement1(x=[1.0], p=[2.0], xdot=[3.0], pdot=[4.0])
-    assert tuple(float(v[0]) for v in alpha1(e)) == (1.0, 3.0, 4.0, 2.0)
-    assert tuple(float(v[0]) for v in beta1(e)) == (1.0, 2.0, -4.0, 3.0)
+    assert tuple(float(v[0]) for v in alpha(e)) == (1.0, 3.0, 4.0, 2.0)
+    assert tuple(float(v[0]) for v in beta(e)) == (1.0, 2.0, -4.0, 3.0)
 
 
 def test_degree1_flip_identity():
     rng = np.random.default_rng(11)
     e = PhaseElement1(*rng.normal(size=(4, 5)))
-    via = cotangent_flip1(beta1(e))
-    for got, want in zip(via, alpha1(e)):
+    via = cotangent_flip(beta(e))
+    for got, want in zip(via, alpha(e)):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 4.0])
+def _oscillator(t):
+    """Prolongation of x(t) = cos t at time t: blocks (x, p, xdot, pdot)."""
+    return np.cos(t), -np.sin(t), -np.sin(t), -np.cos(t)
+
+
+_TIMES = [0.0, 0.3, 1.7, 4.0]
+
+
+@pytest.mark.parametrize("t", _TIMES)
 def test_degree1_oscillator_signs(t):
     # x(t) = cos t with H = (p^2 + x^2)/2 and L = (v^2 - x^2)/2: the
-    # trajectory prolongation must hit dH through beta1 and dL through
-    # alpha1, which pins both sign conventions behaviorally.
-    x, p = np.cos(t), -np.sin(t)
-    xdot, pdot = -np.sin(t), -np.cos(t)
+    # trajectory prolongation must hit dH through beta and dL through
+    # alpha, which pins both sign conventions behaviorally.
+    x, p, xdot, pdot = _oscillator(t)
     e = PhaseElement1(x=[x], p=[p], xdot=[xdot], pdot=[pdot])
 
-    bx, bp, ba, bb = beta1(e)
+    bx, bp, ba, bb = beta(e)
     assert (bx[0], bp[0]) == (x, p)
     assert ba[0] == np.cos(t)  # dH/dx = x
     assert bb[0] == p  # dH/dp = p
 
-    ax, av, aa, ac = alpha1(e)
+    ax, av, aa, ac = alpha(e)
     assert (ax[0], av[0]) == (x, xdot)
     assert aa[0] == -np.cos(t)  # dL/dx = -x
     assert ac[0] == xdot  # dL/dv = v
+
+
+@pytest.mark.parametrize("t", _TIMES)
+def test_degree1_lagrangian_phase_residual_vanishes_on_the_oscillator(t):
+    # the residual reads the element's force, pdot in degree 1, so the
+    # surface residual serves a curve Lagrangian with no code of its own
+    e = PhaseElement1(*([v] for v in _oscillator(t)))
+    force, momentum = lagrangian_phase_residual(quadratic_curve_lagrangian(1, omega=1.0), e)
+    assert np.array_equal(force, [0.0]) and np.array_equal(momentum, [0.0])
 
 
 def test_degree1_validation():

@@ -31,7 +31,7 @@ from wedgemech.geometry import (
     wedge,
     wedge_slots,
 )
-from wedgemech.tulczyjew import PhaseElement2, alpha2
+from wedgemech.tulczyjew import PhaseElement2, alpha
 from wedgemech.variational import (
     CovectorField,
     CurveGrid,
@@ -220,7 +220,7 @@ def test_route_agreement_with_canonical_maps(field):
 
 def _via_maps_per_node(L, grid):
     """Reference for `delta_L_surface_via_maps`: one phase element and one
-    `alpha2` call per interior node."""
+    `alpha` call per interior node."""
     x = grid.points
     tt = np.gradient(x, grid.dt, axis=0, edge_order=2)
     ts = np.gradient(x, grid.ds, axis=1, edge_order=2)
@@ -238,9 +238,9 @@ def _via_maps_per_node(L, grid):
             pdot = np.outer(dpt[i, j], dps[i, j]) - np.outer(dps[i, j], dpt[i, j])
             element = PhaseElement2(x[i, j], MomentumBivector(p[i, j], dim),
                                     Bivector(w[i, j], dim), y, pdot)
-            cov = alpha2(element)
-            vals[i - 1, j - 1] = L.gradient_x(x[i, j], element.xdot) - cov.a
-            defect = L.momentum(x[i, j], element.xdot) - cov.c
+            _, _, force, momentum = alpha(element)
+            vals[i - 1, j - 1] = L.gradient_x(x[i, j], element.xdot) - force
+            defect = L.momentum(x[i, j], element.xdot) - momentum
             momentum_defect = max(momentum_defect, float(np.abs(defect.slots).max()))
     return vals, momentum_defect
 
@@ -268,7 +268,7 @@ def test_via_maps_calls_alpha2_once_per_surface(monkeypatch):
 
     def counted(element):
         calls.append(element.x.shape)
-        return alpha2(element)
+        return alpha(element)
 
     monkeypatch.setattr(variational, "alpha2", counted)
     delta_L_surface_via_maps(plateau_lagrangian(3), sin_sin_grid(17))
