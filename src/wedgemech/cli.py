@@ -21,6 +21,7 @@ Golden files regenerate only under the explicit ``--golden-regen`` flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.lru_cache(maxsize=None)  # built once: the command table is fixed
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wedgemech", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",

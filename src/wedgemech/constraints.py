@@ -380,34 +380,16 @@ def constraint_residual(grid, constraint: AffineConstraint):
 constraint_residual_curve = constraint_residual
 
 
-def _in_user_basis(delta: np.ndarray, ann: np.ndarray, generators) -> np.ndarray:
-    """Coefficients of the annihilator-parallel part of ``delta`` in a
-    caller-supplied basis of the constant annihilator ``ann``."""
-    user = np.vstack([np.asarray(u, dtype=float) for u in generators])
-    if user.shape[1] != ann.shape[1]:
-        raise ValueError("user annihilator generators have the wrong dimension")
-    if user.shape[0] != ann.shape[0] or np.linalg.matrix_rank(user) != ann.shape[0]:
-        raise ValueError("user annihilator generators do not form a basis of the annihilator")
-    back = np.abs(user - (user @ ann.T) @ ann).max()
-    if back > 1e-10 * float(np.abs(user).max()):  # relative, so rescaling keeps the verdict
-        raise ValueError("user annihilator generators leave the computed annihilator span")
-    return (delta @ user.T) @ np.linalg.inv(user @ user.T)
-
-
-def _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generators):
+def _check(L, grid, constraint, constraint_tol, force_tol):
     """Body of both check spellings, which call it rather than each other so
     that one call is one check (perfbench/tracing.py wraps both names)."""
     if force_tol is None:
         force_tol = constraint_tol
     if not (constraint_tol > 0.0 and force_tol > 0.0):
         raise ValueError("tolerances must be positive")
-    if annihilator_generators is not None and not constraint.constant:
-        raise ValueError("explicit annihilator generators require a constant constraint")
     residuals, ann = constraint_residual(grid, constraint)
     delta = (delta_L_surface if len(grid.steps) == 2 else delta_L_curve)(L, grid).values
     multipliers, orthogonal = dalembert_decompose(delta, ann)
-    if annihilator_generators is not None:
-        multipliers = _in_user_basis(delta, ann, annihilator_generators)
     node_residuals = residuals.max(axis=-1, initial=0.0)  # vacuous with no annihilator
     orth_norms = np.abs(orthogonal).max(axis=-1)
     cmax = float(node_residuals.max())
@@ -433,19 +415,17 @@ def nonholonomic_check(
     constraint: AffineConstraint,
     constraint_tol: float,
     force_tol: float | None = None,
-    annihilator_generators: Sequence[np.ndarray] | None = None,
 ) -> ConstraintCheckReport:
     """Membership and force-balance check of a sampled curve or surface.
 
     ``grid`` is a `CurveGrid` with a degree-1 constraint or a
     `SurfaceGrid` with a degree-2 one.  The two defects carry different
     units and discretization error, so they get separate tolerances;
-    ``force_tol`` defaults to the membership one.  When
-    ``annihilator_generators`` are supplied (a basis of the same
-    annihilator of a constant constraint), multipliers are reported in
-    that basis via a change-of-basis solve.
+    ``force_tol`` defaults to the membership one.  Multipliers are the
+    coefficients of the defect in the orthonormal annihilator basis, the
+    rows `constraint_residual` returns.
     """
-    return _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generators)
+    return _check(L, grid, constraint, constraint_tol, force_tol)
 
 
 def nonholonomic_check_curve(
@@ -454,9 +434,8 @@ def nonholonomic_check_curve(
     constraint: AffineConstraint1,
     constraint_tol: float,
     force_tol: float | None = None,
-    annihilator_generators: Sequence[np.ndarray] | None = None,
 ) -> ConstraintCheckReport:
     """`nonholonomic_check` with the degree fixed to 1 (curves)."""
     if not isinstance(grid, CurveGrid):
         raise ValueError("nonholonomic_check_curve needs a CurveGrid")
-    return _check(L, grid, constraint, constraint_tol, force_tol, annihilator_generators)
+    return _check(L, grid, constraint, constraint_tol, force_tol)

@@ -29,7 +29,7 @@ so values can be shared freely between threads or worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
 
 import numpy as np
@@ -271,13 +271,14 @@ def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:
 class Metric:
     """Constant symmetric nondegenerate metric on the model space.
 
-    ``signature`` is "euclidean" (positive definite) or "lorentz" (exactly
-    one negative eigenvalue); other signatures are out of scope here and
-    rejected at construction.
+    ``signature`` is read from the matrix: "euclidean" (positive definite)
+    or "lorentz" (exactly one negative eigenvalue).  A matrix with two or
+    more negative eigenvalues is out of scope here and rejected at
+    construction.
     """
 
     matrix: np.ndarray
-    signature: str
+    signature: str = field(init=False)
 
     def __post_init__(self):
         g = np.array(self.matrix, dtype=float)
@@ -296,16 +297,12 @@ class Metric:
         if np.abs(eig).min() <= _DEGENERACY_TOL * np.abs(eig).max():
             raise ValueError("metric is degenerate (min |eigenvalue| <= 1e-12 max |eigenvalue|)")
         negatives = int(np.sum(eig < 0.0))
-        expected = {"euclidean": 0, "lorentz": 1}.get(self.signature)
-        if expected is None:
-            raise ValueError(f"unknown signature tag {self.signature!r}")
-        if negatives != expected:
-            raise ValueError(
-                f"matrix has {negatives} negative eigenvalue(s), "
-                f"inconsistent with signature {self.signature!r}"
-            )
+        if negatives > 1:
+            raise ValueError(f"matrix has {negatives} negative eigenvalues; only euclidean (0) "
+                             f"and lorentz (1) signatures are supported")
         g.flags.writeable = False
         object.__setattr__(self, "matrix", g)
+        object.__setattr__(self, "signature", ("euclidean", "lorentz")[negatives])
 
     @property
     def dim(self) -> int:
@@ -320,21 +317,14 @@ class Metric:
 
     @classmethod
     def euclidean(cls, dim: int) -> "Metric":
-        return cls(np.eye(dim), "euclidean")
+        return cls(np.eye(dim))
 
     @classmethod
     def minkowski(cls, dim: int) -> "Metric":
         """Signature (-, +, ..., +) with the time direction first."""
         g = np.eye(dim)
         g[0, 0] = -1.0
-        return cls(g, "lorentz")
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Metric":
-        """Build from a matrix, detecting the signature tag."""
-        g = np.asarray(matrix, dtype=float)
-        negatives = int(np.sum(np.linalg.eigvalsh((g + g.T) / 2.0) < 0.0))
-        return cls(g, "lorentz" if negatives == 1 else "euclidean")
+        return cls(g)
 
 
 @dataclass(frozen=True, eq=False)

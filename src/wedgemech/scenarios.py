@@ -511,7 +511,8 @@ def run_spec(command: str, path, tol: float | None = None,
     spec = read_problem_spec(path)
     _, kinds, run = _SPEC_COMMANDS[command]
     if spec.kind not in kinds:
-        raise SpecError("kind", f"{spec.kind!r} is not handled by {command}")
+        raise SpecError("kind", f"{spec.kind!r} is not handled by {command}, which runs "
+                                f"{', '.join(kinds)}")
     if max_iter is not None and spec.kind != "plateau":
         raise SpecError("kind", f"--max-iter applies to plateau specs only, not to {spec.kind}")
     return _report(command, f"spec: {os.path.basename(path)}",

@@ -44,13 +44,11 @@ from .tulczyjew import alpha as alpha2  # perfbench/tracing.py counts calls unde
 __all__ = [
     "CovectorField",
     "CurveGrid",
-    "ElReport",
     "NodeDomainError",
     "SurfaceGrid",
     "delta_L_curve",
     "delta_L_surface",
     "delta_L_surface_via_maps",
-    "el_check",
     "velocity_prolongation",
     "wedge_prolongation",
 ]
@@ -209,24 +207,6 @@ class CovectorField:
         return self.values[tuple(i - 1 for i in node)]
 
 
-@dataclass(frozen=True)
-class ElReport:
-    """Outcome of an Euler-Lagrange residual check."""
-
-    max_norm: float
-    tol: float
-    passed: bool
-    worst_node: tuple
-
-
-def el_check(field: CovectorField, tol: float) -> ElReport:
-    """Sup-norm test of a residual covector field."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    worst = field.max_norm()
-    return ElReport(worst, float(tol), bool(worst <= tol), field.worst_node())
-
-
 def _prolonged_momentum(L, grid):
     """Points, tangents, velocity element and momentum slots of ``L`` along
     a grid, once the dimension and the derivative domain are checked."""
@@ -248,8 +228,9 @@ def _delta_L(L, grid) -> CovectorField:
     if len(tangents) == 1:
         delta = L.gradient_x_slots(x, w) - _along_axes(p, grid)[0]
     else:
-        p = antisymmetric_from_slots(p, grid.dim)  # rebound, so the slot array is freed
-        (tt, ts), (dpt, dps) = tangents, _along_axes(p, grid)
+        # differentiate the slots, then expand: negation commutes with the stencils
+        (tt, ts), (dpt, dps) = tangents, (antisymmetric_from_slots(d, grid.dim)
+                                          for d in _along_axes(p, grid))
         delta = (
             L.gradient_x_slots(x, w)
             - np.einsum("ijm,ijmn->ijn", tt, dps)

@@ -141,7 +141,7 @@ def test_criterion_4_legendre_images_on_morse_sphere():
     rng = np.random.default_rng(4)
     metrics = [Metric.euclidean(3)]
     a = rng.normal(size=(3, 3))
-    metrics.append(Metric.from_matrix(a @ a.T + 3.0 * np.eye(3)))
+    metrics.append(Metric(a @ a.T + 3.0 * np.eye(3)))
     with criterion(4, "Legendre images on the unit momentum sphere"):
         for g in metrics:
             L = nambu_goto(g)

@@ -383,6 +383,14 @@ def test_spec_kind_command_mismatch(tmp_path, capsys):
     assert "not handled by classical-el" in capsys.readouterr().err
 
 
+def test_spec_unknown_kind_lists_the_command_kinds(tmp_path, capsys):
+    spec = _spec(tmp_path, "p.spec", "kind sudoku\n")
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert "spec error: kind: 'sudoku' is not handled by plateau-solve" in err
+    assert "plateau, constrained-plateau" in err
+
+
 def test_spec_malformed_grid_names_field(tmp_path, capsys):
     (tmp_path / "bad.grid").write_text(
         "# kind surface\n# shape 6 6\n# step 0.2 0.2\ni j x1 x2 x3\n0 0 0 0 0\n"

@@ -172,9 +172,9 @@ def test_area_field_and_morse_sphere_are_covariant(dim):
         A, E = _change_of_coordinates(rng, dim)
         tol = _FACTOR * _EPS * np.linalg.cond(A)
         a = rng.normal(size=(dim, dim))
-        g = Metric.from_matrix(a @ a.T + dim * np.eye(dim))
+        g = Metric(a @ a.T + dim * np.eye(dim))
         pulled = A.T @ g.matrix @ A
-        g_new = Metric.from_matrix((pulled + pulled.T) / 2.0)
+        g_new = Metric((pulled + pulled.T) / 2.0)
         L, L_new = nambu_goto(g), nambu_goto(g_new)
         x_new = rng.normal(size=dim)
         w_new = Bivector(rng.normal(size=k), dim)  # g is SPD, so every w' is in the cone

@@ -38,7 +38,7 @@ from wedgemech.tulczyjew import PhaseElement2
 
 def random_spd_metric(rng, dim):
     a = rng.normal(size=(dim, dim))
-    return Metric.from_matrix(a @ a.T + dim * np.eye(dim))
+    return Metric(a @ a.T + dim * np.eye(dim))
 
 
 def positive_cone_bivector(rng, L, dim):

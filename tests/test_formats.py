@@ -472,7 +472,6 @@ def test_problem_spec_metric_families(tmp_path):
     "text, field",
     [
         ("grid g.grid\n", "kind"),
-        ("kind sudoku\n", "kind"),
         ("kind plateau\ncolor red\n", "color"),
         ("kind plateau\ntol 1e-9\ntol 1e-9\n", "tol"),
         ("kind plateau\nmetric explicit 1 2 3\n", "metric"),

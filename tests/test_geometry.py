@@ -195,26 +195,25 @@ def test_contract_linearity_and_mismatch():
 
 def test_metric_validation():
     with pytest.raises(ValueError):
-        Metric(np.array([[1.0, 0.5], [0.0, 1.0]]), "euclidean")  # not symmetric
+        Metric(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
-        Metric(np.ones((2, 2)), "euclidean")  # degenerate
-    with pytest.raises(ValueError):
-        Metric(np.eye(3), "lorentz")  # wrong signature tag
-    with pytest.raises(ValueError):
-        Metric(-np.eye(3), "euclidean")
-    with pytest.raises(ValueError):
-        Metric(np.eye(3), "riemann")  # unknown tag
+        Metric(np.ones((2, 2)))  # degenerate
+    with pytest.raises(ValueError, match="3 negative eigenvalues"):
+        Metric(-np.eye(3))
+    with pytest.raises(ValueError, match="2 negative eigenvalues"):
+        Metric(np.diag([-1.0, -1.0, 1.0]))
+    assert Metric(np.diag([-1.0, 1.0, 1.0])).signature == "lorentz"
 
 
 def test_metric_degeneracy_is_relative_to_scale():
     # |det| = 1.25e-13, yet every eigenvalue is the same: well conditioned
-    assert Metric(5e-5 * np.eye(3), "euclidean").dim == 3
+    assert Metric(5e-5 * np.eye(3)).dim == 3
     with pytest.raises(ValueError, match="degenerate"):
-        Metric(np.diag([2.0, 1.0, 0.0]), "euclidean")  # singular
+        Metric(np.diag([2.0, 1.0, 0.0]))  # singular
     with pytest.raises(ValueError, match="degenerate"):
-        Metric(np.diag([1.0, 1.0, 1e-13]), "euclidean")  # condition number 1e13
+        Metric(np.diag([1.0, 1.0, 1e-13]))  # condition number 1e13
     with pytest.raises(ValueError, match="degenerate"):
-        Metric(np.zeros((2, 2)), "euclidean")
+        Metric(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
@@ -222,9 +221,9 @@ def test_metric_symmetry_verdict_does_not_depend_on_units(k):
     # scaling by 2^k is exact, so the symmetry test, relative to max |g|, keeps its verdict
     scale = 2.0 ** k
     with pytest.raises(ValueError, match="not symmetric"):
-        Metric(scale * np.array([[2.0, 1.0], [0.0, 2.0]]), "euclidean")
+        Metric(scale * np.array([[2.0, 1.0], [0.0, 2.0]]))
     near = scale * np.array([[2.0, 1.0 + 2.0 ** -50], [1.0, 2.0]])
-    g = Metric(near, "euclidean")
+    g = Metric(near)
     assert np.array_equal(g.matrix, (near + near.T) / 2.0)
 
 
@@ -235,7 +234,7 @@ def test_metric_constructors_and_inverse():
     np.testing.assert_array_equal(g.matrix @ g.inverse, np.eye(4))
     rng = np.random.default_rng(5)
     m = random_spd(rng, 3)
-    h = Metric.from_matrix(m)
+    h = Metric(m)
     assert h.signature == "euclidean"
     np.testing.assert_allclose(h.matrix @ h.inverse, np.eye(3), atol=1e-12)
 
@@ -243,7 +242,7 @@ def test_metric_constructors_and_inverse():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_induced_fiber_metric_index_identity(dim):
     rng = np.random.default_rng(40 + dim)
-    g = Metric.from_matrix(random_spd(rng, dim))
+    g = Metric(random_spd(rng, dim))
     h = induced_fiber_metric(g)
     gm = g.matrix
     for m in range(dim):
@@ -297,7 +296,7 @@ def dense_reference(g):
 @pytest.mark.parametrize("kind", ["euclidean", "minkowski", "spd"])
 def test_slot_matrix_equals_dense_reference_bitwise(dim, kind):
     if kind == "spd":
-        g = Metric.from_matrix(random_spd(np.random.default_rng(90 + dim), dim))
+        g = Metric(random_spd(np.random.default_rng(90 + dim), dim))
     else:
         g = getattr(Metric, kind)(dim)
     for point, h in ((g.matrix, induced_fiber_metric(g)), (g.inverse, dual_fiber_metric(g)),
@@ -316,7 +315,7 @@ def test_fiber_metric_frozen_components():
     assert hm.array[0, 1, 0, 1] == -1.0
 
     # dual of diag(2, 2, 2): inverse metric diag(1/2), minors 1/4
-    hd = dual_fiber_metric(Metric.from_matrix(2.0 * np.eye(3)))
+    hd = dual_fiber_metric(Metric(2.0 * np.eye(3)))
     assert hd.array[0, 1, 0, 1] == 0.25
 
 
@@ -348,7 +347,7 @@ def test_slot_matrix_equals_pairwise_loop_bitwise(dim):
 def test_dual_slot_matrix_inverts_primal(dim):
     # Cauchy-Binet: the minor matrix of the inverse is the inverse minor matrix
     rng = np.random.default_rng(60 + dim)
-    g = Metric.from_matrix(random_spd(rng, dim))
+    g = Metric(random_spd(rng, dim))
     prod = dual_fiber_metric(g).slot_matrix @ induced_fiber_metric(g).slot_matrix
     np.testing.assert_allclose(prod, np.eye(pair_count(dim)), atol=1e-10)
 
@@ -359,7 +358,7 @@ def test_scalar_product_gram_oracle(dim, seed):
     # (v^u | v^u) = 4 * (|v|^2 |u|^2 - <v,u>^2), the Gram determinant, for
     # any point metric; the 4 pins the unrestricted-sum convention.
     rng = np.random.default_rng(100 * dim + seed)
-    g = Metric.from_matrix(random_spd(rng, dim))
+    g = Metric(random_spd(rng, dim))
     h = induced_fiber_metric(g)
     v, u = rng.normal(size=(2, dim))
     gram = np.linalg.det(np.array([v, u]) @ g.matrix @ np.array([v, u]).T)
@@ -381,7 +380,7 @@ def test_scalar_product_frozen_values():
 
 def test_scalar_product_bilinear_symmetric():
     rng = np.random.default_rng(7)
-    g = Metric.from_matrix(random_spd(rng, 4))
+    g = Metric(random_spd(rng, 4))
     h = induced_fiber_metric(g)
     u = Bivector(rng.normal(size=6), 4)
     w = Bivector(rng.normal(size=6), 4)
@@ -396,7 +395,7 @@ def test_scalar_product_bilinear_symmetric():
 
 def test_momentum_scalar_product_is_quarter_of_full():
     rng = np.random.default_rng(8)
-    g = Metric.from_matrix(random_spd(rng, 3))
+    g = Metric(random_spd(rng, 3))
     h = induced_fiber_metric(g)
     slots = rng.normal(size=3)
     w = Bivector(slots, 3)

@@ -38,7 +38,7 @@ from wedgemech.plateau import (
     _poisson_solver,
     _quasilinear,
 )
-from wedgemech.variational import delta_L_surface, el_check
+from wedgemech.variational import delta_L_surface
 
 SCHERK_DOMAIN = (-0.7, 0.7, -0.7, 0.7)
 
@@ -219,8 +219,7 @@ def test_solve_plane_recovers_exactly():
     exact = GraphGrid.sample((0.0, 1.0, 0.0, 1.0), 33, 33, plane)
     assert np.abs(result.grid.z - exact.z).max() < 1e-10
     # the converged plane also zeroes the embedded-surface defect
-    report = el_check(delta_L_surface(plateau_lagrangian(), result.grid.surface_grid()), 1e-10)
-    assert report.passed
+    assert delta_L_surface(plateau_lagrangian(), result.grid.surface_grid()).max_norm() <= 1e-10
 
 
 def test_solve_scherk_benchmark(monkeypatch):
@@ -259,29 +258,50 @@ def test_steep_scherk_falls_back_to_direct_steps():
     assert np.abs(result.grid.z - exact.z).max() < 5e-3
 
 
-def _steep_scherk_in_units(k):
+def _scherk_in_units(k, n, half_width):
     # domain, heights and tol scaled by 2^k: exact in floating point, it scales
     # the residual by 2^-k and the Jacobian by 2^-2k
     s = 2.0**k
-    a = 1.45 * s
-    grid = GraphGrid.from_boundary((-a, a, -a, a), 65, 65, lambda X, Y: s * scherk(X / s, Y / s))
+    a = half_width * s
+    grid = GraphGrid.from_boundary((-a, a, -a, a), n, n, lambda X, Y: s * scherk(X / s, Y / s))
     return solve_plateau(grid, SolveOptions(tol=1e-10 / s))
 
 
 @pytest.fixture(scope="module")
 def steep_scherk_unit_scale():
-    return _steep_scherk_in_units(0)
+    return _scherk_in_units(0, 65, 1.45)
 
 
 @pytest.mark.parametrize("k", [-20, 10, 30])
 def test_pivot_guard_does_not_depend_on_units(k, steep_scherk_unit_scale):
     # an absolute pivot cutoff refused the 2^30 case as numerically singular
     ref = steep_scherk_unit_scale
-    result = _steep_scherk_in_units(k)
+    result = _scherk_in_units(k, 65, 1.45)
     assert result.stop == ref.stop == "converged"
     np.testing.assert_array_equal(result.linear_iters, ref.linear_iters)
     assert np.all(result.linear_iters == 0)  # every step went through the guard
     np.testing.assert_array_equal(result.trace, ref.trace * 2.0**-k)
+
+
+# grid size and half-width; at 65^2/1.2 every Newton step takes the whole cycle of 30
+_GMRES_CASES = [(65, 0.7), (129, 0.7), (65, 1.2)]
+
+
+@pytest.fixture(scope="module")
+def gmres_unit_scale():
+    return {case: _scherk_in_units(0, *case) for case in _GMRES_CASES}
+
+
+@pytest.mark.parametrize("case", _GMRES_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+@pytest.mark.parametrize("k", [-20, 10, 30])
+def test_gmres_path_does_not_depend_on_units(k, case, gmres_unit_scale):
+    ref = gmres_unit_scale[case]
+    result = _scherk_in_units(k, *case)
+    assert result.stop == ref.stop == "converged"
+    assert np.all(ref.linear_iters > 0)  # every step stayed on GMRES
+    np.testing.assert_array_equal(result.linear_iters, ref.linear_iters)
+    np.testing.assert_array_equal(result.trace, ref.trace / 2.0**k)
+    np.testing.assert_array_equal(result.grid.z, ref.grid.z * 2.0**k)
 
 
 def test_converged_solve_passes_el_check():
@@ -290,9 +310,7 @@ def test_converged_solve_passes_el_check():
     # measured 4.9e-3 on the 65^2 Scherk patch
     g = GraphGrid.from_boundary(SCHERK_DOMAIN, 65, 65, scherk)
     result = solve_plateau(g)
-    report = el_check(delta_L_surface(plateau_lagrangian(), result.grid.surface_grid()), 6e-3)
-    assert report.passed
-    assert report.max_norm < 6e-3
+    assert delta_L_surface(plateau_lagrangian(), result.grid.surface_grid()).max_norm() < 6e-3
 
 
 def test_solve_rectangular_grid():
