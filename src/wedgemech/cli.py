@@ -6,12 +6,14 @@ command table of `scenarios`.  A run is driven either by ``--scenario
 NAME`` (builtin, fully determined, compared byte-for-byte against a
 stored golden report) or by ``--spec PATH`` (a problem spec file;
 ``--tol`` overrides the file's tolerances and ``--max-iter`` the iteration
-budget of a ``plateau`` spec, the only kind that has one).
+budget of a ``plateau`` spec, the only kind that has one).  Only
+``plateau-solve`` takes ``--out``, which receives the solved surface as a
+grid table; a run that solves no surface writes no file.
 
 Every report is built in `scenarios`, by ``run_scenario`` or ``run_spec``
 through the same bodies.  This module parses the arguments, and one path
-writes the report to stdout and ``--out``, compares a scenario's report
-with its golden and maps the outcome to an exit code.
+writes the report to stdout, compares a scenario's report with its golden
+and maps the outcome to an exit code.
 
 Exit codes, never conflated: 0 pass, 1 usage or spec error, 2 numeric
 failure (check failed, solver did not converge, or a golden mismatch).
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -60,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", metavar="NAME",
                        help=f"builtin scenario ({', '.join(scenario_names(command))})")
         p.add_argument("--spec", metavar="PATH", help="problem spec file")
-        p.add_argument("--out", metavar="PATH",
-                       help="plateau-solve: write the solved grid table; otherwise a report copy")
+        if command == "plateau-solve":  # the one command whose runs solve a surface
+            p.add_argument("--out", metavar="PATH", help="write the solved grid table")
         p.add_argument("--tol", type=float, metavar="REAL",
                        help="override the spec tolerance (spec runs only)")
         p.add_argument("--max-iter", type=int, metavar="INT", dest="max_iter",
@@ -87,21 +90,18 @@ def _option_fault(args):
                     f"known: {', '.join(names)}")
     elif args.golden_regen:
         return "--golden-regen applies to builtin scenarios only"
-    elif args.tol is not None and not args.tol > 0.0:
-        return f"--tol must be positive, got {args.tol!r}"
+    elif args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
+        return f"--tol must be positive and finite, got {args.tol!r}"
     elif args.max_iter is not None and args.max_iter < 1:
         return f"--max-iter must be at least 1, got {args.max_iter}"
     return None
 
 
 def _finish(args, outcome) -> int:
-    """Write the report and ``--out``; a scenario's report must equal its golden."""
+    """Write the report and any solved surface; a scenario's report must equal its golden."""
     sys.stdout.write(outcome.report)
-    if args.out and outcome.grid is not None:  # only plateau-solve returns a surface
+    if outcome.grid is not None and args.out:  # only plateau-solve solves a surface and has --out
         write_grid(args.out, outcome.grid.surface_grid())
-    elif args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(outcome.report)
     if args.scenario:
         golden = os.path.join(_GOLDEN_DIR, f"{args.scenario}.txt")
         if args.golden_regen:

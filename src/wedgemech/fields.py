@@ -155,9 +155,11 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
     ``sqrt((p|p)*)`` takes scale 1 on the dual metric.  H is the metric's
     own matrix, not a scaled copy; a power-of-two scale commutes with
     rounding away from overflow and subnormals, so the form is bit for bit
-    that of the scaled matrix.  ``strict`` fields (indefinite H) are undefined wherever
-    the form is nonpositive; lenient ones (positive semidefinite H)
-    evaluate everywhere but lose derivative access on the zero set.
+    that of the scaled matrix.  The factory sets ``strict``, whatever H is:
+    the area Lagrangians and the Morse root are strict, so undefined
+    wherever the form is nonpositive, even for a positive-definite H (the
+    Euclidean ``nambu_goto`` at w = 0); the plateau integrand is lenient,
+    evaluating everywhere but losing derivative access on the zero set.
     """
 
     def __init__(self, fiber_metric: FiberMetric, scale: float, strict: bool):

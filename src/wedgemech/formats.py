@@ -3,7 +3,8 @@
 Everything is plain ASCII so inputs and golden outputs stay diffable.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.  Malformed input raises `SpecError`, whose message
-always starts with the offending field name.
+always starts with the offending field name; a number that is nan, inf
+or past the double range (``1e400``) is malformed wherever it stands.
 
 Grid files carry ``# key value`` metadata (kind, shape, step), a header
 row naming the index and coordinate columns, then one row per node::
@@ -17,12 +18,12 @@ row naming the index and coordinate columns, then one row per node::
 
 Constraint spec files list the dimension, then the section and each
 linear generator as 1-based ``mu nu value`` component triples (``mu
-value`` pairs for curve constraints).  Components may be given in either
-index order; conflicting duplicates are rejected.  ``builtin NAME``
-selects a packaged constraint instead.  Only ``generator`` lines repeat;
-a second ``kind``, ``dimension``, ``builtin`` or ``section`` line is an
-error, as is a second ``dimension`` line in a fiber-metric table.  An
-error in a component or table entry names its line.
+value`` pairs for curve constraints); a packaged constraint is named on
+a problem spec's ``constraint builtin NAME`` line instead.  Components
+may be given in either index order; conflicting duplicates are rejected.
+Only ``generator`` lines repeat; a second ``kind``, ``dimension`` or
+``section`` line is an error, as is a second ``dimension`` line in a
+fiber-metric table.  An error in a component or table entry names its line.
 
 Problem spec files are ``key value...`` lines; `ProblemSpec` only
 tokenizes and type-checks, the kinds and their field requirements live
@@ -124,6 +125,8 @@ def _parse_floats(field: str, tokens, count: int | None = None,
         values = np.array([float(t) for t in tokens])
     except ValueError as err:
         raise SpecError(field, f"{where}expected numbers, got {tokens}") from err
+    if not np.isfinite(values).all():  # nan, inf, and literals past the double range
+        raise SpecError(field, f"{where}expected finite numbers, got {tokens}")
     if count is not None and values.size != count:
         raise SpecError(field, f"{where}expected {count} values, got {values.size}")
     return values
@@ -136,13 +139,13 @@ _MAX_COEFFICIENTS = np.iinfo(np.intp).max // 8
 
 
 def _parse_counts(field: str, tokens, count: int) -> tuple:
-    """Whole numbers such as node counts; ``5`` and ``5.0`` read alike, ``5.5`` and ``nan`` fail.
+    """Whole numbers such as node counts; ``5`` and ``5.0`` read alike, ``5.5`` fails.
 
     Counts whose product no array can index are refused before anything
     is allocated from them.
     """
     values = _parse_floats(field, tokens, count)
-    if not all(float(v).is_integer() for v in values):  # also refuses nan and inf
+    if not all(float(v).is_integer() for v in values):
         raise SpecError(field, f"expected integers, got {tokens}")
     counts = tuple(int(v) for v in values)
     if math.prod(abs(n) for n in counts) > _MAX_NODES:
@@ -232,8 +235,8 @@ def read_grid(path):
     k = len(names)
     shape = _parse_counts("shape", meta["shape"], k)
     steps = _parse_floats("step", meta["step"], k)
-    if not (np.isfinite(steps) & (steps > 0.0)).all():
-        raise SpecError("step", f"grid steps must be positive and finite, got {meta['step']}")
+    if not (steps > 0.0).all():
+        raise SpecError("step", f"grid steps must be positive, got {meta['step']}")
     # a surface spans at least 2 coordinates, a curve at least 1
     if header is None or header[:k] != names or len(header) < 2 * k:
         raise SpecError("header", f"{kind} tables start with columns {' '.join(names)!r}, "
@@ -244,16 +247,16 @@ def read_grid(path):
     return CurveGrid(float(steps[0]), points)
 
 
-def builtin_constraint(name: str, dim: int | None):
+def builtin_constraint(name: str, dim: int):
     """A builtin constraint by its spec name: ``example7`` (dimension 3)
-    or ``first-axis-drift`` (any dimension, 2 when ``dim`` is None)."""
-    if name == "example7" and dim in (None, 3):
+    or ``first-axis-drift`` (any dimension)."""
+    if name == "example7" and dim == 3:
         return symmetric_slope_constraint()
     if name == "first-axis-drift":
-        return first_axis_drift_constraint(2 if dim is None else dim)
+        return first_axis_drift_constraint(dim)
     if name == "example7":
-        raise SpecError("builtin", f"example7 is a constraint in dimension 3, not {dim}")
-    raise SpecError("builtin", f"unknown name {name!r}; known: example7, first-axis-drift")
+        raise SpecError("constraint", f"example7 is a constraint in dimension 3, not {dim}")
+    raise SpecError("constraint", f"unknown builtin {name!r}; known: example7, first-axis-drift")
 
 
 def _keyed_lines(path, fields, repeated=()):
@@ -280,8 +283,6 @@ def _component(field: str, number: int, tokens, dim: int) -> tuple:
     if any(not 0 <= k < dim for k in index):
         raise SpecError(field, f"line {number}: index out of range for dimension {dim}")
     value = _parse_floats(field, tokens[-1:], 1, number)[0]
-    if not np.isfinite(value):
-        raise SpecError(field, f"line {number}: components must be finite, got {tokens[-1]}")
     if len(index) == 1:
         return tuple(index), value
     slots = []
@@ -330,9 +331,9 @@ def _slot_components(field: str, number: int, tokens, dim: int, arity: int, dim_
 
 def read_constraint_spec(path):
     """Read an affine constraint file; returns the surface or curve variant."""
-    kind = dim = dim_line = builtin = None  # surface unless the file says otherwise
+    kind = dim = dim_line = None  # surface unless the file says otherwise
     components = []  # (field, line number, tokens) of the section and each generator
-    fields = ("kind", "dimension", "builtin", "section", "generator")
+    fields = ("kind", "dimension", "section", "generator")
     for number, key, values in _keyed_lines(path, fields, repeated=("generator",)):
         if key == "kind":
             if values not in (["surface"], ["curve"]):
@@ -342,24 +343,8 @@ def read_constraint_spec(path):
             dim, dim_line = _parse_counts("dimension", values, 1)[0], number
             if dim < 1:
                 raise SpecError("dimension", f"line {number}: must be at least 1, got {dim}")
-        elif key == "builtin":
-            if len(values) != 1:
-                raise SpecError("builtin", f"line {number}: expected one name, got {values}")
-            builtin = values[0]
         else:
             components.append((key, number, values))
-    if builtin is not None:
-        if components:
-            raise SpecError("builtin", "builtin constraints take no explicit components")
-        try:  # first-axis-drift holds vectors of the file's dimension
-            constraint = builtin_constraint(builtin, dim)
-        except MemoryError as err:
-            raise SpecError("dimension", f"line {dim_line}: {dim} coefficients do not fit in "
-                                         "memory") from err
-        degree_kind = "surface" if constraint.degree == 2 else "curve"
-        if kind not in (None, degree_kind):
-            raise SpecError("kind", f"{kind}, but builtin {builtin} is a {degree_kind} constraint")
-        return constraint
     if dim is None:
         raise SpecError("dimension", "missing required field")
     components.sort(key=lambda c: c[0] != "section")  # the section first, generators in order
@@ -470,7 +455,7 @@ class ProblemSpec:
                 return Metric(values.reshape(m, m))
         except SpecError:
             raise
-        except ValueError as err:  # too small, not finite, degenerate, or 2+ negative eigenvalues
+        except ValueError as err:  # too small, asymmetric, degenerate, or 2+ negative eigenvalues
             raise SpecError(field, f"{' '.join(tokens)}: {err}") from err
         except MemoryError as err:
             raise SpecError(field, f"{' '.join(tokens)}: too large to allocate") from err

@@ -267,7 +267,7 @@ def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:
     return u.full.T @ eta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """Constant symmetric nondegenerate metric on the model space.
 

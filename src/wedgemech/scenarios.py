@@ -432,12 +432,12 @@ def _spec_plateau(spec, lines, tol, max_iter):
             tol if tol is not None else spec.get_tol("constraint-tol", 1e-6),
             spec.get_tol("force-tol", 1e-6),
         )
+    # read before the try, so that only SolveOptions' own ValueError is mapped
+    tol = tol if tol is not None else spec.get_tol("tol", 1e-10)
+    max_iter = max_iter if max_iter is not None else spec.get_int("max-iter", 25)
+    damping = spec.get_float("damping", 1.0)
     try:
-        opts = SolveOptions(
-            tol=tol if tol is not None else spec.get_tol("tol", 1e-10),
-            max_iter=max_iter if max_iter is not None else spec.get_int("max-iter", 25),
-            damping=spec.get_float("damping", 1.0),
-        )
+        opts = SolveOptions(tol=tol, max_iter=max_iter, damping=damping)
     except ValueError as err:  # the message leads with the option: "tol must be positive"
         raise SpecError(str(err).split()[0].replace("_", "-"), str(err)) from err
     result = _solve(lines, grid, opts)
@@ -461,11 +461,7 @@ def _spec_nonholonomic(spec, lines, tol, max_iter):
 
 def _spec_phase(spec, lines, tol, max_iter):
     x = spec.get_floats("x", spec.get_metric().dim if spec.has("metric") else 3)
-    w = spec.get_floats("w", pair_count(x.size))
-    for field, values in (("x", x), ("w", w)):
-        if not np.isfinite(values).all():
-            raise SpecError(field, f"entries must be finite, got {' '.join(spec.tokens(field))}")
-    w = Bivector(w, x.size)
+    w = Bivector(spec.get_floats("w", pair_count(x.size)), x.size)
     L = _lagrangian(spec, x.size, "point x")
     element = _phase_point(lines, L, x, w)
     tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)

@@ -10,10 +10,10 @@ import pytest
 import wedgemech
 import wedgemech.cli as cli
 from wedgemech.cli import main
-from wedgemech.formats import read_grid, write_grid
+from wedgemech.formats import SpecError, read_grid, write_grid
 from wedgemech.geometry import FiberMetric
 from wedgemech.plateau import GraphGrid
-from wedgemech.scenarios import scenario_names
+from wedgemech.scenarios import run_spec, scenario_names
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
 
@@ -93,7 +93,9 @@ def test_usage_errors_exit_one(capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["plateau-solve", "--bogus"]])
+# only plateau-solve has a surface to write to --out; the report goes to stdout alone
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["plateau-solve", "--bogus"],
+                                  ["classical-el", "--scenario", "free-line", "--out", "x"]])
 def test_argparse_rejections_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -111,10 +113,16 @@ def test_out_writes_solved_grid(tmp_path, capsys):
     assert np.abs(z - (2.0 * x - 0.5 * y + 1.0)).max() < 1e-9
 
 
-def test_out_copies_report_for_checks(tmp_path, capsys):
-    out = tmp_path / "report.txt"
-    assert main(["classical-el", "--scenario", "free-line", "--out", str(out)]) == 0
-    assert out.read_text() == capsys.readouterr().out
+def test_out_is_not_written_without_a_surface(tmp_path, capsys):
+    # an infeasible constrained plateau solves no surface, so --out gets no file
+    spec = tmp_path / "cp.spec"
+    spec.write_text("kind constrained-plateau\ndomain 0 1 0 1\nshape 17 17\n"
+                    "boundary affine 1 2 0\n")
+    for run in (["--spec", str(spec)], ["--scenario", "constrained-quadratic"]):
+        out = tmp_path / "solved.grid"
+        assert main(["plateau-solve", *run, "--out", str(out)]) == 2
+        assert "feasible: no" in capsys.readouterr().out
+        assert not out.exists()
 
 
 def _spec(tmp_path, name, text):
@@ -264,10 +272,15 @@ def test_spec_phase_check(tmp_path, capsys):
          "boundary diagonal-plane 1 0\nfit-tol 0\n", [], "spec error: fit-tol:"),
         ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-8\n", ["--tol", "-1"],
          "error: --tol must be positive"),
+        ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-8\n", ["--tol", "inf"],
+         "error: --tol must be positive and finite, got inf"),
+        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n",
+         ["--tol", "1e400"], "error: --tol must be positive and finite, got inf"),
         ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n",
          ["--max-iter", "0"], "error: --max-iter must be at least 1"),
     ],
-    ids=["constraint-tol-negative", "force-tol-nan", "fit-tol-zero", "option-tol", "option-max-iter"],
+    ids=["constraint-tol-negative", "force-tol-nan", "fit-tol-zero", "option-tol", "option-tol-inf",
+         "option-tol-1e400", "option-max-iter"],
 )
 def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, argv, message):
     xs = np.linspace(0.0, 1.0, 9)
@@ -309,15 +322,14 @@ def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
         )
         assert main([command, "--spec", spec]) == 0
         assert capsys.readouterr().out.endswith("result: PASS\n")
-    # a constraint file of another dimension is a spec error, not a traceback
-    (tmp_path / "drift2.constraint").write_text(
-        "kind curve\ndimension 2\nbuiltin first-axis-drift\n"
-    )
-    spec = _spec(
-        tmp_path, "c2.spec", "kind classical-el\ncurve line3.grid\nconstraint drift2.constraint\n"
-    )
-    assert main(["classical-el", "--spec", spec]) == 1
-    assert "spec error" in capsys.readouterr().err
+    # a builtin of another dimension only, or of no name known, is an error of the spec's line
+    write_grid(tmp_path / "line2.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 101))
+    for name, message in [("example7", "example7 is a constraint in dimension 3, not 2"),
+                          ("nope", "unknown builtin 'nope'")]:
+        spec = _spec(tmp_path, "c2.spec",
+                     f"kind classical-el\ncurve line2.grid\nconstraint builtin {name}\n")
+        assert main(["classical-el", "--spec", spec]) == 1
+        assert f"spec error: constraint: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -423,7 +435,7 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
         ("domain 0 1 0 1\nshape 9 9\nboundary affine 1 x 0\n", ("boundary:", "'x'")),
         ("domain 0 1 0 1\nshape 9 9\nboundary diagonal-plane 1 1,5\n", ("boundary:", "1,5")),
         ("domain 0 1 0 1\nshape 9 9\nboundary affine 1 2\n", ("boundary:", "three")),
-        ("domain 0 1 0 1\nshape 9 nan\nboundary constant 0\n", ("shape:", "integers")),
+        ("domain 0 1 0 1\nshape 9 nan\nboundary constant 0\n", ("shape:", "finite")),
         ("domain 0 1 0 1\nshape 9 123456789012345678901234567890\nboundary constant 0\n",
          ("shape:", "more than an array can index")),
         ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ntol -1\n", ("tol:", "positive")),
@@ -448,6 +460,27 @@ def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragmen
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "line, field, prefix",
+    [
+        ("tol abc", "tol", "tol: expected numbers"),
+        ("max-iter 2.5", "max-iter", "max-iter: expected integers"),
+        ("damping x", "damping", "damping: expected numbers"),
+        ("tol -1", "tol", "tol: tolerance must be positive"),
+        # the solver options' own refusals, mapped to the spec field once
+        ("max-iter 0", "max-iter", "max-iter: max_iter must be at least 1"),
+        ("damping 2", "damping", "damping: damping must lie in (0, 1]"),
+    ],
+)
+def test_spec_plateau_option_error_names_its_field_once(tmp_path, line, field, prefix):
+    spec = _spec(tmp_path, "p.spec",
+                 f"kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n{line}\n")
+    with pytest.raises(SpecError) as err:
+        run_spec("plateau-solve", spec)
+    assert err.value.field == field
+    assert str(err.value).startswith(prefix)
 
 
 def test_spec_plateau_grid_out_of_memory_names_shape(tmp_path, capsys, monkeypatch):
@@ -722,6 +755,73 @@ def test_spec_plateau_start_overflow_is_a_numeric_failure(tmp_path, capsys, boun
     assert captured.out == ""
 
 
+# one spec of each kind, the curve check included, that sets every number its
+# kind reads; each line whose last token is a number is a case below
+_NUMBER_SPECS = {
+    "plateau": ("plateau-solve", "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\n"
+                "boundary affine 0.5 -0.25 1\ntol 1e-10\nmax-iter 25\ndamping 1\n"),
+    "constrained-plateau": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
+                            "shape 9 9\nboundary diagonal-plane 2 -1\nfit-tol 1e-9\n"
+                            "constraint-tol 1e-5\nforce-tol 1e-4\n"),
+    "nonholonomic-check": ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+                           "constraint builtin example7\nlagrangian quadratic\n"
+                           "metric explicit 1 0 0 0 1 0 0 0 1\nconstraint-tol 1e-6\n"
+                           "force-tol 1e-6\n"),
+    "nonholonomic-check-curve": ("nonholonomic-check", "kind nonholonomic-check\n"
+                                 "grid line.grid\nconstraint builtin first-axis-drift\n"
+                                 "omega 1\nmass 1\nconstraint-tol 1e-6\nforce-tol 1e-6\n"),
+    "phase-check": ("phase-check", "kind phase-check\nmetric explicit 1 0 0 0 1 0 0 0 1\n"
+                    "lagrangian nambu-goto\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\ntol 1e-10\n"),
+    "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\nsystem oscillator\n"
+                     "omega 1\nmass 1\nconstraint builtin first-axis-drift\ntol 1e-8\n"
+                     "force-tol 1e-4\n"),
+}
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+_NUMBER_LINES = [
+    (name, k, line.split()[0])
+    for name, (_, text) in _NUMBER_SPECS.items()
+    for k, line in enumerate(text.splitlines())
+    if _is_number(line.split()[-1])
+]
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name, k, field", _NUMBER_LINES,
+                         ids=[f"{name}-{field}" for name, _, field in _NUMBER_LINES])
+def test_spec_number_that_is_not_finite_names_its_field(tmp_path, capsys, name, k, field, token):
+    # 1e400 parses to inf: past the double range is not finite either
+    command, text = _NUMBER_SPECS[name]
+    lines = text.splitlines()
+    lines[k] = " ".join(lines[k].split()[:-1] + [token])
+    _plane_grid(tmp_path)
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    assert main([command, "--spec", _spec(tmp_path, "n.spec", "\n".join(lines) + "\n")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"wedgemech: spec error: {field}: expected finite numbers")
+    assert captured.out == ""
+
+
+def test_number_specs_run_and_cover_every_number_field(tmp_path, capsys):
+    # unmutated, each spec runs, so each refusal above is the mutated number's
+    _plane_grid(tmp_path)
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    for command, text in _NUMBER_SPECS.values():
+        assert main([command, "--spec", _spec(tmp_path, "n.spec", text)]) in (0, 2)
+        assert "error" not in capsys.readouterr().err
+    assert {field for _, _, field in _NUMBER_LINES} == {
+        "domain", "shape", "boundary", "tol", "max-iter", "damping", "fit-tol",
+        "constraint-tol", "force-tol", "metric", "omega", "mass", "x", "w"}
+
+
 @pytest.mark.parametrize(
     "command, body",
     [
@@ -729,8 +829,9 @@ def test_spec_plateau_start_overflow_is_a_numeric_failure(tmp_path, capsys, boun
         ("classical-el", "system oscillator\nomega 1e300\nmass 1e-300\n"),
         ("nonholonomic-check", "constraint builtin first-axis-drift\nconstraint-tol 1e-6\n"
          "omega 1e200\n"),
+        ("classical-el", "system oscillator\nomega 1e10\nmass 1e308\n"),
     ],
-    ids=["omega-1e155", "omega-1e300-mass-1e-300", "check-omega-1e200"],
+    ids=["omega-1e155", "omega-1e300-mass-1e-300", "check-omega-1e200", "mass-1e308-omega-1e10"],
 )
 def test_spec_curve_omega_overflow_is_a_numeric_failure(tmp_path, capsys, command, body):
     write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))

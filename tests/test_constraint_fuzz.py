@@ -18,7 +18,7 @@ from wedgemech.variational import CurveGrid, SurfaceGrid
 # not an integer, past int64
 _REPLACEMENTS = ("-1", "0", "nan", "inf", "abc", "1.5", "123456789012345678901234567890")
 
-# (constraint file, command, spec reading it) per degree and form
+# (constraint file, command, spec reading it), two per degree
 _CASES = {
     "surface-explicit": (
         "kind surface\ndimension 3\nsection 1 3 0.5 2 3 0.5\ngenerator 1 2 1\n"
@@ -27,8 +27,8 @@ _CASES = {
         "kind nonholonomic-check\ngrid plane.grid\nconstraint mutated.constraint\n"
         "constraint-tol 1e-6\n",
     ),
-    "surface-builtin": (
-        "kind surface\ndimension 3\nbuiltin example7\n",
+    "surface-example7": (  # section e1^e2, generator (e1 - e2)^e3
+        "kind surface\ndimension 3\nsection 1 2 1\ngenerator 1 3 1 2 3 -1\n",
         "nonholonomic-check",
         "kind nonholonomic-check\ngrid plane.grid\nconstraint mutated.constraint\n"
         "constraint-tol 1e-6\n",
@@ -38,8 +38,8 @@ _CASES = {
         "classical-el",
         "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
     ),
-    "curve-builtin": (
-        "kind curve\ndimension 2\nbuiltin first-axis-drift\n",
+    "curve-first-axis-drift": (  # every component written out, zeros included
+        "kind curve\ndimension 2\nsection 1 1 2 0\ngenerator 1 1 2 0\n",
         "classical-el",
         "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
     ),

@@ -10,7 +10,7 @@ import wedgemech
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(wedgemech.__path__))
 
 # the one pair of exported names bound to one object: perfbench calls the
-# surface spelling, and ROADMAP items 3 and 7 remove it
+# surface spelling, and ROADMAP item 6 removes it, after items 1 and 3b
 _ALIASES = {("variational", ("velocity_prolongation", "wedge_prolongation"))}
 
 

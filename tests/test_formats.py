@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wedgemech.constraints import AffineConstraint1, AffineConstraint2
 from wedgemech.formats import (
     SpecError,
     format_float,
@@ -196,28 +195,6 @@ def test_read_grid_surface_needs_two_coordinates(tmp_path):
         read_grid(_write(tmp_path / "flat.grid", text))
 
 
-def test_constraint_spec_builtin_surface(tmp_path):
-    path = _write(tmp_path / "c.spec", "builtin example7\n")
-    constraint = read_constraint_spec(path)
-    assert isinstance(constraint, AffineConstraint2)
-    assert constraint.dim == 3
-    a, gens = constraint.at(np.zeros(3))
-    assert np.array_equal(a.slots, [1.0, 0.0, 0.0])
-    assert len(gens) == 1
-    # generator (e1 - e2) ^ e3 has slots (0, 1, -1) in lexicographic pair order
-    assert np.array_equal(gens[0].slots, [0.0, 1.0, -1.0])
-
-
-def test_constraint_spec_builtin_curve(tmp_path):
-    text = "kind curve\ndimension 3\nbuiltin first-axis-drift\n"
-    constraint = read_constraint_spec(_write(tmp_path / "c.spec", text))
-    assert isinstance(constraint, AffineConstraint1)
-    assert constraint.dim == 3
-    a, gens = constraint.at(np.zeros(3))
-    assert np.array_equal(a, [1.0, 0.0, 0.0])
-    assert np.array_equal(gens[0], [1.0, 0.0, 0.0])
-
-
 def test_constraint_spec_explicit_components_either_order(tmp_path):
     text = (
         "dimension 3\n"
@@ -256,8 +233,11 @@ def test_high_dimension_constraint_file_reads_fast(tmp_path):
         ("dimension 3\nsection 1 2\n", "section"),  # ragged triple
         ("section 1 2 0.5\n", "dimension"),  # dimension missing
         ("dimension 3\n", "section"),  # section missing
-        ("dimension 3\nsection 1 2 1.0\nbuiltin example7\n", "builtin"),  # mixed forms
+        # a builtin constraint is named on the problem spec's line; in a file it is no field
+        ("dimension 3\nsection 1 2 1.0\nbuiltin example7\n", "builtin"),
         ("builtin nope\n", "builtin"),
+        ("builtin example7\nbuiltin first-axis-drift\n", "builtin"),
+        ("dimension 4\nbuiltin example7\n", "builtin"),
         ("kind ribbon\n", "kind"),
         ("dimension nan\nsection 1 2 0.5\n", "dimension"),
         ("dimension 3\nsection 1 2 1.0\nwhatever 3\n", "whatever"),
@@ -270,21 +250,14 @@ def test_high_dimension_constraint_file_reads_fast(tmp_path):
         ("kind curve\ndimension 2\nsection 1 inf\n", "section"),
         ("kind curve\ndimension -1\nsection 1 1\n", "dimension"),
         ("kind curve\ndimension 0\nbuiltin first-axis-drift\n", "dimension"),
-        # a kind line that contradicts the degree of the builtin it names
-        ("kind surface\ndimension 3\nbuiltin first-axis-drift\n", "kind"),
-        ("kind curve\nbuiltin example7\n", "kind"),
         # single-valued fields appear once; a repeat is not "the last one wins"
         ("kind curve\ndimension 4\ndimension 2\nsection 1 1\n", "dimension"),
         ("kind curve\nkind surface\ndimension 3\nsection 1 2 1.0\n", "kind"),
-        ("builtin example7\nbuiltin first-axis-drift\n", "builtin"),
         ("dimension 3\nsection 1 2 1.0\nsection 1 3 1.0\n", "section"),
-        # example7 is a constraint in dimension 3 only
-        ("dimension 4\nbuiltin example7\n", "builtin"),
         # slot arrays no array can index, or no address space can hold (2.4e18 bytes and more)
         ("dimension 10000000000\nsection 1 2 1\n", "dimension"),
         ("dimension 1000000000\nsection 1 2 1\n", "dimension"),
         ("kind curve\ndimension 300000000000000000\nsection 1 1\n", "dimension"),
-        ("kind curve\ndimension 300000000000000000\nbuiltin first-axis-drift\n", "dimension"),
     ],
 )
 def test_constraint_spec_rejects(tmp_path, text, field):
@@ -356,7 +329,7 @@ def test_fiber_metric_table_errors_name_the_line(tmp_path, text, line):
         ("dimension 3\nsection 1 2 1.0 1 3\n", "section", "line 2: expected groups"),
         ("dimension 3\nsection 1 2 1.0 1 4 1.0\n", "section", "line 2: index out of range"),
         ("dimension 3\nsection 2 2 1.0\n", "section", "line 2: diagonal"),
-        ("dimension 3\nsection 1 2 nan\n", "section", "line 2: components must be finite"),
+        ("dimension 3\nsection 1 2 nan\n", "section", "line 2: expected finite numbers"),
         ("dimension 3\nsection 1 2 1.0 2 1 1.0\n", "section", "line 2: conflicting"),
         ("kind curve\ndimension 2\nsection 1 1 3\n", "section", "line 3: expected groups"),
         ("kind curve\ndimension 2\nsection 1 1 1 2\n", "section", "line 3: conflicting"),
@@ -367,11 +340,12 @@ def test_fiber_metric_table_errors_name_the_line(tmp_path, text, line):
         ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 3 3 1.0\n",
          "generator", "line 4: diagonal"),
         ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 2 3 -inf\n",
-         "generator", "line 4: components must be finite"),
+         "generator", "line 4: expected finite numbers"),
         ("dimension 3\nsection 1 2 1.0\ngenerator 1 3 1.0\ngenerator 2 3 1 3 2 -2\n",
          "generator", "line 4: conflicting"),
         ("kind curve\ndimension 2\nsection 1 1\ngenerator 3 1\n", "generator",
          "line 4: index out of range"),
+        ("kind surface\ndimension 3\nbuiltin example7\n", "builtin", "line 3: unknown field"),
     ],
 )
 def test_constraint_spec_errors_name_the_line(tmp_path, text, field, line):

@@ -239,6 +239,16 @@ def test_metric_constructors_and_inverse():
     np.testing.assert_allclose(h.matrix @ h.inverse, np.eye(3), atol=1e-12)
 
 
+def test_metric_compares_and_hashes_by_identity():
+    # like FiberMetric: comparing the ndarray field would raise, not answer
+    g, h = Metric.euclidean(3), Metric.euclidean(3)
+    assert (g == h) is False and (g == g) is True and (g != h) is True
+    assert hash(g) == hash(g)
+    assert {g: "g", h: "h"}[g] == "g"
+    assert g.signature == "euclidean" and Metric.minkowski(3).signature == "lorentz"
+    np.testing.assert_array_equal(g.inverse, np.eye(3))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_induced_fiber_metric_index_identity(dim):
     rng = np.random.default_rng(40 + dim)

@@ -13,9 +13,11 @@ from wedgemech.cli import main
 from wedgemech.formats import write_grid
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
-# counts and tolerances at and past their limits, not finite, not a number,
-# not an integer, past int64; no large count an array could still hold
-_REPLACEMENTS = ("-1", "0", "1", "nan", "abc", "1.5", "123456789012345678901234567890")
+# counts and tolerances at and past their limits, not finite (1e400 parses to
+# inf), not a number, not an integer, past int64; no large count an array could
+# still hold
+_REPLACEMENTS = ("-1", "0", "1", "nan", "inf", "-inf", "1e400", "abc", "1.5",
+                 "123456789012345678901234567890")
 
 # one spec per problem kind with the command that runs it, named by the kind
 # (the plain plateau spec by its command); the nonholonomic and classical
