@@ -4,9 +4,9 @@ The four subcommands (``plateau-solve``, ``nonholonomic-check``,
 ``phase-check``, ``classical-el``) and their help lines come from the
 command table of `scenarios`.  A run is driven either by ``--scenario
 NAME`` (builtin, fully determined, compared byte-for-byte against a
-stored golden report) or by ``--spec PATH`` (a problem spec file;
-``--tol`` overrides the file's tolerances and ``--max-iter`` the iteration
-budget of a ``plateau`` spec, the only kind that has one).  Only
+stored golden report) or by ``--spec PATH`` (a problem spec file; the
+kind table of `scenarios` names the keys that ``--tol`` and ``--max-iter``
+replace, and only a ``plateau`` spec has an iteration budget).  Only
 ``plateau-solve`` takes ``--out``, which receives the solved surface as a
 grid table; a run that solves no surface writes no file.
 
@@ -32,14 +32,14 @@ from .constraints import RankDecisionError
 from .fields import FieldDomainError
 from .formats import SpecError, write_grid
 from .plateau import SingularJacobianError
-from .scenarios import _SPEC_COMMANDS, run_scenario, run_spec, scenario_names
+from .scenarios import _COMMANDS, run_scenario, run_spec, scenario_names
 from .variational import NodeDomainError
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-COMMANDS = tuple(_SPEC_COMMANDS)
+COMMANDS = tuple(_COMMANDS)
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wedgemech", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
-    for command, (help_line, _, _) in _SPEC_COMMANDS.items():
+    for command, help_line in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--scenario", metavar="NAME",
                        help=f"builtin scenario ({', '.join(scenario_names(command))})")

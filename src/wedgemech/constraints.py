@@ -59,7 +59,6 @@ __all__ = [
     "AffineConstraint2",
     "ConstraintCheckReport",
     "RankDecisionError",
-    "annihilator_basis",
     "constraint_residual",
     "dalembert_decompose",
     "first_axis_drift_constraint",
@@ -138,27 +137,6 @@ def _annihilator(generators: np.ndarray, inverse: np.ndarray, degree: int, dim: 
             f"at x = {points[node].tolist()}"
         )
     return vh[:, first:, :][inverse]
-
-
-def annihilator_basis(generators: Sequence, dim: int | None = None) -> np.ndarray:
-    """Orthonormal one-forms (rows) annihilating every generator.
-
-    Generators are all `Bivector` (``contract(eta, u) = 0``) or all
-    vectors (``eta . u = 0``).  With no generators the annihilator is the
-    whole dual space, so ``dim`` must be supplied in that case.
-    """
-    generators = list(generators)
-    if not generators:
-        if dim is None:
-            raise ValueError("dim is required when there are no generators")
-        return np.eye(dim)
-    if isinstance(generators[0], Bivector):
-        if any(u.dim != generators[0].dim for u in generators):
-            raise ValueError("generators have mixed dimensions")
-        return _annihilator(np.stack([u.slots for u in generators])[None], np.array(0), 2,
-                            generators[0].dim)
-    stacked = np.vstack([np.asarray(u, dtype=float) for u in generators])
-    return _annihilator(stacked[None], np.array(0), 1, stacked.shape[1])
 
 
 def _field_name(k: int) -> str:

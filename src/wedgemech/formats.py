@@ -26,8 +26,8 @@ Only ``generator`` lines repeat; a second ``kind``, ``dimension`` or
 fiber-metric table.  An error in a component or table entry names its line.
 
 Problem spec files are ``key value...`` lines; `ProblemSpec` only
-tokenizes and type-checks, the kinds and their field requirements live
-with `scenarios.run_spec`, which runs them.
+tokenizes, type-checks and keeps each key's line number; which keys a
+kind reads is its row of the kind table in `scenarios`, which runs specs.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ __all__ = [
     "read_problem_spec",
     "write_grid",
 ]
-
-# every key any problem kind understands; unknown keys are typos, not extensions
-_PROBLEM_KEYS = frozenset(
-    [
-        "kind", "metric", "lagrangian", "constraint", "grid", "curve",
-        "domain", "shape", "boundary", "system",
-        "tol", "max-iter", "damping", "fit-tol", "constraint-tol", "force-tol",
-        "x", "w", "omega", "mass",
-    ]
-)
-
 
 class SpecError(ValueError):
     """Input file problem; the message leads with the field at fault."""
@@ -160,9 +149,12 @@ def _parse_indices(field: str, tokens, number: int) -> list:
         raise SpecError(field, f"line {number}: indices must be integers, got {tokens}") from err
 
 
+def _node(index) -> str:
+    return f"({', '.join(map(str, index))})" if len(index) > 1 else str(index[0])
+
+
 def _outside_shape(number: int, index) -> SpecError:
-    node = f"({', '.join(map(str, index))})" if len(index) > 1 else str(index[0])
-    return SpecError("rows", f"line {number}: index {node} outside shape")
+    return SpecError("rows", f"line {number}: index {_node(index)} outside shape")
 
 
 def _row_fault(numbers, lines, shape, m) -> SpecError:
@@ -200,10 +192,13 @@ def _read_table(numbers, lines, shape: tuple, m: int) -> np.ndarray:
         raise _outside_shape(numbers[row], index[row].tolist())
     if min(shape) < 5:  # the grid classes need 5 samples per axis
         raise SpecError("shape", f"need at least 5 nodes per axis, got {' '.join(map(str, shape))}")
+    if not np.isfinite(table["values"]).all():
+        raise _row_fault(numbers, lines, shape, m)
     points = np.full(shape + (m,), np.nan)
     points[tuple(index.T)] = table["values"]
-    if not np.isfinite(points).all():
-        raise SpecError("rows", "some nodes are missing or non-finite")
+    missing = np.isnan(points[..., 0])
+    if missing.any():  # some other node is written twice
+        raise SpecError("rows", f"node {_node(np.argwhere(missing)[0].tolist())} is missing")
     return points
 
 
@@ -259,15 +254,15 @@ def builtin_constraint(name: str, dim: int):
     raise SpecError("constraint", f"unknown builtin {name!r}; known: example7, first-axis-drift")
 
 
-def _keyed_lines(path, fields, repeated=()):
-    """``(number, key, values)`` of each ``key values...`` line, ``#`` lines skipped; a key
-    not in ``fields``, or a second line of one not in ``repeated``, is refused at its line."""
+def _keyed_lines(path, fields=None, repeated=()):
+    """``(number, key, values)`` of each ``key values...`` line, ``#`` lines skipped; a key not
+    in ``fields`` (if given), or a second line of one not in ``repeated``, is refused there."""
     seen = set()
     for number, line in _content_lines(path):
         if line.startswith("#"):
             continue
         key, *values = line.split()
-        if key not in fields:
+        if fields is not None and key not in fields:
             raise SpecError(key, f"line {number}: unknown field")
         if key in seen and key not in repeated:
             raise SpecError(key, f"line {number}: duplicate field")
@@ -391,8 +386,9 @@ class ProblemSpec:
     Relative paths resolve against the spec file's own directory.
     """
 
-    def __init__(self, entries: dict, base_dir: str = "."):
+    def __init__(self, entries: dict, lines: dict, base_dir: str = "."):
         self.entries = entries
+        self.lines = lines  # the line number of each key
         self.base_dir = base_dir
         if "kind" not in entries:
             raise SpecError("kind", "missing required field")
@@ -405,14 +401,6 @@ class ProblemSpec:
         if field not in self.entries:
             raise SpecError(field, "missing required field")
         return self.entries[field]
-
-    def get_str(self, field: str, choices=None, default=None) -> str:
-        if field not in self.entries and default is not None:
-            return default
-        value = " ".join(self.tokens(field))
-        if choices is not None and value.split()[0] not in choices:
-            raise SpecError(field, f"expected one of {', '.join(choices)}; got {value!r}")
-        return value
 
     def get_float(self, field: str, default=None) -> float:
         if field not in self.entries and default is not None:
@@ -463,9 +451,9 @@ class ProblemSpec:
 
 
 def read_problem_spec(path) -> ProblemSpec:
-    entries = {}
-    for number, key, values in _keyed_lines(path, _PROBLEM_KEYS):
+    entries, lines = {}, {}
+    for number, key, values in _keyed_lines(path):
         if not values:
             raise SpecError(key, f"line {number}: missing value")
-        entries[key] = values
-    return ProblemSpec(entries, base_dir=os.path.dirname(os.path.abspath(path)))
+        entries[key], lines[key] = values, number
+    return ProblemSpec(entries, lines, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -9,7 +9,11 @@ scenario builds fixed objects in Python and writes its title lines, a
 spec parses its file and writes its ``kind:``/``shape:``/``system:``
 lines; both then call the same body.  Each builtin scenario is one row of
 a table: its command, the function that reports it and that function's
-fixed arguments.
+fixed arguments.  Each spec kind is one row of another: the command and
+the function that run it, the keys it reads, and the keys that ``--tol``
+and ``--max-iter`` replace.  A curve or a surface meets its constraint
+through the one ``nonholonomic-check``; ``classical-el`` is the
+unconstrained curve residual alone.
 
 Every scenario fixes all of its numbers — domain, resolution, tolerances,
 random seed where randomness is part of the point — so a report is a pure
@@ -310,9 +314,9 @@ _SCENARIOS = {
     "oscillator-cos": ("classical-el", _sampled_curve, (
         "harmonic oscillator, omega 1, dimension 1", 1, 1.0, "cos t on [0,2pi]",
         lambda t: (np.cos(t),), 2.0 * np.pi, 1001, "0.001")),
-    "constrained-line": ("classical-el", _constrained_line_scenario, (
+    "constrained-line": ("nonholonomic-check", _constrained_line_scenario, (
         lambda t: (t, 0.7), "(t, 0.7) on [0,1]")),
-    "constrained-line-violating": ("classical-el", _constrained_line_scenario, (
+    "constrained-line-violating": ("nonholonomic-check", _constrained_line_scenario, (
         lambda t: (t, t), "(t, t) on [0,1]")),
 }
 
@@ -400,41 +404,43 @@ def _from_metric(spec, build):
 
 
 def _lagrangian(spec, dim: int, against: str):
-    """The spec's bivector Lagrangian, which must have the dimension ``dim`` of ``against``."""
-    name = spec.tokens("lagrangian") if spec.has("lagrangian") else ["plateau"]
+    """``(name, L)``: the spec's bivector Lagrangian, of the dimension ``dim`` of ``against``."""
+    name, *rest = spec.tokens("lagrangian") if spec.has("lagrangian") else ["plateau"]
 
     def mismatch(other: int) -> SpecError:
-        return SpecError("lagrangian", f"{name[0]} has dimension {other}, the {against} has {dim}")
+        return SpecError("lagrangian", f"{name} has dimension {other}, the {against} has {dim}")
 
-    if name[0] == "plateau":
+    if name not in ("plateau", "nambu-goto", "custom-table"):
+        raise SpecError("lagrangian", f"unknown lagrangian {name!r}")
+    if name == "custom-table" and len(rest) != 1:
+        raise SpecError("lagrangian", "custom-table takes a path")
+    if name != "custom-table" and rest:
+        raise SpecError("lagrangian", f"{name} takes no arguments, got {' '.join(rest)!r}")
+    if name == "plateau":
         L = plateau_lagrangian(dim)
-    elif name[0] in ("nambu-goto", "quadratic"):  # one Lagrangian under two names
+    elif name == "nambu-goto":
         if (metric_dim := spec.get_metric().dim) != dim:  # refused before any slot matrix
             raise mismatch(metric_dim)
         L = _from_metric(spec, nambu_goto)
-    elif name[0] == "custom-table":
-        if len(name) != 2:
-            raise SpecError("lagrangian", "custom-table takes a path")
-        L = quadratic_area_lagrangian(read_fiber_metric_table(os.path.join(spec.base_dir, name[1])))
     else:
-        raise SpecError("lagrangian", f"unknown lagrangian {name[0]!r}")
+        L = quadratic_area_lagrangian(read_fiber_metric_table(os.path.join(spec.base_dir, rest[0])))
     if L.dim != dim:
         raise mismatch(L.dim)
-    return L
+    return name, L
 
 
-def _spec_plateau(spec, lines, tol, max_iter):
+def _spec_constrained_plateau(spec, lines):
     grid = _graph_grid(spec)
     lines += [f"kind: {spec.kind}", f"shape: {grid.shape[0]} {grid.shape[1]}"]
-    if spec.kind == "constrained-plateau":
-        return _constrained(
-            lines, grid, spec.get_tol("fit-tol", 1e-8),
-            tol if tol is not None else spec.get_tol("constraint-tol", 1e-6),
-            spec.get_tol("force-tol", 1e-6),
-        )
+    return _constrained(lines, grid, spec.get_tol("fit-tol", 1e-8),
+                        spec.get_tol("constraint-tol", 1e-6), spec.get_tol("force-tol", 1e-6))
+
+
+def _spec_plateau(spec, lines):
+    grid = _graph_grid(spec)
+    lines += [f"kind: {spec.kind}", f"shape: {grid.shape[0]} {grid.shape[1]}"]
     # read before the try, so that only SolveOptions' own ValueError is mapped
-    tol = tol if tol is not None else spec.get_tol("tol", 1e-10)
-    max_iter = max_iter if max_iter is not None else spec.get_int("max-iter", 25)
+    tol, max_iter = spec.get_tol("tol", 1e-10), spec.get_int("max-iter", 25)
     damping = spec.get_float("damping", 1.0)
     try:
         opts = SolveOptions(tol=tol, max_iter=max_iter, damping=damping)
@@ -444,55 +450,64 @@ def _spec_plateau(spec, lines, tol, max_iter):
     return result.converged, result.grid
 
 
-def _spec_nonholonomic(spec, lines, tol, max_iter):
+def _spec_nonholonomic(spec, lines):
     grid = read_grid(spec.get_path("grid"))
     constraint = _constraint(spec, grid)
-    constraint_tol = tol if tol is not None else spec.get_tol("constraint-tol")
-    force_tol = tol if tol is not None else spec.get_tol("force-tol", constraint_tol)
+    constraint_tol = spec.get_tol("constraint-tol")
+    force_tol = spec.get_tol("force-tol", constraint_tol)
     if len(grid.steps) == 2:
-        L = _lagrangian(spec, grid.dim, "grid")
+        _, L = _lagrangian(spec, grid.dim, "grid")
     else:
-        L = quadratic_curve_lagrangian(
-            grid.dim, omega=spec.get_float("omega", 0.0), mass=spec.get_float("mass", 1.0)
-        )
+        L = quadratic_curve_lagrangian(grid.dim, omega=spec.get_float("omega", 0.0),
+                                       mass=spec.get_float("mass", 1.0))
     lines.append("shape: " + " ".join(str(n) for n in grid.points.shape[:-1]))
     return _check(lines, L, grid, constraint, constraint_tol, force_tol)
 
 
-def _spec_phase(spec, lines, tol, max_iter):
+def _spec_phase(spec, lines):
     x = spec.get_floats("x", spec.get_metric().dim if spec.has("metric") else 3)
     w = Bivector(spec.get_floats("w", pair_count(x.size)), x.size)
-    L = _lagrangian(spec, x.size, "point x")
+    name, L = _lagrangian(spec, x.size, "point x")
     element = _phase_point(lines, L, x, w)
-    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
-    nambu = spec.get_str("lagrangian", default="plateau").split()[0] == "nambu-goto"
-    family = _from_metric(spec, MorseFamily) if nambu else None
+    tolerance = spec.get_tol("tol", 1e-10)
+    family = _from_metric(spec, MorseFamily) if name == "nambu-goto" else None
     return _phase(lines, L, element, _f(tolerance), family)
 
 
-def _spec_classical(spec, lines, tol, max_iter):
+def _spec_classical(spec, lines):
     grid = read_grid(spec.get_path("curve"))
     if not isinstance(grid, CurveGrid):
         raise SpecError("curve", "classical-el needs a curve grid")
-    system = spec.get_str("system", choices=("free", "oscillator"), default="free")
+    system = " ".join(spec.tokens("system")) if spec.has("system") else "free"
+    if system not in ("free", "oscillator"):
+        raise SpecError("system", f"expected one of free, oscillator; got {system!r}")
     omega = spec.get_float("omega", 1.0 if system == "oscillator" else 0.0)
     L = quadratic_curve_lagrangian(grid.dim, omega=omega, mass=spec.get_float("mass", 1.0))
     lines += [f"system: {system}", f"shape: {grid.points.shape[0]}"]
-    tolerance = tol if tol is not None else spec.get_tol("tol", 1e-10)
-    if spec.has("constraint"):
-        return _check(lines, L, grid, _constraint(spec, grid), tolerance,
-                      spec.get_tol("force-tol", tolerance))
-    return _curve_residual(lines, L, grid, _f(tolerance))
+    return _curve_residual(lines, L, grid, _f(spec.get_tol("tol", 1e-10)))
 
 
-# each command's help line, the spec kinds it runs and the function that runs them
-_SPEC_COMMANDS = {
-    "plateau-solve": ("solve the (constrained) minimal-graph problem",
-                      ("plateau", "constrained-plateau"), _spec_plateau),
-    "nonholonomic-check": ("membership and force-balance check of a sampled candidate",
-                           ("nonholonomic-check",), _spec_nonholonomic),
-    "phase-check": ("phase-space residuals at a phase element", ("phase-check",), _spec_phase),
-    "classical-el": ("curve Euler-Lagrange residuals", ("classical-el",), _spec_classical),
+# each command's help line
+_COMMANDS = {
+    "plateau-solve": "solve the (constrained) minimal-graph problem",
+    "nonholonomic-check": "membership and force-balance check of a sampled candidate",
+    "phase-check": "phase-space residuals at a phase element",
+    "classical-el": "curve Euler-Lagrange residuals",
+}
+
+# each spec kind: the command and the function that run it, the keys it reads
+# besides ``kind``, then the keys --tol replaces and those --max-iter replaces
+_GRAPH = "grid domain shape boundary"
+_KINDS = {
+    "plateau": ("plateau-solve", _spec_plateau, f"{_GRAPH} tol max-iter damping",
+                "tol", "max-iter"),
+    "constrained-plateau": ("plateau-solve", _spec_constrained_plateau,
+                            f"{_GRAPH} fit-tol constraint-tol force-tol", "constraint-tol", ""),
+    "nonholonomic-check": ("nonholonomic-check", _spec_nonholonomic,
+                           "grid constraint lagrangian metric omega mass constraint-tol force-tol",
+                           "constraint-tol force-tol", ""),
+    "phase-check": ("phase-check", _spec_phase, "metric lagrangian x w tol", "tol", ""),
+    "classical-el": ("classical-el", _spec_classical, "curve system omega mass tol", "tol", ""),
 }
 
 
@@ -500,16 +515,23 @@ def run_spec(command: str, path, tol: float | None = None,
              max_iter: int | None = None) -> ScenarioOutcome:
     """Run the problem spec file at ``path`` through ``command``.
 
-    ``tol`` and ``max_iter``, when given, override the file's values;
-    only a ``plateau`` spec has an iteration budget to override.  Input
-    faults raise `SpecError`; an unreadable file raises `OSError`.
+    A key the spec's kind does not read is refused; ``tol`` and ``max_iter``, when
+    given, replace the keys that the kind's row names for them.  Input faults raise
+    `SpecError`; an unreadable file raises `OSError`.
     """
     spec = read_problem_spec(path)
-    _, kinds, run = _SPEC_COMMANDS[command]
+    kinds = [kind for kind, row in _KINDS.items() if row[0] == command]
     if spec.kind not in kinds:
         raise SpecError("kind", f"{spec.kind!r} is not handled by {command}, which runs "
                                 f"{', '.join(kinds)}")
-    if max_iter is not None and spec.kind != "plateau":
-        raise SpecError("kind", f"--max-iter applies to plateau specs only, not to {spec.kind}")
-    return _report(command, f"spec: {os.path.basename(path)}",
-                   lambda lines: run(spec, lines, tol, max_iter))
+    _, run, keys, *replaced = _KINDS[spec.kind]
+    for key, number in spec.lines.items():
+        if key not in ("kind", *keys.split()):
+            raise SpecError(key, f"line {number}: a {spec.kind} spec does not read this key")
+    for (option, cast), value, targets in zip((("--tol", float), ("--max-iter", int)),
+                                               (tol, max_iter), replaced):
+        if value is not None and not targets:
+            raise SpecError("kind", f"a {spec.kind} spec has no key that {option} replaces")
+        if value is not None:  # numpy scalars too, whose repr is not a number
+            spec.entries.update(dict.fromkeys(targets.split(), [repr(cast(value))]))
+    return _report(command, f"spec: {os.path.basename(path)}", lambda lines: run(spec, lines))

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from conftest import random_bivector, random_phase_element2
 from wedgemech.constraints import (
-    annihilator_basis,
+    AffineConstraint2,
     nonholonomic_check,
     nonholonomic_check_curve,
     first_axis_drift_constraint,
@@ -30,7 +30,7 @@ from wedgemech.fields import (
     plateau_lagrangian,
     quadratic_curve_lagrangian,
 )
-from wedgemech.geometry import Metric, index_pairs, pair_count
+from wedgemech.geometry import Bivector, Metric, index_pairs, pair_count
 from wedgemech.plateau import GraphGrid, SolveOptions, divergence_form_residual, solve_plateau
 from wedgemech.scenarios import run_scenario, scenario_names
 from wedgemech.tulczyjew import PhaseElement2, alpha, beta, cotangent_flip
@@ -95,9 +95,7 @@ def _brute_contraction_matrix(u):
 
 def test_criterion_2_annihilator_reproduction():
     with criterion(2, "annihilator basis and kernel oracle"):
-        constraint = symmetric_slope_constraint()
-        _, generators = constraint.at(np.zeros(3))
-        basis = annihilator_basis(generators, 3)
+        basis = symmetric_slope_constraint().annihilator_at(np.zeros(3))
         assert basis.shape == (1, 3)
         target = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         row = basis[0] / np.linalg.norm(basis[0])
@@ -109,7 +107,8 @@ def test_criterion_2_annihilator_reproduction():
             dim = 3 + trial % 2
             count = int(rng.integers(1, pair_count(dim)))
             gens = [random_bivector(rng, dim) for _ in range(count)]
-            computed = annihilator_basis(gens, dim)
+            zero = Bivector(np.zeros(pair_count(dim)), dim)
+            computed = AffineConstraint2(dim, zero, gens).annihilator_at(np.zeros(dim))
             stacked = np.vstack([_brute_contraction_matrix(u) for u in gens])
             oracle = scipy.linalg.null_space(stacked)
             assert computed.shape[0] + np.linalg.matrix_rank(stacked) == dim

@@ -86,6 +86,8 @@ def test_golden_regen_then_compare(monkeypatch, tmp_path, capsys):
         (["plateau-solve", "--scenario", "plane", "--tol", "1e-3"], "scenarios are fixed"),
         (["plateau-solve", "--spec", "x.spec", "--golden-regen"], "builtin scenarios only"),
         (["classical-el", "--spec", "no-such-file.spec"], "cannot read spec"),
+        # the curve checks run as nonholonomic-check, like the surface checks
+        (["classical-el", "--scenario", "constrained-line"], "unknown scenario 'constrained-line'"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):
@@ -178,19 +180,24 @@ _TOL_OVERRIDES = {
                     {"tol": 0.25}),
     "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-9\n",
                      {"tol": 0.25}),
-    "classical-el-constrained": ("classical-el", "kind classical-el\ncurve line.grid\n"
-                                 "constraint builtin first-axis-drift\ntol 1e-9\n"
-                                 "force-tol 1e-4\n", {"constraint-tol": 0.25, "force-tol": 1e-4}),
+    "nonholonomic-check-curve": ("nonholonomic-check", "kind nonholonomic-check\n"
+                                 "grid line.grid\nconstraint builtin first-axis-drift\n"
+                                 "constraint-tol 1e-9\nforce-tol 1e-4\n",
+                                 {"constraint-tol": 0.25, "force-tol": 0.25}),
 }
+
+
+def _override_spec(tmp_path, body):
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
+    return _spec(tmp_path, "t.spec", body)
 
 
 @pytest.mark.parametrize("case", list(_TOL_OVERRIDES))
 def test_spec_tol_replaces_these_keys_and_max_iter_only_plateaus(tmp_path, capsys, case):
     command, body, shown = _TOL_OVERRIDES[case]
-    xs = np.linspace(0.0, 1.0, 9)
-    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
-    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
-    spec = _spec(tmp_path, "t.spec", body)
+    spec = _override_spec(tmp_path, body)
     assert main([command, "--spec", spec, "--tol", "0.25"]) in (0, 2)
     fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
     assert {key: float(fields[key]) for key in shown} == shown
@@ -202,6 +209,16 @@ def test_spec_tol_replaces_these_keys_and_max_iter_only_plateaus(tmp_path, capsy
         kind = body.split("\n")[0].split()[1]
         assert (code, out) == (1, "")
         assert "--max-iter" in err and kind in err
+
+
+@pytest.mark.parametrize("case", list(_TOL_OVERRIDES))
+def test_run_spec_takes_numpy_scalars_as_overrides(tmp_path, case):
+    command, body, _ = _TOL_OVERRIDES[case]
+    spec = _override_spec(tmp_path, body)
+    budgets = (3, np.int64(3)) if case == "plateau" else (None, None)
+    python = run_spec(command, spec, 0.25, budgets[0])
+    numpy = run_spec(command, spec, np.float64(0.25), budgets[1])
+    assert (numpy.report, numpy.passed) == (python.report, python.passed)
 
 
 def test_spec_constrained_plateau_feasible(tmp_path, capsys):
@@ -291,7 +308,7 @@ def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, argv, 
     assert message in capsys.readouterr().err
 
 
-def test_spec_classical_with_constraint(tmp_path, capsys):
+def test_spec_nonholonomic_curve(tmp_path, capsys):
     for fname, fn, code in [
         ("ok.grid", lambda t: (t, 0.7), 0),
         ("bad.grid", lambda t: (t, t), 2),
@@ -300,69 +317,60 @@ def test_spec_classical_with_constraint(tmp_path, capsys):
         spec = _spec(
             tmp_path,
             "c.spec",
-            f"kind classical-el\ncurve {fname}\nconstraint builtin first-axis-drift\n"
-            "tol 1e-10\n",
+            f"kind nonholonomic-check\ngrid {fname}\nconstraint builtin first-axis-drift\n"
+            "constraint-tol 1e-10\n",
         )
-        assert main(["classical-el", "--spec", spec]) == code
+        assert main(["nonholonomic-check", "--spec", spec]) == code
         capsys.readouterr()
 
 
 def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
     line3 = CurveGrid.sample(lambda t: (t, 0.7, -0.2), 0.0, 1.0, 101)
     write_grid(tmp_path / "line3.grid", line3)
-    for command, kind, field in [
-        ("classical-el", "classical-el", "curve"),
-        ("nonholonomic-check", "nonholonomic-check", "grid"),
-    ]:
-        spec = _spec(
-            tmp_path,
-            "c3.spec",
-            f"kind {kind}\n{field} line3.grid\nconstraint builtin first-axis-drift\n"
-            "tol 1e-10\nconstraint-tol 1e-10\n",
-        )
-        assert main([command, "--spec", spec]) == 0
-        assert capsys.readouterr().out.endswith("result: PASS\n")
+    spec = _spec(tmp_path, "c3.spec", "kind nonholonomic-check\ngrid line3.grid\n"
+                 "constraint builtin first-axis-drift\nconstraint-tol 1e-10\n")
+    assert main(["nonholonomic-check", "--spec", spec]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
     # a builtin of another dimension only, or of no name known, is an error of the spec's line
     write_grid(tmp_path / "line2.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 101))
     for name, message in [("example7", "example7 is a constraint in dimension 3, not 2"),
                           ("nope", "unknown builtin 'nope'")]:
-        spec = _spec(tmp_path, "c2.spec",
-                     f"kind classical-el\ncurve line2.grid\nconstraint builtin {name}\n")
-        assert main(["classical-el", "--spec", spec]) == 1
+        spec = _spec(tmp_path, "c2.spec", f"kind nonholonomic-check\ngrid line2.grid\n"
+                     f"constraint builtin {name}\nconstraint-tol 1e-10\n")
+        assert main(["nonholonomic-check", "--spec", spec]) == 1
         assert f"spec error: constraint: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "command, constraint, fragments",
+    "grid, constraint, fragments",
     [
-        ("nonholonomic-check", "dimension 3\nsection 1 2 nan\n", ("section:", "finite")),
-        ("nonholonomic-check", "dimension 3\nsection 1 2 inf\n", ("section:", "finite")),
-        ("nonholonomic-check", "dimension 3\nsection 1 2 1\ngenerator 1 3 inf\n",
+        ("plane.grid", "dimension 3\nsection 1 2 nan\n", ("section:", "finite")),
+        ("plane.grid", "dimension 3\nsection 1 2 inf\n", ("section:", "finite")),
+        ("plane.grid", "dimension 3\nsection 1 2 1\ngenerator 1 3 inf\n",
          ("generator:", "finite")),
-        ("classical-el", "kind curve\ndimension -1\nsection 1 1\n", ("dimension:", "at least 1")),
-        ("classical-el", "kind curve\ndimension 2\nsection 1 inf\n", ("section:", "finite")),
+        ("line.grid", "kind curve\ndimension -1\nsection 1 1\n", ("dimension:", "at least 1")),
+        ("line.grid", "kind curve\ndimension 2\nsection 1 inf\n", ("section:", "finite")),
         # slot arrays past the intp range, and of 4e18 bytes: no address space holds them
-        ("nonholonomic-check", "dimension 10000000000\nsection 1 2 1\n",
+        ("plane.grid", "dimension 10000000000\nsection 1 2 1\n",
          ("dimension:", "line 1:", "more than an array can index")),
-        ("nonholonomic-check", "# slots\ndimension 1000000000\nsection 1 2 1\n",
+        ("plane.grid", "# slots\ndimension 1000000000\nsection 1 2 1\n",
          ("dimension:", "line 2:", "do not fit in memory")),
-        ("nonholonomic-check", "kind curve\ndimension 3\nsection 1 1\n",
+        ("plane.grid", "kind curve\ndimension 3\nsection 1 1\n",
          ("constraint:", "surface grids need a surface constraint")),
     ],
     ids=["surface-section-nan", "surface-section-inf", "surface-generator-inf",
          "curve-dimension-negative", "curve-section-inf", "dimension-past-intp",
          "dimension-past-memory", "curve-constraint-on-surface"],
 )
-def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, command, constraint,
+def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, grid, constraint,
                                                     fragments):
     xs = np.linspace(0.0, 1.0, 9)
     write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
     write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
     (tmp_path / "c.constraint").write_text(constraint)
-    body = {"nonholonomic-check": "grid plane.grid\nconstraint-tol 1e-6\n",
-            "classical-el": "curve line.grid\ntol 1e-8\n"}[command]
-    spec = _spec(tmp_path, "c.spec", f"kind {command}\nconstraint c.constraint\n{body}")
-    assert main([command, "--spec", spec]) == 1
+    spec = _spec(tmp_path, "c.spec", "kind nonholonomic-check\nconstraint c.constraint\n"
+                 f"grid {grid}\nconstraint-tol 1e-6\n")
+    assert main(["nonholonomic-check", "--spec", spec]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
@@ -422,6 +430,94 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
     spec = _spec(tmp_path, "p.spec", "kind plateau\ncolour red\n")
     assert main(["plateau-solve", "--spec", spec]) == 1
     assert "colour" in capsys.readouterr().err
+
+
+# a key some other kind reads, or none does, in a spec of a kind that does not read it
+@pytest.mark.parametrize(
+    "command, body, key, number",
+    [
+        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\nr 1\n",
+         "r", 5),
+        ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\n"
+         "boundary diagonal-plane 2 -1\nmax-iter 3\n", "max-iter", 5),
+        ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\n"
+         "boundary diagonal-plane 2 -1\ndamping 0.5\n", "damping", 5),
+        ("phase-check", "kind phase-check\nshape 9 9\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\n",
+         "shape", 2),
+        ("nonholonomic-check", "kind nonholonomic-check\ngrid line.grid\n"
+         "constraint builtin first-axis-drift\ntol 1e-10\nconstraint-tol 1e-10\n", "tol", 4),
+        ("classical-el", "kind classical-el\ncurve line.grid\n"
+         "constraint builtin first-axis-drift\ntol 1e-10\n", "constraint", 3),
+        ("classical-el", "kind classical-el\ncurve line.grid\nforce-tol 1e-4\n", "force-tol", 3),
+        ("classical-el", "kind classical-el\n# a comment\ncurve line.grid\nlagrangian plateau\n",
+         "lagrangian", 4),
+    ],
+    ids=["plateau-r", "constrained-max-iter", "constrained-damping", "phase-shape",
+         "check-tol", "classical-constraint", "classical-force-tol", "classical-lagrangian"],
+)
+def test_spec_key_its_kind_does_not_read_is_refused(tmp_path, capsys, command, body, key,
+                                                     number):
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 101))
+    kind = body.split("\n")[0].split()[1]
+    spec = _spec(tmp_path, "k.spec", body)
+    for options in ([], ["--tol", "1e-3"]):
+        assert main([command, "--spec", spec, *options]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"wedgemech: spec error: {key}: line {number}: a {kind} spec does "
+                       "not read this key\n")
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("phase-check", "kind phase-check\nmetric euclidean 3\nlagrangian quadratic\n",
+         "lagrangian: unknown lagrangian 'quadratic'"),
+        ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+         "constraint builtin example7\nconstraint-tol 1e-6\nlagrangian quadratic\n"
+         "metric euclidean 3\n", "lagrangian: unknown lagrangian 'quadratic'"),
+        ("phase-check", "kind phase-check\nmetric euclidean 3\nlagrangian nambu-goto extra words\n",
+         "lagrangian: nambu-goto takes no arguments, got 'extra words'"),
+        ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
+         "constraint builtin example7\nconstraint-tol 1e-6\nlagrangian plateau 3\n",
+         "lagrangian: plateau takes no arguments, got '3'"),
+        ("phase-check", "kind phase-check\nlagrangian custom-table h.tbl more\n",
+         "lagrangian: custom-table takes a path"),
+        ("classical-el", "kind classical-el\ncurve cos.grid\nsystem oscillator extra\n",
+         "system: expected one of free, oscillator; got 'oscillator extra'"),
+        ("classical-el", "kind classical-el\ncurve cos.grid\nsystem free oscillator\n",
+         "system: expected one of free, oscillator; got 'free oscillator'"),
+    ],
+    ids=["phase-quadratic", "check-quadratic", "phase-nambu-goto-trailing",
+         "check-plateau-trailing", "custom-table-trailing", "system-trailing",
+         "system-two-names"],
+)
+def test_spec_name_line_with_other_words_is_refused(tmp_path, capsys, command, body, message):
+    # one name per Lagrangian and per system, and nothing after a name that takes no argument
+    _plane_grid(tmp_path)
+    write_grid(tmp_path / "cos.grid",
+               CurveGrid.sample(lambda t: (np.cos(t),), 0.0, 2.0 * np.pi, 1001))
+    body += "x 0.1 -0.2 0.3\nw 1 0.25 -0.5\n" if command == "phase-check" else ""
+    assert main([command, "--spec", _spec(tmp_path, "n.spec", body)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"wedgemech: spec error: {message}\n")
+
+
+def test_spec_curve_check_reproduces_the_constrained_line_scenarios(tmp_path, capsys):
+    # the scenarios' curves as grid files; a spec writes shape: where they write their titles
+    for name, fn in (("constrained-line", lambda t: (t, 0.7)),
+                     ("constrained-line-violating", lambda t: (t, t))):
+        write_grid(tmp_path / "c.grid", CurveGrid.sample(fn, 0.0, 1.0, 101))
+        spec = _spec(tmp_path, "c.spec", "kind nonholonomic-check\ngrid c.grid\n"
+                     "constraint builtin first-axis-drift\nconstraint-tol 1e-10\n")
+        code = main(["nonholonomic-check", "--spec", spec])
+        report = capsys.readouterr().out.splitlines()
+        with open(os.path.join(cli._GOLDEN_DIR, f"{name}.txt"), encoding="ascii") as handle:
+            golden = handle.read().splitlines()
+        assert report[:4] == ["wedgemech report", "command: nonholonomic-check", "spec: c.spec",
+                              "shape: 101"]
+        assert report[4:] == golden[golden.index("constraint-tol: 1e-10"):]
+        assert code == (0 if golden[-1] == "result: PASS" else 2)
 
 
 @pytest.mark.parametrize(
@@ -561,11 +657,10 @@ _TABLE_4D = "dimension 4\n" + "".join(
     "command, lagrangian",
     [
         ("nonholonomic-check", "lagrangian nambu-goto\nmetric euclidean 4\n"),
-        ("nonholonomic-check", "lagrangian quadratic\nmetric euclidean 4\n"),
         ("nonholonomic-check", "lagrangian custom-table h4.tbl\n"),
         ("phase-check", "lagrangian custom-table h4.tbl\n"),
     ],
-    ids=["check-nambu-goto", "check-quadratic", "check-custom-table", "phase-custom-table"],
+    ids=["check-nambu-goto", "check-custom-table", "phase-custom-table"],
 )
 def test_spec_lagrangian_dimension_mismatch_names_lagrangian(tmp_path, capsys, command,
                                                              lagrangian):
@@ -590,9 +685,7 @@ _CHECK = _TABLE_READERS["nonholonomic-check"]
         # induced minors of 1e200 square past the largest double
         ("nonholonomic-check", f"lagrangian nambu-goto\n{_HUGE}{_CHECK}",
          ("metric: explicit 1e200", "coefficients must be finite")),
-        ("nonholonomic-check", f"lagrangian quadratic\n{_HUGE}{_CHECK}",
-         ("metric: explicit 1e200", "coefficients must be finite")),
-        ("phase-check", f"lagrangian quadratic\n{_HUGE}{_TABLE_READERS['phase-check']}",
+        ("phase-check", f"lagrangian nambu-goto\n{_HUGE}{_TABLE_READERS['phase-check']}",
          ("metric: explicit 1e200", "coefficients must be finite")),
         # the induced minors are subnormal; the dual ones, of 1e155, overflow in the Morse family
         ("phase-check", f"lagrangian nambu-goto\n{_TINY}{_TABLE_READERS['phase-check']}",
@@ -601,7 +694,7 @@ _CHECK = _TABLE_READERS["nonholonomic-check"]
          ("lagrangian:", "custom-table takes a path")),
         ("classical-el", "curve plane.grid\n", ("curve:", "needs a curve grid")),
     ],
-    ids=["check-nambu-goto-overflow", "check-quadratic-overflow", "phase-quadratic-overflow",
+    ids=["check-nambu-goto-overflow", "phase-nambu-goto-overflow",
          "phase-dual-overflow", "custom-table-without-path", "classical-el-surface-curve"],
 )
 def test_spec_lagrangian_input_rejection_names_field(tmp_path, capsys, command, body, fragments):
@@ -764,7 +857,7 @@ _NUMBER_SPECS = {
                             "shape 9 9\nboundary diagonal-plane 2 -1\nfit-tol 1e-9\n"
                             "constraint-tol 1e-5\nforce-tol 1e-4\n"),
     "nonholonomic-check": ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
-                           "constraint builtin example7\nlagrangian quadratic\n"
+                           "constraint builtin example7\nlagrangian nambu-goto\n"
                            "metric explicit 1 0 0 0 1 0 0 0 1\nconstraint-tol 1e-6\n"
                            "force-tol 1e-6\n"),
     "nonholonomic-check-curve": ("nonholonomic-check", "kind nonholonomic-check\n"
@@ -773,8 +866,7 @@ _NUMBER_SPECS = {
     "phase-check": ("phase-check", "kind phase-check\nmetric explicit 1 0 0 0 1 0 0 0 1\n"
                     "lagrangian nambu-goto\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\ntol 1e-10\n"),
     "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\nsystem oscillator\n"
-                     "omega 1\nmass 1\nconstraint builtin first-axis-drift\ntol 1e-8\n"
-                     "force-tol 1e-4\n"),
+                     "omega 1\nmass 1\ntol 1e-8\n"),
 }
 
 
@@ -917,14 +1009,15 @@ def test_scenario_listing_by_command():
     }
 
 
-def test_commands_and_their_help_come_from_the_spec_table():
-    from wedgemech.scenarios import _SPEC_COMMANDS
+def test_commands_and_their_help_come_from_the_command_table():
+    from wedgemech.scenarios import _COMMANDS, _KINDS
 
-    assert cli.COMMANDS == tuple(_SPEC_COMMANDS)
+    assert cli.COMMANDS == tuple(_COMMANDS)
+    assert {row[0] for row in _KINDS.values()} == set(cli.COMMANDS)
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     assert tuple(sub.choices) == cli.COMMANDS
     helps = {action.dest: action.help for action in sub._choices_actions}
-    assert helps == {command: entry[0] for command, entry in _SPEC_COMMANDS.items()}
+    assert helps == _COMMANDS
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():

@@ -35,13 +35,15 @@ _CASES = {
     ),
     "curve-explicit": (
         "kind curve\ndimension 2\nsection 1 1\ngenerator 1 1\n",
-        "classical-el",
-        "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
+        "nonholonomic-check",
+        "kind nonholonomic-check\ngrid line.grid\nconstraint mutated.constraint\n"
+        "constraint-tol 1e-8\n",
     ),
     "curve-first-axis-drift": (  # every component written out, zeros included
         "kind curve\ndimension 2\nsection 1 1 2 0\ngenerator 1 1 2 0\n",
-        "classical-el",
-        "kind classical-el\ncurve line.grid\nconstraint mutated.constraint\ntol 1e-8\n",
+        "nonholonomic-check",
+        "kind nonholonomic-check\ngrid line.grid\nconstraint mutated.constraint\n"
+        "constraint-tol 1e-8\n",
     ),
 }
 

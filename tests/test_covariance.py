@@ -52,13 +52,32 @@ other, up to the rounding of the mapped points: eps |x|/h in each
 tangent, times |T| in the wedge (the excess measured 0.6 eps |x| |T|/h),
 and eps |x|/h^2 in the force as above (0.6).  The verdicts, whose
 tolerances sit far from every defect, do not change.
+
+A curve check in the plane is mapped the same way: the curve by an
+orthogonal A, the section and the generator by A itself (velocities are
+vectors), the quadratic curve Lagrangian unchanged (it is O(n)-invariant).
+One generator in dimension 2 leaves a one-dimensional annihilator, so the
+multiplier keeps its magnitude (measured 1.7 eps |x|/h^2), and so does
+the membership defect eta . (v - a), a scalar too, under every orthogonal
+A: exactly under the first-axis drift's signed permutations, within
+1.2 eps |v - a| under the turning drift's, and within 0.6 eps |x|/h under
+a rotation, the rounding of the mapped points through one derivative.
+The orthogonal force is a vector, so its sup-norms agree to roundoff
+under a signed permutation (measured exactly) and stay within sqrt(2) of
+each other under a rotation (excess measured 0.06 eps |x|/h^2).  cond(A)
+is 1 throughout, and the factor of 64 applies again.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_phase_element2
-from wedgemech.constraints import AffineConstraint2, nonholonomic_check, symmetric_slope_constraint
+from wedgemech.constraints import (
+    AffineConstraint1,
+    AffineConstraint2,
+    nonholonomic_check,
+    symmetric_slope_constraint,
+)
 from wedgemech.fields import (
     MorseFamily,
     euler_pairing,
@@ -331,3 +350,60 @@ def test_nonholonomic_check_is_covariant(case):
             for (got, want), tol in zip(pairs, (member_tol, force_tol)):
                 assert (got <= np.sqrt(3.0) * want + tol).all()
                 assert (want <= np.sqrt(3.0) * got + tol).all()
+
+
+_E1 = np.array([1.0, 0.0])  # the section and generator of the first-axis drift
+
+
+def _turning_drift(x):
+    """Drift direction (1, x - 0.2), the section and generator of a curve constraint
+    that turns with x, like the benchmark's rotating curve check."""
+    return np.array([1.0, x[0] - 0.2])
+
+
+def _curve_constraint(field, A):
+    """Section and generator ``field`` in the coordinates x' = A x, A orthogonal:
+    moved by A, a callable also read at A^T x'."""
+    moved = (lambda x: A @ field(x @ A)) if callable(field) else A @ field  # noqa: E731
+    return AffineConstraint1(2, moved, [moved])
+
+
+# (section and generator, curve on [0, 1], omega, membership verdict,
+# force-balance verdict) under the tolerances 1e-6 and 0.1; each defect is
+# 0 to roundoff, at most 0.0025, or at least 0.38
+_CURVE_CHECKS = {
+    "drift-oscillator": (_E1, lambda t: (np.sin(t), 0.7), 1.0, True, True),
+    "drift-violating": (_E1, lambda t: (np.sin(t), t), 1.0, False, True),
+    "turning-satisfied": (_turning_drift, lambda t: (t, t * t / 2 - 0.2 * t + 0.1), 0.0,
+                          True, False),
+    "turning-violating": (_turning_drift, lambda t: (t, 0.75 * t * t - 0.2 * t + 0.1), 0.0,
+                          False, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_CURVE_CHECKS))
+def test_nonholonomic_curve_check_is_covariant(case):
+    field, curve, omega, member, balanced = _CURVE_CHECKS[case]
+    grid, L = CurveGrid.sample(curve, 0.0, 1.0, 101), quadratic_curve_lagrangian(2, omega=omega)
+    report = nonholonomic_check(L, grid, _curve_constraint(field, np.eye(2)), 1e-6, 0.1)
+    assert (report.constraint_passed, report.dalembert_passed) == (member, balanced)
+    h, x_max = grid.steps[0], np.abs(grid.points).max()
+    section = np.array([field(x) if callable(field) else field for x in grid.points[1:-1]])
+    defect = np.abs(velocity_prolongation(grid)[1:-1] - section).max()
+    force_tol = _FACTOR * _EPS * x_max / h ** 2
+    rng = np.random.default_rng(1200 + list(_CURVE_CHECKS).index(case))
+    for A in _orthogonal_changes(rng, 2, 8):
+        mapped = nonholonomic_check(L, CurveGrid(h, grid.points @ A.T),
+                                    _curve_constraint(field, A), 1e-6, 0.1)
+        assert (mapped.constraint_passed, mapped.dalembert_passed) == (member, balanced)
+        # multiplier and membership defect are scalars: only their signs may change
+        assert np.abs(np.abs(mapped.multipliers) - np.abs(report.multipliers)).max() <= force_tol
+        permutation = np.array_equal(np.abs(A), np.abs(A).round())
+        member_tol = _FACTOR * _EPS * (defect if permutation else x_max / h)
+        assert np.abs(mapped.constraint_residuals - report.constraint_residuals).max() <= member_tol
+        got, want = mapped.orthogonal_norms, report.orthogonal_norms
+        if permutation:
+            assert np.abs(got - want).max() <= force_tol
+        else:  # sup-norms of a vector and its rotation: within sqrt(2) of each other
+            assert (got <= np.sqrt(2.0) * want + force_tol).all()
+            assert (want <= np.sqrt(2.0) * got + force_tol).all()

@@ -96,8 +96,46 @@ def test_read_grid_detects_missing_node(tmp_path):
     write_grid(tmp_path / "ok.grid", grid)
     lines = (tmp_path / "ok.grid").read_text().splitlines()
     lines[-1] = lines[-2]
-    with pytest.raises(SpecError, match="rows: some nodes are missing"):
+    with pytest.raises(SpecError, match=r"^rows: node \(4, 4\) is missing$"):
         read_grid(_write(tmp_path / "dup.grid", "\n".join(lines) + "\n"))
+
+
+def _grid_9x9_lines(tmp_path):
+    """The lines of a 9 x 9 surface grid file; row (i, j) is line 5 + 9 i + j."""
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, t * s), (0.0, 1.0, 9), (0.0, 1.0, 9))
+    write_grid(tmp_path / "ok.grid", grid)
+    return (tmp_path / "ok.grid").read_text().splitlines()
+
+
+def test_read_grid_names_the_row_of_a_non_finite_node(tmp_path):
+    lines = _grid_9x9_lines(tmp_path)
+    number = 5 + 9 * 3 + 4
+    tokens = lines[number - 1].split()
+    assert tokens[:2] == ["3", "4"]
+    lines[number - 1] = " ".join(tokens[:4] + ["nan"])
+    with pytest.raises(SpecError) as err:
+        read_grid(_write(tmp_path / "nan.grid", "\n".join(lines) + "\n"))
+    assert str(err.value) == (f"rows: line {number}: expected finite numbers, "
+                              f"got {tokens[2:4] + ['nan']}")
+
+
+def test_read_grid_names_the_node_a_duplicated_index_leaves_missing(tmp_path):
+    # row (3, 4) is written with the index of row (3, 3): node (3, 4) has no row
+    lines = _grid_9x9_lines(tmp_path)
+    number = 5 + 9 * 3 + 4
+    lines[number - 1] = " ".join(["3", "3"] + lines[number - 1].split()[2:])
+    with pytest.raises(SpecError) as err:
+        read_grid(_write(tmp_path / "dup.grid", "\n".join(lines) + "\n"))
+    assert str(err.value) == "rows: node (3, 4) is missing"
+
+
+def test_read_curve_grid_names_its_missing_node(tmp_path):
+    write_grid(tmp_path / "ok.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 9))
+    lines = (tmp_path / "ok.grid").read_text().splitlines()
+    lines[5] = "0" + lines[5][1:]  # the row of node 1 repeats index 0
+    with pytest.raises(SpecError) as err:
+        read_grid(_write(tmp_path / "dup.grid", "\n".join(lines) + "\n"))
+    assert str(err.value) == "rows: node 1 is missing"
 
 
 def test_read_grid_curve_header_check(tmp_path):
@@ -423,6 +461,7 @@ def test_problem_spec_accessors(tmp_path):
     )
     spec = read_problem_spec(_write(tmp_path / "p.spec", text))
     assert spec.kind == "plateau"
+    assert spec.lines == {"kind": 2, "grid": 3, "tol": 4, "max-iter": 5, "metric": 6, "domain": 7}
     assert spec.has("tol") and not spec.has("damping")
     assert spec.get_float("tol") == 1e-9
     assert spec.get_float("fit-tol", default=1e-8) == 1e-8
@@ -446,7 +485,6 @@ def test_problem_spec_metric_families(tmp_path):
     "text, field",
     [
         ("grid g.grid\n", "kind"),
-        ("kind plateau\ncolor red\n", "color"),
         ("kind plateau\ntol 1e-9\ntol 1e-9\n", "tol"),
         ("kind plateau\nmetric explicit 1 2 3\n", "metric"),
         ("kind plateau\nmetric conformal 3\n", "metric"),
@@ -457,7 +495,6 @@ def test_problem_spec_metric_families(tmp_path):
         ("kind plateau\nmax-iter nan\n", "max-iter"),
         ("kind plateau\nmax-iter inf\n", "max-iter"),
         ("kind plateau\n# caf\u00e9\n", "encoding"),
-        ("kind plateau\nr 1\n", "r"),  # no problem kind reads r
     ],
 )
 def test_problem_spec_rejects(tmp_path, text, field):

@@ -20,8 +20,8 @@ _REPLACEMENTS = ("-1", "0", "1", "nan", "inf", "-inf", "1e400", "abc", "1.5",
                  "123456789012345678901234567890")
 
 # one spec per problem kind with the command that runs it, named by the kind
-# (the plain plateau spec by its command); the nonholonomic and classical
-# specs read the grids `spec_grids` writes
+# (the plain plateau spec by its command), and the curve check; the
+# nonholonomic and classical specs read the grids `spec_grids` writes
 _SPECS = {
     "phase-check": ("phase-check", (
         "kind phase-check\nmetric euclidean 3\nlagrangian nambu-goto\n"
@@ -37,11 +37,14 @@ _SPECS = {
     )),
     "nonholonomic-check": ("nonholonomic-check", (
         "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
-        "lagrangian quadratic\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
+        "lagrangian nambu-goto\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
+    )),
+    "nonholonomic-check-curve": ("nonholonomic-check", (
+        "kind nonholonomic-check\ngrid line.grid\nconstraint builtin first-axis-drift\n"
+        "omega 1\nmass 1\nconstraint-tol 1e-8\nforce-tol 1e-6\n"
     )),
     "classical-el": ("classical-el", (
-        "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\n"
-        "constraint builtin first-axis-drift\ntol 1e-8\n"
+        "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\ntol 1e-8\n"
     )),
 }
 
@@ -75,9 +78,9 @@ def test_mutated_spec_exits_with_a_code(spec_grids, name, data):
 # whose square underflows, and the smallest subnormal
 _EXTREMES = ("1e300", "-1e300", "1e-300", "1e155", "5e-324")
 
-# one spec per command, the checks with a constraint and an induced-metric
-# Lagrangian, and the two commands that build fiber metrics once more from an
-# explicit metric; they read the grids `spec_grids` writes
+# one spec per command, the surface check with an induced-metric Lagrangian,
+# the curve check, and the two commands that build fiber metrics once more
+# from an explicit metric; they read the grids `spec_grids` writes
 _EXPLICIT = "metric explicit 1 0 0 0 1 0 0 0 1\n"
 _EXTREME_SPECS = {
     "plateau-solve": ("plateau-solve", (
@@ -86,7 +89,11 @@ _EXTREME_SPECS = {
     )),
     "nonholonomic-check": ("nonholonomic-check", (
         "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
-        "lagrangian quadratic\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
+        "lagrangian nambu-goto\nmetric euclidean 3\nconstraint-tol 1e-6\nforce-tol 1e-6\n"
+    )),
+    "nonholonomic-check-curve": ("nonholonomic-check", (
+        "kind nonholonomic-check\ngrid line.grid\nconstraint builtin first-axis-drift\n"
+        "omega 1\nmass 1\nconstraint-tol 1e-8\nforce-tol 1e-6\n"
     )),
     "nonholonomic-check-explicit-metric": ("nonholonomic-check", (
         "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"
@@ -101,8 +108,7 @@ _EXTREME_SPECS = {
         "x 0.1 -0.2 0.3\nw 1.0 0.25 -0.5\ntol 1e-10\n"
     )),
     "classical-el": ("classical-el", (
-        "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\n"
-        "constraint builtin first-axis-drift\ntol 1e-8\n"
+        "kind classical-el\ncurve line.grid\nsystem oscillator\nomega 1\nmass 1\ntol 1e-8\n"
     )),
 }
 
