@@ -23,23 +23,23 @@ All steps work on stacks of nodes.  A point-dependent constraint is
 evaluated in one flat pass per field: the base points are flattened to
 rows once, a constant field is broadcast to every node, and a callable
 field (a function of one base point) is called once per row; its values
-are stacked and validated in one step, so a value that is not a velocity
+are checked and stacked in one pass, so a value that is not a velocity
 element of the constraint raises `ValueError` naming the field and the
 node.  The generator stacks of all nodes are then grouped by their bytes,
 once per check, and each distinct stack is decomposed once: one batched
-rank test for linear independence and one batched singular value
-decomposition for the annihilator, whose rows are gathered back to the
-nodes.  A generator that depends on one coordinate repeats down a grid
-column, and a constant-returning callable gives a single stack; a
-constant constraint is the one-stack case of the same code, without node
-axes.  A singular value kept by the rank cutoff but within a factor of
-ten of it makes the kernel dimension ill-determined; that, like an
-annihilator dimension that changes between nodes, raises
-`RankDecisionError` instead of being silently resolved.  Values at or
-below the cutoff are already
+singular value decomposition for the annihilator, whose rows are gathered
+back to the nodes and whose singular values decide a degree-1 stack's
+linear independence (a degree-2 stack's is a batched rank test of its
+slots).  A generator that depends on one coordinate repeats down a grid
+column, and a constant-returning callable gives a single stack; a constant
+constraint is the one-stack case of the same code, without node axes.  A
+singular value kept by the rank cutoff but within a factor of ten of it
+makes the kernel dimension ill-determined; that, like an annihilator
+dimension that changes between nodes, raises `RankDecisionError` instead
+of being silently resolved.  Values at or below the cutoff are already
 indistinguishable from zero at working precision (an exact kernel's
-computed singular value lands there), so no gradation below the cutoff
-is meaningful.
+computed singular value lands there), so no gradation below the cutoff is
+meaningful.
 """
 
 from __future__ import annotations
@@ -98,16 +98,27 @@ def _distinct(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+def _require_independent(rank: np.ndarray, generators: np.ndarray, inverse: np.ndarray,
+                         points: np.ndarray):
+    """Refuse distinct generator stacks (U, g, s) of ``rank`` (U,) below g, naming
+    the first node (in C order) of ``points`` (..., dim) whose stack that is."""
+    dependent = (rank < generators.shape[-2])[inverse]
+    if np.any(dependent):
+        point = points.reshape(-1, points.shape[-1])[np.argmax(dependent)]
+        raise ValueError(f"constraint generators are linearly dependent at x = {point.tolist()}")
+
+
 def _annihilator(generators: np.ndarray, inverse: np.ndarray, degree: int, dim: int,
-                 points=None) -> np.ndarray:
+                 points: np.ndarray) -> np.ndarray:
     """Orthonormal annihilator rows (..., r, dim) at nodes (...) whose generator
     stacks are ``generators[inverse]``, given distinct stacks (U, g, s).
 
     Each distinct stack is decomposed once, in one batched SVD, and its rows
     are gathered back to the nodes through ``inverse``.  Rank is decided per
-    contraction matrix by the usual cutoff ``max(shape) * eps * sigma_max``;
-    singular values kept by the cutoff but within a factor 10 of it raise
-    instead of guessing, and so does a rank that differs between nodes.
+    contraction matrix by the usual cutoff ``max(shape) * eps * sigma_max``,
+    which for a degree-1 stack, its own contraction matrix, is its independence
+    test too.  Singular values kept by the cutoff but within a factor 10 of it
+    raise instead of guessing, and so does a rank that differs between nodes;
     ``points`` (..., dim) name the first such node, in C order, in those errors.
     """
     nodes = inverse.shape
@@ -116,6 +127,9 @@ def _annihilator(generators: np.ndarray, inverse: np.ndarray, degree: int, dim: 
     mats = _maps(generators, degree, dim).reshape(len(generators), -1, dim)
     _, s, vh = np.linalg.svd(mats, full_matrices=True)
     cutoff = max(mats.shape[-2:]) * np.finfo(float).eps * s[:, :1]
+    rank = np.sum(s > cutoff, axis=-1)
+    _require_independent(rank if degree == 1 else np.linalg.matrix_rank(generators),
+                         generators, inverse, points)
     ambiguous = (s > cutoff) & (s < cutoff * 10.0)
     flagged = ambiguous.any(axis=-1)[inverse]
     if flagged.any():
@@ -128,7 +142,7 @@ def _annihilator(generators: np.ndarray, inverse: np.ndarray, degree: int, dim: 
             f"{element} annihilator{where}: singular value {s[stack][k]:.3e} sits within a "
             f"factor 10 of the rank cutoff {cutoff[stack][0]:.3e}; refine the generators or rescale"
         )
-    rank = np.sum(s > cutoff, axis=-1)[inverse]
+    rank = rank[inverse]
     first = int(rank.flat[0])
     if np.any(rank != first):
         node = np.unravel_index(np.argmax(rank != first), nodes)
@@ -183,18 +197,18 @@ class AffineConstraint:
 
     def _stacked(self, values: list, size: int) -> np.ndarray | None:
         """Callable values at N nodes as one (N, size) array, or None unless
-        every one is a velocity element of this constraint."""
+        every one is a velocity element of this constraint.  Each value is
+        converted and checked once: a `Bivector`'s slots are finite already."""
         try:
             if self.degree == 2:
-                if not all(isinstance(v, Bivector) for v in values):
-                    return None
-                values = [v.slots for v in values]
-            stacked = np.array(values, dtype=float)
+                rows = [u.slots for u in values if isinstance(u, Bivector)]
+                stacked, valid = np.array(rows), len(rows) == len(values)
+            else:
+                stacked = np.array(values, dtype=float)
+                valid = np.isfinite(stacked).all()
         except (TypeError, ValueError):
             return None
-        if stacked.shape != (len(values), size) or not np.isfinite(stacked).all():
-            return None
-        return stacked
+        return stacked if valid and stacked.shape == (len(values), size) else None
 
     def _fields_at(self, x: np.ndarray):
         """Section (..., s) at base points (..., dim), as vectors or bivector
@@ -203,9 +217,9 @@ class AffineConstraint:
 
         The base points are flattened to rows once.  A constant field is
         written to every node by one broadcast; a callable is called once
-        per row and its values are stacked and validated in one step.  The
-        generator stacks are grouped by their bytes and each distinct one
-        is tested for linear independence once.
+        per row and its values are checked and stacked in one pass.  The
+        generator stacks are grouped by their bytes, so that each distinct
+        one is tested for linear independence once, by `at` or `_annihilator`.
         """
         x = np.asarray(x, dtype=float)
         if self.constant:
@@ -225,17 +239,13 @@ class AffineConstraint:
                 raise ValueError(f"{_field_name(k)} at x = {points[node].tolist()} must be {problem}")
             values[:, k] = stacked
         first, inverse = _distinct(values[:, 1:])
-        generators = values[first, 1:]
-        if generators.shape[-2]:
-            dependent = (np.linalg.matrix_rank(generators) < generators.shape[-2])[inverse]
-            if np.any(dependent):
-                raise ValueError(f"constraint generators are linearly dependent at "
-                                 f"x = {points[np.argmax(dependent)].tolist()}")
-        return values[:, 0].reshape(nodes + (size,)), generators, inverse.reshape(nodes)
+        return values[:, 0].reshape(nodes + (size,)), values[first, 1:], inverse.reshape(nodes)
 
     def at(self, x):
         """Section and generators at a base point, with independence checked."""
         section, generators, inverse = self._fields_at(x)
+        _require_independent(np.linalg.matrix_rank(generators), generators, inverse,
+                             np.asarray(x, dtype=float))
         element = (lambda s: Bivector(s, self.dim)) if self.degree == 2 else (lambda s: s)
         return element(section), [element(u) for u in generators[inverse]]
 

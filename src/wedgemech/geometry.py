@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def slots_from_antisymmetric(full: np.ndarray) -> np.ndarray:
 
 
 def _validated_slots(slots, dim: int) -> np.ndarray:
-    """A read-only float copy of ``slots``, checked for shape and finiteness."""
+    """A float copy of ``slots``, checked for dimension and shape."""
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
     arr = np.array(slots, dtype=float)
@@ -117,9 +118,6 @@ def _validated_slots(slots, dim: int) -> np.ndarray:
             f"expected {pair_count(dim)} independent components for dimension "
             f"{dim}, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("components must be finite")
-    arr.setflags(write=False)
     return arr
 
 
@@ -128,15 +126,16 @@ class _SlotStored:
 
     ``slots`` has shape (..., K): one tensor, or a stack of them over
     leading node axes that every elementwise operation carries along.
-    `component`, `from_full` and the pairings take single tensors.
+    `component`, `from_full` and the pairings take single tensors.  Every
+    instance, however it was built, ends in `_seal`.
     """
 
     __slots__ = ("slots", "dim")
 
     def __init__(self, slots, dim: int):
         dim = int(dim)
-        object.__setattr__(self, "slots", _validated_slots(slots, dim))
-        object.__setattr__(self, "dim", dim)
+        slots = _validated_slots(slots, dim)
+        _seal(self, slots, dim, np.isfinite(slots).all())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -205,6 +204,20 @@ class _SlotStored:
         return f"{type(self).__name__}(dim={self.dim}, slots={self.slots.tolist()})"
 
 
+_SET_SLOTS, _SET_DIM = _SlotStored.slots.__set__, _SlotStored.dim.__set__  # faster than setattr
+
+
+def _seal(tensor: _SlotStored, slots: np.ndarray, dim: int, finite) -> _SlotStored:
+    """``tensor`` over ``slots``, made read-only, and ``dim``, once the slots are
+    known to be ``finite``: the one finiteness rule of every slot array."""
+    if not finite:
+        raise ValueError("components must be finite")
+    slots.setflags(write=False)
+    _SET_SLOTS(tensor, slots)
+    _SET_DIM(tensor, dim)
+    return tensor
+
+
 class Bivector(_SlotStored):
     """Contravariant bivector ``u^{mu nu}`` stored by independent slots mu < nu."""
 
@@ -244,19 +257,21 @@ def exterior_square(A: np.ndarray) -> np.ndarray:
 def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
     """Wedge product of two vectors, as one `Bivector`.
 
-    The slots are the minors of `wedge_slots`, bit for bit, gathered from
-    the two 1-d arrays directly: this is the per-node path of
-    point-dependent constraint generators, where the stacked form's
-    ``v[..., a]`` indexing would cost most of a call.
+    The slots are the minors of `wedge_slots`, bit for bit: the same IEEE
+    products and differences, taken on Python floats.  This is the per-node
+    path of point-dependent constraint generators, where numpy's per-call
+    overhead would cost most of a call, so the `Bivector` is built over the
+    fresh minors with one finiteness test and no second copy.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
     if v.ndim != 1 or u.ndim != 1:
         raise ValueError("wedge expects rank-1 arrays")
-    if v.shape != u.shape:
+    vs, us = v.tolist(), u.tolist()
+    if len(vs) != len(us):
         raise ValueError(f"dimension mismatch: {v.shape} vs {u.shape}")
-    a, b = _pair_columns(v.shape[0])
-    return Bivector(v[a] * u[b] - v[b] * u[a], v.shape[0])
+    minors = [vs[i] * us[j] - vs[j] * us[i] for i, j in index_pairs(len(vs))]
+    return _seal(object.__new__(Bivector), np.array(minors), len(vs), all(map(isfinite, minors)))
 
 
 def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:

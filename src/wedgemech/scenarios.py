@@ -452,10 +452,15 @@ def _spec_plateau(spec, lines):
 
 def _spec_nonholonomic(spec, lines):
     grid = read_grid(spec.get_path("grid"))
+    degree = len(grid.steps)
+    for key, number in spec.lines.items():  # the Lagrangian keys of the other degree
+        if key in (("lagrangian", "metric"), ("omega", "mass"))[degree - 1]:
+            raise SpecError(key, f"line {number}: a nonholonomic-check spec does not read "
+                                 f"this key on a degree-{degree} grid")
     constraint = _constraint(spec, grid)
     constraint_tol = spec.get_tol("constraint-tol")
     force_tol = spec.get_tol("force-tol", constraint_tol)
-    if len(grid.steps) == 2:
+    if degree == 2:
         _, L = _lagrangian(spec, grid.dim, "grid")
     else:
         L = quadratic_curve_lagrangian(grid.dim, omega=spec.get_float("omega", 0.0),

@@ -468,6 +468,34 @@ def test_spec_key_its_kind_does_not_read_is_refused(tmp_path, capsys, command, b
                        "not read this key\n")
 
 
+# a nonholonomic-check spec reads the Lagrangian keys of its grid's degree only:
+# omega and mass for a curve, lagrangian and metric for a surface
+@pytest.mark.parametrize("grid, line, degree", [
+    ("plane.grid", "omega 3", 2),
+    ("plane.grid", "mass 7", 2),
+    ("line.grid", "lagrangian custom-table nowhere.tbl", 1),
+    ("line.grid", "metric euclidean 9", 1),
+], ids=["surface-omega", "surface-mass", "curve-lagrangian", "curve-metric"])
+def test_spec_nonholonomic_refuses_the_other_degrees_keys(tmp_path, capsys, grid, line, degree):
+    xs = np.linspace(0.0, 1.0, 9)
+    write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
+    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 101))
+    head = (f"kind nonholonomic-check\ngrid {grid}\nconstraint builtin "
+            f"{('first-axis-drift', 'example7')[degree - 1]}\n")
+    spec = _spec(tmp_path, "n.spec", head + f"{line}\nconstraint-tol 1e-6\n")
+    key = line.split()[0]
+    for options in ([], ["--tol", "1e-3"]):
+        assert main(["nonholonomic-check", "--spec", spec, *options]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"wedgemech: spec error: {key}: line 4: a nonholonomic-check spec does "
+                       f"not read this key on a degree-{degree} grid\n")
+    # the same spec without that line passes
+    spec = _spec(tmp_path, "n.spec", head + "constraint-tol 1e-6\n")
+    assert main(["nonholonomic-check", "--spec", spec]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
 @pytest.mark.parametrize(
     "command, body, message",
     [

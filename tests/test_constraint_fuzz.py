@@ -1,17 +1,24 @@
 """Mutated constraint files and fiber-metric tables: reading one gives its
 object or a `SpecError`, and a command that reads it exits 0, 1 or 2,
-never with a traceback."""
+never with a traceback.  A generator built by `wedge` at every node checks
+as the same generator given once, as a constant."""
 
 import contextlib
 import io
+import re
+from math import inf, nan
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate_lines
 from wedgemech.cli import main
+from wedgemech.constraints import AffineConstraint2, RankDecisionError, nonholonomic_check
+from wedgemech.fields import plateau_lagrangian
 from wedgemech.formats import SpecError, read_constraint_spec, read_fiber_metric_table, write_grid
+from wedgemech.geometry import Bivector, wedge
 from wedgemech.variational import CurveGrid, SurfaceGrid
 
 # dimensions and indices at and past their limits, not finite, not a number,
@@ -101,3 +108,41 @@ def test_mutated_fiber_table_is_read_or_refused(workdir, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["phase-check", "--spec", str(workdir / "table.spec")])
     assert code in (0, 1, 2)
+
+
+# vector entries at the edges of `wedge`: signed zeros, a subnormal, values whose
+# products underflow or overflow, among plain numbers; a non-finite entry is drawn
+# on its own, as is a second generator that nearly repeats the first
+_ENTRIES = st.one_of(st.floats(0.5, 4.0), st.floats(-4.0, -0.5),
+                     st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e155, 1e200]))
+_PLANE = SurfaceGrid.sample(lambda t, s: (t, s, 0.5 * (t + s)), (0.0, 1.0, 5), (0.0, 1.0, 5))
+
+
+def _outcome(build):
+    """The report of a surface check of ``build()`` on `_PLANE`, as the bytes of its
+    arrays and its verdicts, or its error's type and message without the node it names."""
+    try:
+        report = nonholonomic_check(plateau_lagrangian(), _PLANE, build(), 1e-6)
+    except (ValueError, RankDecisionError) as err:
+        return type(err).__name__, re.sub(r" at x = \[[^]]*\]", "", str(err))
+    return (report.constraint_residuals.tobytes(), report.multipliers.tobytes(),
+            report.orthogonal_norms.tobytes(), report.constraint_passed, report.dalembert_passed)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(pairs=st.lists(st.tuples(*[st.lists(_ENTRIES, min_size=3, max_size=3)] * 2),
+                      min_size=1, max_size=2),
+       nudge=st.sampled_from([None] * 3 + [0.0, 5e-16, 2e-15, 5e-15, 1e-13]),
+       poison=st.sampled_from([None] * 5 + [(0, inf), (4, -inf), (2, nan)]))
+def test_pointwise_wedge_generator_matches_its_constant(pairs, nudge, poison):
+    if nudge is not None:  # (v, u + nudge w) after (v, u): dependent, ambiguous or not
+        (v, u), (_, w) = pairs[0], pairs[-1]
+        pairs = [pairs[0], (v, [a + nudge * b for a, b in zip(u, w)])]
+    if poison is not None:
+        k, value = poison
+        pairs[0][k // 3][k % 3] = value
+    section = Bivector([1.0, 0.0, 0.0], 3)
+    pointwise = [lambda x, v=v, u=u: wedge(np.array(v), np.array(u)) for v, u in pairs]
+    got = _outcome(lambda: AffineConstraint2(3, section, pointwise))
+    want = _outcome(lambda: AffineConstraint2(3, section, [wedge(v, u) for v, u in pairs]))
+    assert got == want

@@ -280,6 +280,21 @@ def test_dependent_generators_are_reported_at_their_node():
         constraint.at(np.zeros(3))
 
 
+def test_dependent_curve_generators_are_reported_at_their_node():
+    # a vector that vanishes at x1 = 0, and a pair that turns parallel at x1 = 0.5; the
+    # check reads the rank of a degree-1 stack from its annihilator SVD, `at` from its own
+    curve = CurveGrid.sample(lambda t: (t, 0.3), -1.0, 1.0, 9)
+    vanishing = AffineConstraint1(2, _drift, [lambda x: np.array([x[0], 0.0])])
+    parallel = AffineConstraint1(2, _drift, [np.array([1.0, 0.0]),
+                                             lambda x: np.array([1.0, x[0] - 0.5])])
+    for constraint, x1 in ((vanishing, 0.0), (parallel, 0.5)):
+        for query in (lambda: constraint_residual(curve, constraint),
+                      lambda: constraint.annihilator_at(curve.points[1:-1]),
+                      lambda: constraint.at(np.array([x1, 0.3]))):
+            with pytest.raises(ValueError, match=rf"linearly dependent at x = \[{x1}, 0\.3\]"):
+                query()
+
+
 def _signed_zero_generator(x):
     # +0.0 where x1 >= 0 and -0.0 where x1 < 0: equal values, different bytes
     return Bivector([0.0 * x[0], 1.0, -1.0], 3)
@@ -411,6 +426,14 @@ def test_each_distinct_generator_stack_is_decomposed_once(monkeypatch):
     counts.update(svd=0, matrix_rank=0)
     nonholonomic_check(plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6)
     assert counts == {"svd": 1, "matrix_rank": 1}
+    # a degree-1 stack is its own contraction matrix: its rank test reads the one SVD,
+    # here of 99 distinct stacks, one per interior node of the curve
+    curve = CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 101)
+    for constraint, stacks in ((AffineConstraint1(2, _drift, [_drift]), 99),
+                               (first_axis_drift_constraint(2), 1)):
+        counts.update(svd=0, matrix_rank=0)
+        nonholonomic_check(quadratic_curve_lagrangian(2), curve, constraint, 1e-6)
+        assert counts == {"svd": stacks, "matrix_rank": 0}
 
 
 def test_callables_are_called_once_per_interior_node():

@@ -125,6 +125,55 @@ def test_wedge_equals_wedge_slots_bitwise(dim):
     assert np.array_equal(wedge([1, 2, 3], (4, 5, 6)).slots, wedge_slots([1, 2, 3], [4, 5, 6]))
 
 
+# signed zeros (in the inputs, and minors that round to -0.0), integer and tuple
+# inputs, mixed sequences, subnormal and underflowing products
+_WEDGE_INPUTS = {
+    "signed-zeros": ([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]),
+    "negative-zero-minors": ([-0.0, 2.0, -3.0, 0.0], [5.0, -0.0, 0.0, -0.0]),
+    "integers": (np.array([1, -2, 3]), np.array([4, 5, -6])),
+    "tuples": ((1, 2.5, -3), (0.5, 4, 6)),
+    "tuple-and-list": ((1, 2, 3, 4, 5), [0.25, -1.0, 8.0, 2.0, -0.0]),
+    "subnormal": ([5e-324, 1.0], [1.0, 5e-324]),
+    "underflow": ([1e-200, -1e-200, 3.0], [1e-200, 2e-200, -0.0]),
+    "large-finite": ([1e150, -2e150, 1.0], [3e150, 1e150, -1e150]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WEDGE_INPUTS))
+def test_wedge_equals_the_constructor_over_wedge_slots(case):
+    v, u = _WEDGE_INPUTS[case]
+    dim = len(v)
+    with np.errstate(under="ignore"):
+        want = Bivector(wedge_slots(v, u), dim)
+    got = wedge(v, u)
+    assert type(got) is Bivector and got.dim == want.dim == dim
+    assert got == want and hash(got) == hash(want)
+    assert got.slots.dtype == want.slots.dtype and got.slots.shape == (pair_count(dim),)
+    assert got.slots.tobytes() == want.slots.tobytes()  # bitwise, signs of zeros included
+    for flag in ("writeable", "owndata", "c_contiguous"):
+        assert getattr(got.slots.flags, flag) == getattr(want.slots.flags, flag)
+    assert not got.slots.flags.writeable
+    with pytest.raises(ValueError):
+        got.slots[0] = 1.0
+
+
+# a NaN or infinite entry meets a zero or another infinity in some minor; finite
+# entries whose products overflow, or whose difference is inf - inf
+@pytest.mark.parametrize("v, u", [
+    ([np.nan, 0.0, 1.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [0.0, np.inf, 0.0]),
+    ([-np.inf, 1.0], [np.inf, 1.0]),
+    ([1e200, 0.0, 1.0], [0.0, 1e200, 1.0]),
+    ([1e200, 1e200], [1e200, 1e200]),
+], ids=["nan", "inf", "inf-and-inf", "overflow", "inf-minus-inf"])
+def test_wedge_refuses_non_finite_minors_as_the_constructor_does(v, u):
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as want:
+        Bivector(wedge_slots(v, u), len(v))
+    with pytest.raises(ValueError) as got:
+        wedge(v, u)
+    assert str(got.value) == str(want.value) == "components must be finite"
+
+
 def test_wedge_rejects_stacks_and_mismatched_vectors():
     with pytest.raises(ValueError, match="rank-1"):
         wedge(np.ones((2, 3)), np.ones((2, 3)))
