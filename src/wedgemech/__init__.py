@@ -2,7 +2,7 @@
 
 The package provides, in rough dependency order:
 
-* `wedgemech.geometry` - bivectors, momenta, fiber metrics and their pairings;
+* `wedgemech.geometry` - bivectors, momenta, point and fiber metrics;
 * `wedgemech.tulczyjew` - the canonical maps between phase prolongations and
   cotangent bundles, for curves and for surfaces;
 * `wedgemech.fields` - Lagrangian fields (area functionals, quadratic curve

@@ -5,9 +5,10 @@ of the velocity fiber, with ``V`` spanned by a list of generators.  Curves
 (degree 1, velocity vectors) and surfaces (degree 2, velocity bivectors)
 share one constraint type, `AffineConstraint`, and one check,
 `nonholonomic_check`, because each velocity element is read as a linear
-map on one-forms: ``eta -> eta . v`` for a vector, ``eta -> contract(eta,
-u)`` for a bivector.  `AffineConstraint1`, `AffineConstraint2` and
-`nonholonomic_check_curve` are spellings of them with the degree fixed.
+map on one-forms: ``eta -> eta . v`` for a vector, the contraction
+``eta -> eta_mu u^{mu nu}`` for a bivector.  `AffineConstraint1`,
+`AffineConstraint2` and `nonholonomic_check_curve` are spellings of them
+with the degree fixed.
 
 The check asks two independent questions of a sampled candidate:
 
@@ -76,7 +77,7 @@ def _maps(elements: np.ndarray, degree: int, dim: int) -> np.ndarray:
 
     ``elements`` holds vectors (..., dim) for degree 1, giving
     ``eta -> eta . v`` (k = 1), or bivector slots (..., K) for degree 2,
-    giving ``eta -> contract(eta, u)`` (k = dim).
+    giving the contraction ``eta -> eta_mu u^{mu nu}`` (k = dim).
     """
     if degree == 1:
         return elements[..., None, :]
@@ -222,6 +223,8 @@ class AffineConstraint:
         one is tested for linear independence once, by `at` or `_annihilator`.
         """
         x = np.asarray(x, dtype=float)
+        if not x.size:
+            raise ValueError(f"no base point to evaluate the constraint at: shape {x.shape}")
         if self.constant:
             x = x.reshape(-1, self.dim)[0]
         nodes = x.shape[:-1]
@@ -346,7 +349,7 @@ def constraint_residual(grid, constraint: AffineConstraint):
 
     Returns ``(residuals, annihilator)``: for each interior node and
     annihilator row ``eta``, the sup-norm of ``eta`` applied to ``w - a``
-    (``eta . (v - a)`` on curves, ``contract(eta, w - a)`` on surfaces),
+    (``eta . (v - a)`` on curves, ``eta_mu (w - a)^{mu nu}`` on surfaces),
     and the rows themselves, (r, dim) for a constant constraint and
     (..., r, dim) per node otherwise.
     """

@@ -45,7 +45,6 @@ __all__ = [
     "CurveLagrangian",
     "FieldDomainError",
     "MorseFamily",
-    "euler_pairing",
     "hamiltonian_phase_residual",
     "lagrangian_phase_residual",
     "nambu_goto",
@@ -251,10 +250,6 @@ class MorseFamily:
         self.dual = dual_fiber_metric(g)
         self._root = _SqrtQuadraticLagrangian(self.dual, 1.0, strict=True)
 
-    def momentum_square(self, p: MomentumBivector) -> float:
-        """Dual pairing ``(p|p)*``; unit on Legendre images of the area field."""
-        return float(self._root._form(p.slots))
-
     def value_slots(self, p, r):
         return r * (self._root.value_slots(None, p) - 1.0)
 
@@ -289,15 +284,6 @@ def hamiltonian_phase_residual(family: MorseFamily, e: PhaseElement2, r: float):
     Returns the pair (force defect, velocity defect).
     """
     return e.force, e.xdot - family.velocity(e.p, r)
-
-
-def euler_pairing(p: MomentumBivector, w: Bivector) -> float:
-    """Full pairing ``p_{mu nu} w^{mu nu}`` over all index pairs (twice the
-    slot dot product); equals L(w) for a degree-1 homogeneous Lagrangian
-    evaluated at ``p = dL/dw``."""
-    if p.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {w.dim}")
-    return 2.0 * float(p.slots @ w.slots)
 
 
 class CurveLagrangian(_SlotField):

@@ -8,20 +8,19 @@ Conventions used throughout the package:
 
 * A bivector stores only its independent components ``u^{mu nu}`` with
   ``mu < nu``, ordered lexicographically: (0,1), (0,2), ..., (0,m-1),
-  (1,2), ...  The full antisymmetric matrix is derived from the slots on
-  demand, so ``u^{nu mu} = -u^{mu nu}`` holds exactly, never only up to
-  rounding.  Covariant bivectors (momenta ``p_{mu nu}``) use the same
-  storage with lower indices.
+  (1,2), ...  `antisymmetric_from_slots` derives the full antisymmetric
+  matrix from the slots, so ``u^{nu mu} = -u^{mu nu}`` holds exactly,
+  never only up to rounding.  Covariant bivectors (momenta ``p_{mu nu}``)
+  use the same storage with lower indices.
 
-* The scalar product of two bivectors sums over all four indices without
-  restriction: ``(u|w) = h_{mu nu kappa lambda} u^{mu nu} w^{kappa lambda}``.
-  For a simple Euclidean bivector ``v ^ u`` this equals ``4 * area(v, u)**2``;
-  the factor 4 relative to a slot-wise sum is deliberate and pinned by
-  tests.  Momenta pair against bivectors slot by slot, so the dual scalar
-  product `momentum_scalar_product` is the restricted sum over ordered
-  pairs, one quarter of the unrestricted one.  That is the normalization
-  under which Legendre images of area-type Lagrangians land on the unit
-  sphere of momentum space.
+* A `FiberMetric` is the slot matrix ``H`` of ``h_{mu nu kappa lambda}``.
+  The scalar product of two bivectors sums over all four indices without
+  restriction, ``(u|w) = h_{mu nu kappa lambda} u^{mu nu} w^{kappa lambda}
+  = 4 u.H.w`` over slots, so a simple Euclidean ``v ^ u`` has ``(v^u|v^u) =
+  4 * area(v, u)**2``: the area field takes the form at scale 4 (`fields`).
+  Momenta pair slot by slot, so the dual product ``(p|p)* = p.H.p`` is one
+  quarter of the unrestricted sum, the Morse root's scale 1; under it the
+  Legendre images of area-type Lagrangians land on the unit sphere.
 
 Every object is immutable after construction and every function is pure,
 so values can be shared freely between threads or worker processes.
@@ -41,15 +40,11 @@ __all__ = [
     "Metric",
     "MomentumBivector",
     "antisymmetric_from_slots",
-    "contract",
     "dual_fiber_metric",
     "exterior_square",
     "index_pairs",
     "induced_fiber_metric",
-    "momentum_scalar_product",
     "pair_count",
-    "scalar_product",
-    "slots_from_antisymmetric",
     "wedge",
     "wedge_slots",
 ]
@@ -101,13 +96,6 @@ def antisymmetric_from_slots(slots: np.ndarray, dim: int) -> np.ndarray:
     return full
 
 
-def slots_from_antisymmetric(full: np.ndarray) -> np.ndarray:
-    """Extract the upper-triangle slot components from full arrays (..., m, m)."""
-    full = np.asarray(full, dtype=float)
-    a, b = _pair_columns(full.shape[-1])
-    return full[..., a, b]
-
-
 def _validated_slots(slots, dim: int) -> np.ndarray:
     """A float copy of ``slots``, checked for dimension and shape."""
     if dim < 2:
@@ -126,8 +114,7 @@ class _SlotStored:
 
     ``slots`` has shape (..., K): one tensor, or a stack of them over
     leading node axes that every elementwise operation carries along.
-    `component`, `from_full` and the pairings take single tensors.  Every
-    instance, however it was built, ends in `_seal`.
+    Every instance, however it was built, ends in `_seal`.
     """
 
     __slots__ = ("slots", "dim")
@@ -139,29 +126,6 @@ class _SlotStored:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def full(self) -> np.ndarray:
-        """Full antisymmetric (dim, dim) array; exact by construction."""
-        return antisymmetric_from_slots(self.slots, self.dim)
-
-    def component(self, mu: int, nu: int) -> float:
-        """Component for an arbitrary index pair, including mu > nu and mu = nu."""
-        if mu == nu:
-            return 0.0
-        if mu < nu:
-            return float(self.slots[pair_slot(self.dim, mu, nu)])
-        return -float(self.slots[pair_slot(self.dim, nu, mu)])
-
-    @classmethod
-    def from_full(cls, full: np.ndarray):
-        """Build from a full (m, m) array, which must be exactly antisymmetric."""
-        full = np.asarray(full, dtype=float)
-        if full.ndim != 2 or full.shape[0] != full.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {full.shape}")
-        if not np.array_equal(full, -full.T):
-            raise ValueError("matrix is not antisymmetric")
-        return cls(slots_from_antisymmetric(full), full.shape[0])
 
     def _like(self, slots):
         return type(self)(slots, self.dim)
@@ -274,14 +238,6 @@ def wedge(v: np.ndarray, u: np.ndarray) -> Bivector:
     return _seal(object.__new__(Bivector), np.array(minors), len(vs), all(map(isfinite, minors)))
 
 
-def contract(eta: np.ndarray, u: Bivector) -> np.ndarray:
-    """Insert a one-form into the first index: ``(i_eta u)^nu = eta_mu u^{mu nu}``."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (u.dim,) or u.slots.ndim != 1:
-        raise ValueError(f"dimension mismatch: one-form {eta.shape} vs bivector slots {u.slots.shape}")
-    return u.full.T @ eta
-
-
 @dataclass(frozen=True, eq=False)
 class Metric:
     """Constant symmetric nondegenerate metric on the model space.
@@ -370,13 +326,6 @@ class FiberMetric:
         object.__setattr__(self, "slot_matrix", m)
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def array(self) -> np.ndarray:
-        """Dense ``h_{mu nu kappa lambda}`` (dim, dim, dim, dim), built on demand."""
-        rows = antisymmetric_from_slots(self.slot_matrix, self.dim)  # (I, kappa, lambda)
-        # the matrix is symmetric, so expanding its first axis last gives h itself
-        return antisymmetric_from_slots(np.moveaxis(rows, 0, -1), self.dim)
-
     @classmethod
     def from_point_metric(cls, g: np.ndarray) -> "FiberMetric":
         """The fiber metric of a point metric ``g``: its `exterior_square`."""
@@ -395,30 +344,7 @@ def dual_fiber_metric(g: Metric) -> FiberMetric:
 
     By the Cauchy-Binet identity its slot matrix is the inverse of the
     slot matrix of `induced_fiber_metric`, which is what makes the
-    Legendre image of the area Lagrangian a unit momentum under
-    `momentum_scalar_product`.
+    Legendre image of the area Lagrangian a unit momentum under the dual
+    product ``(p|p)* = p.H.p``.
     """
     return FiberMetric.from_point_metric(g.inverse)
-
-
-def scalar_product(h: FiberMetric, u: Bivector, w: Bivector) -> float:
-    """Unrestricted four-index sum ``h_{mu nu kappa lambda} u^{mu nu} w^{kappa lambda}``.
-
-    Equals four times the slot-wise sum; for the Euclidean metric and a
-    simple bivector ``v ^ u`` it evaluates to ``4 * area(v, u)**2``.
-    """
-    if not (h.dim == u.dim == w.dim):
-        raise ValueError(f"dimension mismatch: h {h.dim}, u {u.dim}, w {w.dim}")
-    return 4.0 * float(u.slots @ h.slot_matrix @ w.slots)
-
-
-def momentum_scalar_product(h: FiberMetric, p: MomentumBivector, q: MomentumBivector) -> float:
-    """Slot-restricted sum over ordered pairs; the dual pairing for momenta.
-
-    One quarter of the unrestricted sum.  With ``h = dual_fiber_metric(g)``
-    this is the quadratic form whose unit sphere carries the Legendre
-    images of the induced area Lagrangian.
-    """
-    if not (h.dim == p.dim == q.dim):
-        raise ValueError(f"dimension mismatch: h {h.dim}, p {p.dim}, q {q.dim}")
-    return float(p.slots @ h.slot_matrix @ q.slots)

@@ -22,10 +22,10 @@ solve pays its import, not every command that loads this module; a solve
 that stays on GMRES loads only ``scipy.fft``, the direct fallback adds
 the sparse matrices and LU.
 
-The divergence form div(grad z / sqrt(1 + |grad z|^2)) equals the
-quasilinear form divided by W^3, W^2 = 1 + z_x^2 + z_y^2; it is exposed
-separately because the graph-area Euler-Lagrange defect of the embedded
-surface is -1/sqrt(2) times it.
+The quasilinear form is W^3 times the divergence form div(grad z / W),
+W^2 = 1 + z_x^2 + z_y^2, and the graph-area Euler-Lagrange defect of the
+embedded surface is -1/sqrt(2) times the divergence form: the tests hold
+`minimal_surface_residual` to both.
 
 The constrained variant restricts to heights of the form z = F(x + y),
 where the force balance forces F'' = 0: the solution family is the
@@ -53,7 +53,6 @@ __all__ = [
     "PlateauResult",
     "SingularJacobianError",
     "SolveOptions",
-    "divergence_form_residual",
     "initial_guess",
     "minimal_surface_residual",
     "solve_constrained_plateau",
@@ -130,26 +129,36 @@ class GraphGrid:
 
     def boundary_samples(self):
         """(x, y, z) arrays over the outermost ring, each node once."""
-        nx, ny = self.z.shape
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        ring = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
-        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        ring = _ring(*self.z.shape)
+        X, Y = _nodes(self.domain, *self.z.shape)
         return X[ring], Y[ring], self.z[ring]
 
     @classmethod
     def sample(cls, domain, nx: int, ny: int, fn) -> "GraphGrid":
         """Sample ``fn(x, y)`` (vectorized) on the full node set."""
-        x0, x1, y0, y1 = domain
-        X, Y = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), indexing="ij")
-        return cls(domain, fn(X, Y))
+        return cls(domain, fn(*_nodes(domain, nx, ny)))
 
     @classmethod
     def from_boundary(cls, domain, nx: int, ny: int, fn) -> "GraphGrid":
-        """Sample ``fn`` on the ring only; interior starts at zero."""
-        full = cls.sample(domain, nx, ny, fn)
-        z = np.array(full.z)
-        z[1:-1, 1:-1] = 0.0
+        """Sample ``fn(x, y)`` (vectorized) on the ring only; interior starts at zero."""
+        ring = _ring(nx, ny)
+        X, Y = _nodes(domain, nx, ny)
+        z = np.zeros((nx, ny))
+        z[ring] = fn(X[ring], Y[ring])
         return cls(domain, z)
+
+
+def _nodes(domain, nx: int, ny: int):
+    """Coordinate arrays X, Y (nx, ny) of the nodes over ``domain``."""
+    x0, x1, y0, y1 = domain
+    return np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), indexing="ij")
+
+
+def _ring(nx: int, ny: int) -> np.ndarray:
+    """Boolean (nx, ny) mask of the outermost ring of nodes."""
+    ring = np.ones((nx, ny), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    return ring
 
 
 @dataclass(frozen=True)
@@ -188,12 +197,6 @@ def _quasilinear(z: np.ndarray, hx: float, hy: float) -> np.ndarray:
 def minimal_surface_residual(grid: GraphGrid) -> np.ndarray:
     """Quasilinear minimal-surface operator at the interior nodes."""
     return _quasilinear(grid.z, grid.hx, grid.hy)
-
-
-def divergence_form_residual(grid: GraphGrid) -> np.ndarray:
-    """div(grad z / W) at the interior nodes: the quasilinear form over W^3."""
-    zx, zy = _stencil_pieces(grid.z, grid.hx, grid.hy)[:2]
-    return _quasilinear(grid.z, grid.hx, grid.hy) / (1.0 + zx**2 + zy**2) ** 1.5
 
 
 def _factorize(matrix, context: str):

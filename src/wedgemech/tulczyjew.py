@@ -41,12 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Bivector,
-    MomentumBivector,
-    antisymmetric_from_slots,
-    pair_count,
-)
+from .geometry import Bivector, MomentumBivector, index_pairs, pair_count
 
 __all__ = [
     "PhaseElement1",
@@ -139,21 +134,6 @@ class PhaseElement2:
         """The block the maps carry as the force: the trace ``ybar`` of ``y``."""
         return trace_y(self.y, self.dim)
 
-    @property
-    def y_full(self) -> np.ndarray:
-        """Mixed block as a (..., dim, dim, dim) array, antisymmetric in the lower pair."""
-        return antisymmetric_from_slots(self.y, self.dim)
-
-    @property
-    def pdot_full(self) -> np.ndarray:
-        """pdot as a rank-4 array (..., dim, dim, dim, dim), antisymmetric in
-        each index pair and antisymmetric under exchange of the pairs."""
-        dim = self.dim
-        # expand the second slot axis, then the first
-        tmp = antisymmetric_from_slots(self.pdot, dim)  # (..., K, dim, dim)
-        full = antisymmetric_from_slots(np.moveaxis(tmp, -3, -1), dim)  # (..., c, d, a, b)
-        return np.moveaxis(full, (-2, -1), (-4, -3))
-
     @classmethod
     def zero(cls, dim: int) -> "PhaseElement2":
         k = pair_count(dim)
@@ -169,13 +149,21 @@ class PhaseElement2:
 def trace_y(y: np.ndarray, dim: int) -> np.ndarray:
     """Trace ``ybar_rho = y^eta_{eta rho}`` of mixed blocks (..., dim, K) stored by slots.
 
-    Uses the antisymmetric accessor, so a block with a single stored entry
-    traces exactly (no cancellation error).
+    Slot (theta, rho) adds its ``y^theta`` entry to ``ybar_rho`` and subtracts
+    its ``y^rho`` entry from ``ybar_theta``, the signs of the antisymmetric
+    lower pair.  Taken in slot order, each ``ybar_rho`` sums its terms by
+    ascending ``eta`` from +0.0, as the expanded trace does, so a block with
+    a single stored entry traces exactly and no (..., dim, dim, dim) array
+    is built.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-2:] != (dim, pair_count(dim)) or y.ndim < 2:
         raise ValueError(f"y: expected shape (..., {dim}, {pair_count(dim)}), got {y.shape}")
-    return np.einsum("...aab->...b", antisymmetric_from_slots(y, dim))
+    ybar = np.zeros(y.shape[:-2] + (dim,))
+    for slot, (theta, rho) in enumerate(index_pairs(dim)):
+        ybar[..., rho] += y[..., theta, slot]
+        ybar[..., theta] -= y[..., rho, slot]
+    return ybar
 
 
 def beta(e: PhaseElement1 | PhaseElement2) -> tuple:

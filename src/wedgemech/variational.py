@@ -199,13 +199,6 @@ class CovectorField:
     def max_norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def worst_node(self) -> tuple:
-        """Global grid index of the largest-magnitude component."""
-        return worst_node(np.abs(self.values).max(axis=-1))
-
-    def at_node(self, *node) -> np.ndarray:
-        return self.values[tuple(i - 1 for i in node)]
-
 
 def _prolonged_momentum(L, grid):
     """Points, tangents, velocity element and momentum slots of ``L`` along

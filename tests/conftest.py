@@ -1,9 +1,10 @@
-"""Shared helpers: random test elements, and line mutations for the fuzz tests."""
+"""Shared helpers: random test elements, the fiber metric's four-index form, and
+line mutations for the fuzz tests."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from wedgemech.geometry import Bivector, MomentumBivector, pair_count
+from wedgemech.geometry import Bivector, MomentumBivector, antisymmetric_from_slots, pair_count
 from wedgemech.tulczyjew import PhaseElement2
 
 
@@ -26,6 +27,20 @@ def random_phase_element2(rng, dim, nodes=()):
         y=rng.normal(size=nodes + (dim, k)),
         pdot=a - np.swapaxes(a, -1, -2),  # float subtraction anticommutes exactly
     )
+
+
+def four_index_sum(h, u, w):
+    """``(u|w) = h_{mu nu kappa lambda} u^{mu nu} w^{kappa lambda}`` over all
+    four indices: four times the slot form ``u.H.w`` of the fiber metric."""
+    return 4.0 * float(u.slots @ h.slot_matrix @ w.slots)
+
+
+def dense_fiber_metric(h):
+    """Dense ``h_{mu nu kappa lambda}`` (dim, dim, dim, dim) of a fiber metric,
+    its slot matrix expanded on both axes."""
+    rows = antisymmetric_from_slots(h.slot_matrix, h.dim)  # (I, kappa, lambda)
+    # the matrix is symmetric, so expanding its first axis last gives h itself
+    return antisymmetric_from_slots(np.moveaxis(rows, 0, -1), h.dim)
 
 
 def mutate_lines(lines, data, replacements):

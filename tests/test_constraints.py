@@ -33,13 +33,13 @@ from wedgemech.constraints import (
     _maps,
 )
 from wedgemech.fields import plateau_lagrangian, quadratic_curve_lagrangian
-from wedgemech.geometry import Bivector, contract, index_pairs, pair_count, wedge
+from wedgemech.geometry import Bivector, antisymmetric_from_slots, index_pairs, pair_count, wedge
 from wedgemech.variational import (CurveGrid, SurfaceGrid, delta_L_surface, velocity_prolongation,
                                    wedge_prolongation)
 
 
 def contraction_matrix(generators, dim):
-    """Rows of eta -> contract(eta, u) assembled by explicit index loops."""
+    """Rows of the contraction eta -> eta_mu u^{mu nu} assembled by explicit index loops."""
     mat = np.zeros((len(generators) * dim, dim))
     row = 0
     for u in generators:
@@ -134,7 +134,7 @@ def test_annihilator_kills_generators():
         assert np.allclose(ann @ ann.T, np.eye(ann.shape[0]), atol=1e-12)
         for u in gens:
             for eta in ann:
-                assert np.abs(contract(eta, u)).max() < 1e-12
+                assert np.abs(eta @ antisymmetric_from_slots(u.slots, dim)).max() < 1e-12
 
 
 def test_annihilator_matches_nullspace_oracle():
@@ -267,6 +267,23 @@ def test_callable_values_are_validated(degree, section, generator, message):
     points = np.stack([np.linspace(0.0, 1.0, 11)] + [np.full(11, 0.5)] * (dim - 1), -1)
     with pytest.raises(ValueError, match=message):
         constraint._fields_at(points)
+
+
+@pytest.mark.parametrize("method", ["at", "annihilator_at"])
+@pytest.mark.parametrize("case", ["curve-constant", "curve-point-dependent",
+                                  "surface-constant", "surface-point-dependent"])
+def test_an_empty_stack_of_base_points_is_refused_by_name(case, method):
+    degree, dim, section, generators = FIELD_CASES[case]
+    calls = []
+
+    def recorded(field):
+        return (lambda x: calls.append(x) or field(x)) if callable(field) else field
+
+    constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](
+        dim, recorded(section), [recorded(u) for u in generators])
+    with pytest.raises(ValueError, match=rf"^no base point .*: shape \(0, {dim}\)$"):
+        getattr(constraint, method)(np.zeros((0, dim)))
+    assert calls == []  # refused before any callable is called
 
 
 def test_dependent_generators_are_reported_at_their_node():
@@ -513,7 +530,7 @@ def test_membership_subtracts_the_section():
     assert res.max() < 1e-12
     eta = constraint.annihilator_at(np.zeros(3))[0]
     w = Bivector(wedge_prolongation(grid)[16, 16], 3)
-    assert np.abs(contract(eta, w)).max() > 0.5
+    assert np.abs(eta @ antisymmetric_from_slots(w.slots, 3)).max() > 0.5
 
 
 def test_constraint_dimension_mismatch():

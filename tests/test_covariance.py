@@ -43,7 +43,7 @@ section and the generator by E, the plateau integrand unchanged (it is
 O(n)-invariant).  Both constraints below have a one-dimensional
 annihilator, so its row moves to +-A eta and the multiplier, a scalar,
 keeps its magnitude (measured 1.6 eps |x|/h^2).  The membership defect
-contract(eta, w - a) and the orthogonal force are vectors that move by A,
+eta_mu (w - a)^{mu nu} and the orthogonal force are vectors that move by A,
 so under a signed permutation, which maps the points exactly, their
 sup-norms agree to roundoff (measured 1.5 eps |w - a| and
 0.04 eps |x|/h^2).  Under a general orthogonal A only their 2-norms are
@@ -80,7 +80,6 @@ from wedgemech.constraints import (
 )
 from wedgemech.fields import (
     MorseFamily,
-    euler_pairing,
     hamiltonian_phase_residual,
     nambu_goto,
     plateau_lagrangian,
@@ -92,6 +91,7 @@ from wedgemech.geometry import (
     FiberMetric,
     Metric,
     MomentumBivector,
+    antisymmetric_from_slots,
     exterior_square,
     pair_count,
     wedge,
@@ -178,7 +178,7 @@ def test_one_triple_commutes_with_the_lifts(degree, dim):
         velocity, momentum = _lift(A, degree)
         cotangent = np.linalg.inv(A).T
         # the force written from the element's blocks, read neither from `e.force` nor `trace_y`
-        force = e.pdot if degree == 1 else np.einsum("aab->b", e.y_full)
+        force = e.pdot if degree == 1 else np.einsum("aab->b", antisymmetric_from_slots(e.y, dim))
         x, v, p = A @ e.x, velocity @ _slots(e.xdot), momentum @ _slots(e.p)
         tol = _FACTOR * _EPS * np.linalg.cond(A) * (np.abs(cotangent) @ np.abs(force)).max()
         expected = {alpha: (x, v, cotangent @ force, p), beta: (x, p, -(cotangent @ force), v)}
@@ -245,7 +245,8 @@ def test_area_field_and_morse_sphere_are_covariant(dim):
         pulled_p = E.T @ p.slots
         assert np.abs(p_new.slots - pulled_p).max() <= tol * np.abs(pulled_p).max()
         # and they are the Legendre images: degree-1 homogeneity pairs p' with w' to L'
-        assert abs(euler_pairing(p_new, w_new) - value_new) <= tol * value_new
+        # (p_{mu nu} w^{mu nu} over all index pairs, twice the slot dot product)
+        assert abs(2.0 * float(p_new.slots @ w_new.slots) - value_new) <= tol * value_new
 
         family = MorseFamily(g_new)
         assert abs(family.d_r(p_new)) <= tol
@@ -277,7 +278,7 @@ def test_area_field_of_a_general_fiber_metric_is_covariant(dim):
         pulled_p = E.T @ L.momentum(A @ x_new, w).slots
         p_new = L_new.momentum(x_new, w_new)
         assert np.abs(p_new.slots - pulled_p).max() <= tol * np.abs(pulled_p).max()
-        assert abs(euler_pairing(p_new, w_new) - value_new) <= tol * value_new
+        assert abs(2.0 * float(p_new.slots @ w_new.slots) - value_new) <= tol * value_new
 
 
 _E12 = Bivector([1.0, 0.0, 0.0], 3)  # the section of both constraints below

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dense_fiber_metric
 from wedgemech.formats import (
     SpecError,
     format_float,
@@ -308,7 +309,7 @@ def test_fiber_metric_table_fills_symmetry_images(tmp_path):
     text = "dimension 3\nentry 1 2 1 2 3.0\nentry 1 2 1 3 0.5\n"
     metric = read_fiber_metric_table(_write(tmp_path / "h.tbl", text))
     assert isinstance(metric, FiberMetric)
-    h = metric.array
+    h = dense_fiber_metric(metric)
     assert h[0, 1, 0, 1] == 3.0
     assert h[1, 0, 0, 1] == -3.0
     assert h[1, 0, 1, 0] == 3.0

@@ -1,4 +1,4 @@
-"""Bivector storage, wedge/contract, and the fiber scalar products.
+"""Bivector storage, wedge, and the fiber metrics' slot matrices.
 
 Oracles are deliberately dumb: explicit index loops and textbook
 identities (Gram determinant, Cauchy-Binet), independent of the slot
@@ -8,21 +8,18 @@ bookkeeping under test.
 import numpy as np
 import pytest
 
+from conftest import dense_fiber_metric, four_index_sum
 from wedgemech.geometry import (
     Bivector,
     FiberMetric,
     Metric,
     MomentumBivector,
     antisymmetric_from_slots,
-    contract,
     dual_fiber_metric,
     index_pairs,
     induced_fiber_metric,
-    momentum_scalar_product,
     pair_count,
     pair_slot,
-    scalar_product,
-    slots_from_antisymmetric,
     wedge,
     wedge_slots,
 )
@@ -45,10 +42,6 @@ def test_pair_slot_closed_form_matches_index_pairs():
                        (0, dim), (dim - 1, dim), (dim, dim + 1)]:
             with pytest.raises(KeyError):
                 pair_slot(dim, mu, nu)
-    u = Bivector([1.0, 2.0, 3.0], 3)
-    for mu, nu in [(0, 3), (3, 0), (-1, 2)]:
-        with pytest.raises(KeyError):
-            u.component(mu, nu)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -56,14 +49,14 @@ def test_slot_full_round_trip(dim):
     rng = np.random.default_rng(10 + dim)
     slots = rng.normal(size=pair_count(dim))
     u = Bivector(slots, dim)
-    full = u.full
+    full = antisymmetric_from_slots(u.slots, dim)
     # exact antisymmetry is structural, not approximate
     assert np.array_equal(full, -full.T)
-    assert Bivector.from_full(full) == u
-    for a, b in index_pairs(dim):
-        assert u.component(a, b) == full[a, b]
-        assert u.component(b, a) == -full[a, b]
-    assert u.component(0, 0) == 0.0
+    assert Bivector([full[a, b] for a, b in index_pairs(dim)], dim) == u
+    for i, (a, b) in enumerate(index_pairs(dim)):
+        assert u.slots[i] == full[a, b]
+        assert -u.slots[i] == full[b, a]
+    assert full[0, 0] == 0.0
 
 
 def test_bivector_validation():
@@ -71,8 +64,6 @@ def test_bivector_validation():
         Bivector([1.0, 2.0], 3)  # needs 3 slots
     with pytest.raises(ValueError):
         Bivector([1.0, np.inf, 0.0], 3)
-    with pytest.raises(ValueError):
-        Bivector.from_full(np.eye(3))
     with pytest.raises(AttributeError):
         Bivector([1.0, 0.0, 0.0], 3).dim = 4
     u = Bivector([1.0, 0.0, 0.0], 3)
@@ -95,7 +86,7 @@ def test_wedge_against_index_loop(dim):
     u = rng.normal(size=dim)
     w = wedge(v, u)
     expected = np.outer(v, u) - np.outer(u, v)
-    assert np.array_equal(w.full, expected)
+    assert np.array_equal(antisymmetric_from_slots(w.slots, dim), expected)
     # antisymmetry in the arguments is exact (float subtraction negates exactly)
     assert wedge(u, v) == -w
     assert np.all(wedge(v, v).slots == 0.0)
@@ -198,48 +189,26 @@ def test_wedge_slots_matches_per_pair_reference_bitwise(dim, nodes):
     got = wedge_slots(v, u)
     assert got.shape == nodes + (pair_count(dim),)
     assert np.array_equal(got, reference)
-    assert np.array_equal(slots_from_antisymmetric(antisymmetric_from_slots(got, dim)), got)
+    a, b = np.array(index_pairs(dim)).T
+    assert np.array_equal(antisymmetric_from_slots(got, dim)[..., a, b], got)
 
 
 def test_bivector_stacks_over_node_axes():
     rng = np.random.default_rng(12)
     stack = Bivector(rng.normal(size=(4, 5, 3)), 3)
-    assert stack.full.shape == (4, 5, 3, 3)
+    assert antisymmetric_from_slots(stack.slots, 3).shape == (4, 5, 3, 3)
     assert np.array_equal((stack - stack).slots, np.zeros((4, 5, 3)))
     with pytest.raises(ValueError):
         Bivector(np.zeros((4, 2)), 3)  # trailing axis needs 3 slots
     with pytest.raises(ValueError):
         Bivector(np.full((4, 3), np.nan), 3)
-    with pytest.raises(ValueError):
-        contract(np.ones(3), stack)  # contraction takes one bivector
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_contract_against_index_loop(dim):
-    rng = np.random.default_rng(30 + dim)
-    u = Bivector(rng.normal(size=pair_count(dim)), dim)
-    eta = rng.normal(size=dim)
-    full = u.full
-    expected = np.array([sum(eta[m] * full[m, n] for m in range(dim)) for n in range(dim)])
-    np.testing.assert_allclose(contract(eta, u), expected, rtol=1e-14, atol=1e-14)
-
-
-def test_contract_frozen_example():
-    # dx^2 into e1 ^ e2 gives -e1 (indices written 1-based)
+def test_contraction_sign_convention():
+    # dx^2 into e1 ^ e2 gives -e1 (indices written 1-based): eta_mu u^{mu nu}
     u = wedge(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     eta = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(contract(eta, u), [-1.0, 0.0, 0.0])
-
-
-def test_contract_linearity_and_mismatch():
-    rng = np.random.default_rng(4)
-    u = Bivector(rng.normal(size=6), 4)
-    eta, xi = rng.normal(size=(2, 4))
-    lhs = contract(2.0 * eta - 0.5 * xi, u)
-    rhs = 2.0 * contract(eta, u) - 0.5 * contract(xi, u)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-14)
-    with pytest.raises(ValueError):
-        contract(np.ones(3), u)
+    np.testing.assert_array_equal(eta @ antisymmetric_from_slots(u.slots, 3), [-1.0, 0.0, 0.0])
 
 
 def test_metric_validation():
@@ -302,13 +271,13 @@ def test_metric_compares_and_hashes_by_identity():
 def test_induced_fiber_metric_index_identity(dim):
     rng = np.random.default_rng(40 + dim)
     g = Metric(random_spd(rng, dim))
-    h = induced_fiber_metric(g)
+    h = dense_fiber_metric(induced_fiber_metric(g))
     gm = g.matrix
     for m in range(dim):
         for n in range(dim):
             for k in range(dim):
                 for l in range(dim):
-                    assert h.array[m, n, k, l] == gm[m, k] * gm[n, l] - gm[m, l] * gm[n, k]
+                    assert h[m, n, k, l] == gm[m, k] * gm[n, l] - gm[m, l] * gm[n, k]
 
 
 def test_fiber_metric_slot_matrix_validation():
@@ -362,20 +331,20 @@ def test_slot_matrix_equals_dense_reference_bitwise(dim, kind):
                      (g.matrix, FiberMetric.from_point_metric(g.matrix))):
         dense, slot = dense_reference(point)
         assert h.slot_matrix.tobytes() == slot.tobytes()  # the signs of zeros too
-        assert np.array_equal(h.array, dense)
+        assert np.array_equal(dense_fiber_metric(h), dense)
 
 
 def test_fiber_metric_frozen_components():
     h = induced_fiber_metric(Metric.euclidean(3))
-    assert h.array[0, 1, 0, 1] == 1.0
-    assert h.array[0, 1, 1, 0] == -1.0
+    assert dense_fiber_metric(h)[0, 1, 0, 1] == 1.0
+    assert dense_fiber_metric(h)[0, 1, 1, 0] == -1.0
     np.testing.assert_array_equal(h.slot_matrix, np.eye(3))
     hm = induced_fiber_metric(Metric.minkowski(4))
-    assert hm.array[0, 1, 0, 1] == -1.0
+    assert dense_fiber_metric(hm)[0, 1, 0, 1] == -1.0
 
     # dual of diag(2, 2, 2): inverse metric diag(1/2), minors 1/4
     hd = dual_fiber_metric(Metric(2.0 * np.eye(3)))
-    assert hd.array[0, 1, 0, 1] == 0.25
+    assert dense_fiber_metric(hd)[0, 1, 0, 1] == 0.25
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -393,11 +362,12 @@ def test_slot_matrix_is_the_minor_matrix(dim):
 def test_slot_matrix_equals_pairwise_loop_bitwise(dim):
     rng = np.random.default_rng(70 + dim)
     h = FiberMetric.from_point_metric(random_spd(rng, dim))
+    dense = dense_fiber_metric(h)
     pairs = index_pairs(dim)
     loop = np.empty((len(pairs), len(pairs)))
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
-            loop[i, j] = h.array[a, b, c, d]
+            loop[i, j] = dense[a, b, c, d]
     assert np.array_equal(h.slot_matrix, loop)
     assert not h.slot_matrix.flags.writeable
 
@@ -421,7 +391,7 @@ def test_scalar_product_gram_oracle(dim, seed):
     h = induced_fiber_metric(g)
     v, u = rng.normal(size=(2, dim))
     gram = np.linalg.det(np.array([v, u]) @ g.matrix @ np.array([v, u]).T)
-    got = scalar_product(h, wedge(v, u), wedge(v, u))
+    got = four_index_sum(h, wedge(v, u), wedge(v, u))
     np.testing.assert_allclose(got, 4.0 * gram, rtol=1e-12)
 
 
@@ -429,39 +399,12 @@ def test_scalar_product_frozen_values():
     e = np.eye(3)
     w = wedge(e[0], e[1])
     h = induced_fiber_metric(Metric.euclidean(3))
-    assert scalar_product(h, w, w) == 4.0
+    assert four_index_sum(h, w, w) == 4.0
 
     e4 = np.eye(4)
     w01 = wedge(e4[0], e4[1])
     hm = induced_fiber_metric(Metric.minkowski(4))
-    assert scalar_product(hm, w01, w01) == -4.0
-
-
-def test_scalar_product_bilinear_symmetric():
-    rng = np.random.default_rng(7)
-    g = Metric(random_spd(rng, 4))
-    h = induced_fiber_metric(g)
-    u = Bivector(rng.normal(size=6), 4)
-    w = Bivector(rng.normal(size=6), 4)
-    z = Bivector(rng.normal(size=6), 4)
-    assert scalar_product(h, u, w) == pytest.approx(scalar_product(h, w, u), rel=1e-14)
-    lhs = scalar_product(h, u + 2.0 * z, w)
-    rhs = scalar_product(h, u, w) + 2.0 * scalar_product(h, z, w)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        scalar_product(h, u, Bivector([1.0], 2))
-
-
-def test_momentum_scalar_product_is_quarter_of_full():
-    rng = np.random.default_rng(8)
-    g = Metric(random_spd(rng, 3))
-    h = induced_fiber_metric(g)
-    slots = rng.normal(size=3)
-    w = Bivector(slots, 3)
-    p = MomentumBivector(slots, 3)
-    assert momentum_scalar_product(h, p, p) == pytest.approx(
-        scalar_product(h, w, w) / 4.0, rel=1e-14
-    )
+    assert four_index_sum(hm, w01, w01) == -4.0
 
 
 def test_antisymmetric_from_slots_vectorized():
@@ -470,4 +413,4 @@ def test_antisymmetric_from_slots_vectorized():
     full = antisymmetric_from_slots(slots, 3)
     assert full.shape == (5, 7, 3, 3)
     assert np.array_equal(full, -np.swapaxes(full, -1, -2))
-    assert np.array_equal(full[2, 3], Bivector(slots[2, 3], 3).full)
+    assert np.array_equal(full[2, 3], antisymmetric_from_slots(slots[2, 3], 3))

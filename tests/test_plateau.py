@@ -25,7 +25,6 @@ from wedgemech.plateau import (
     GraphGrid,
     SingularJacobianError,
     SolveOptions,
-    divergence_form_residual,
     initial_guess,
     minimal_surface_residual,
     solve_constrained_plateau,
@@ -77,6 +76,28 @@ def test_from_boundary_zeroes_interior():
     assert g.z[0, 0] == 1.0 and g.z[-1, -1] == 3.0
 
 
+def test_from_boundary_calls_fn_on_the_ring_only():
+    # a boundary function that is NaN inside is never asked there, and its ring
+    # heights are those of a full sample, bit for bit
+    domain, nx, ny = (0.0, 1.0, 0.0, 2.0), 7, 9
+    heights = lambda X, Y: np.sin(3.0 * X) * np.exp(Y)  # noqa: E731
+    asked = []
+
+    def boundary(X, Y):
+        asked.extend(zip(np.ravel(X).tolist(), np.ravel(Y).tolist()))
+        inside = (X > 0.0) & (X < 1.0) & (Y > 0.0) & (Y < 2.0)
+        return np.where(inside, np.nan, heights(X, Y))
+
+    g = GraphGrid.from_boundary(domain, nx, ny, boundary)
+    full = GraphGrid.sample(domain, nx, ny, heights)
+    ring = np.ones((nx, ny), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    X, Y = np.meshgrid(full.xs, full.ys, indexing="ij")
+    assert sorted(asked) == sorted(zip(X[ring].tolist(), Y[ring].tolist()))
+    assert g.z[ring].tobytes() == full.z[ring].tobytes()
+    assert np.all(g.z[~ring] == 0.0)
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
@@ -108,16 +129,6 @@ def test_sampled_scherk_residual_second_order():
     assert errs[0] < 5e-4
     for coarse, fine in zip(errs, errs[1:]):
         assert np.log2(coarse / fine) > 1.8
-
-
-def test_divergence_form_matches_quasilinear_over_w3():
-    g = GraphGrid.sample(SCHERK_DOMAIN, 33, 33, lambda X, Y: np.sin(X) * np.sin(Y))
-    quasi = minimal_surface_residual(g)
-    div = divergence_form_residual(g)
-    zx = (g.z[2:, 1:-1] - g.z[:-2, 1:-1]) / (2.0 * g.hx)
-    zy = (g.z[1:-1, 2:] - g.z[1:-1, :-2]) / (2.0 * g.hy)
-    w3 = (1.0 + zx**2 + zy**2) ** 1.5
-    assert np.allclose(div, quasi / w3, atol=1e-14)
 
 
 def test_newton_matrix_against_directional_fd():

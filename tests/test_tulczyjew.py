@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import random_bivector, random_momentum, random_phase_element2
-from wedgemech.geometry import Bivector, MomentumBivector, index_pairs, pair_count
+from wedgemech.geometry import (
+    Bivector,
+    MomentumBivector,
+    antisymmetric_from_slots,
+    index_pairs,
+    pair_count,
+)
 from wedgemech.fields import lagrangian_phase_residual, quadratic_curve_lagrangian
 from wedgemech.tulczyjew import (
     PhaseElement1,
@@ -53,7 +59,7 @@ def contraction_oracle(e):
         for perm in permutations(range(3)):
             omega[idx[perm[0]], idx[perm[1]], idx[perm[2]]] = _perm_sign(perm)
     big = np.zeros((n, n))
-    big[:dim, :dim] = e.xdot.full
+    big[:dim, :dim] = antisymmetric_from_slots(e.xdot.slots, dim)
     big[:dim, dim:] = e.y
     big[dim:, :dim] = -e.y.T
     big[dim:, dim:] = e.pdot
@@ -147,29 +153,18 @@ def test_phase_element2_validation():
     assert np.all(zero.y == 0.0)
 
 
-def test_pdot_full_symmetries():
-    rng = np.random.default_rng(6)
-    e = random_phase_element2(rng, 3)
-    full = e.pdot_full
-    assert full.shape == (3, 3, 3, 3)
-    assert np.array_equal(full, -np.swapaxes(full, 0, 1))
-    assert np.array_equal(full, -np.swapaxes(full, 2, 3))
-    assert np.array_equal(full, -np.transpose(full, (2, 3, 0, 1)))
-    for i, (a, b) in enumerate(index_pairs(3)):
-        for j, (c, d) in enumerate(index_pairs(3)):
-            assert full[a, b, c, d] == e.pdot[i, j]
-
-
-def test_y_full_is_antisymmetric_and_traces_like_trace_y():
-    rng = np.random.default_rng(9)
-    for dim in (2, 3, 4):
-        e = random_phase_element2(rng, dim, nodes=(4, 5))
-        full = e.y_full
-        assert full.shape == (4, 5, dim, dim, dim)
-        assert np.array_equal(full, -np.swapaxes(full, -1, -2))
-        for i, (a, b) in enumerate(index_pairs(dim)):
-            assert np.array_equal(full[..., a, b], e.y[..., i])
-        assert np.array_equal(trace_y(e.y, dim), np.einsum("...aab->...b", full))
+@pytest.mark.parametrize("nodes", [(), (7,), (4, 5)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_trace_y_equals_the_expanded_trace_bitwise(dim, nodes):
+    # the reference expands the mixed block to (..., dim, dim, dim) and takes
+    # its trace; signed zeros and magnitudes far apart test the order of the sum
+    rng = np.random.default_rng(800 + dim)
+    y = rng.normal(size=nodes + (dim, pair_count(dim))) * 10.0 ** rng.integers(
+        -8, 9, size=nodes + (dim, pair_count(dim)))
+    y[rng.random(y.shape) < 0.2] = -0.0
+    y[rng.random(y.shape) < 0.2] = 0.0
+    expanded = np.einsum("...aab->...b", antisymmetric_from_slots(y, dim))
+    assert trace_y(y, dim).tobytes() == expanded.tobytes()
 
 
 def _node(e, idx):
@@ -184,7 +179,6 @@ def test_stacked_maps_equal_per_node_calls_bitwise(dim):
     e = random_phase_element2(rng, dim, nodes=(4, 5))
     stacked = {f: f(e) for f in (alpha, beta)}
     flipped = cotangent_flip(stacked[beta])
-    full = e.pdot_full
     for idx in np.ndindex(4, 5):
         one = _node(e, idx)
         a, b = alpha(one), beta(one)
@@ -197,7 +191,7 @@ def test_stacked_maps_equal_per_node_calls_bitwise(dim):
         assert np.array_equal(flipped[2][idx], cotangent_flip(b)[2])
         assert np.array_equal(flipped[3].slots[idx], cotangent_flip(b)[3].slots)
         assert np.array_equal(trace_y(e.y, dim)[idx], trace_y(one.y, dim))
-        assert np.array_equal(full[idx], one.pdot_full)
+        assert np.array_equal(e.pdot[idx], one.pdot)
 
 
 def test_stacked_blocks_must_share_node_axes():
