@@ -51,8 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Bivector, antisymmetric_from_slots, pair_count, wedge
-from .variational import (CurveGrid, delta_L_curve, delta_L_surface, velocity_prolongation,
-                          worst_node)
+from .variational import (CurveGrid, _require_fit, delta_L_curve, delta_L_surface,
+                          velocity_prolongation, worst_node)
 
 __all__ = [
     "AffineConstraint",
@@ -216,15 +216,16 @@ class AffineConstraint:
         slots, the distinct generator stacks (U, g, s) and the index (...) of
         each node's stack; a constant constraint without node axes.
 
-        The base points are flattened to rows once.  A constant field is
+        Base points (..., dim), checked first, are flattened to rows once.  A constant field is
         written to every node by one broadcast; a callable is called once
         per row and its values are checked and stacked in one pass.  The
         generator stacks are grouped by their bytes, so that each distinct
         one is tested for linear independence once, by `at` or `_annihilator`.
         """
         x = np.asarray(x, dtype=float)
-        if not x.size:
-            raise ValueError(f"no base point to evaluate the constraint at: shape {x.shape}")
+        if not x.size or x.shape[-1:] != (self.dim,):
+            raise ValueError(f"no base point of dimension {self.dim} to evaluate the constraint at: "
+                             f"shape {x.shape}")
         if self.constant:
             x = x.reshape(-1, self.dim)[0]
         nodes = x.shape[:-1]
@@ -351,14 +352,10 @@ def constraint_residual(grid, constraint: AffineConstraint):
     annihilator row ``eta``, the sup-norm of ``eta`` applied to ``w - a``
     (``eta . (v - a)`` on curves, ``eta_mu (w - a)^{mu nu}`` on surfaces),
     and the rows themselves, (r, dim) for a constant constraint and
-    (..., r, dim) per node otherwise.
+    (..., r, dim) per node otherwise, once `variational`'s fit rule accepts the constraint.
     """
-    if constraint.dim != grid.dim:
-        raise ValueError(f"constraint dimension {constraint.dim} does not match grid ({grid.dim})")
+    _require_fit(constraint, grid, "constraint")
     degree = len(grid.steps)
-    if constraint.degree != degree:
-        raise ValueError(f"a degree-{constraint.degree} constraint does not apply to a "
-                         f"degree-{degree} grid")
     interior = (slice(1, -1),) * degree
     x, w = grid.points[interior], velocity_prolongation(grid)[interior]
     section, generators, inverse = constraint._fields_at(x)

@@ -2,9 +2,10 @@
 that generates the Hamiltonian side of the area dynamics.
 
 Curves (n = 1) and surfaces (n = 2) share one derivative protocol: a field
-is a scalar ``F(x, e)`` of a base point and a fiber element of ``wedge^n``
-stored by independent slots (a vector's components, a bivector's ordered
-index pairs).  Fiber derivatives are antisymmetrized, with the 1/n! factor,
+declares its ``degree`` n and is a scalar ``F(x, e)`` of a base point and a
+fiber element of ``wedge^n`` stored by independent slots (a vector's
+components, a bivector's ordered index pairs).  Fiber derivatives are
+antisymmetrized, with the 1/n! factor that follows from the degree,
 
     p_I = (1/n!) dL/d(slot I),
 
@@ -25,6 +26,8 @@ by the built-in fields.  All fields are stateless and safe to share.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,10 +88,10 @@ def _arrays(x, e):
 
 
 class _SlotField:
-    """Scalar field ``F(x, e)`` of points (..., dim) and fiber slots (..., s); a subclass
-    names its element type and wraps `momentum_slots` in its `momentum`."""
+    """Scalar field ``F(x, e)`` of points (..., dim) and slots (..., s) of a degree-n element; a
+    subclass declares ``degree``, names its element type and wraps `momentum_slots` in `momentum`."""
 
-    fiber_scale: float  # the 1/n! of the module's convention
+    degree: int
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -103,7 +106,7 @@ class _SlotField:
         return _fd_gradient(lambda xs: self.value_slots(xs, e), x)
 
     def momentum_slots(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return _fd_gradient(lambda es: self.value_slots(x, es), e, scale=self.fiber_scale)
+        return _fd_gradient(lambda es: self.value_slots(x, es), e, scale=1 / math.factorial(self.degree))
 
     def derivative_mask(self, x: np.ndarray, e: np.ndarray):
         """Boolean array marking nodes where derivative access is defined,
@@ -121,7 +124,7 @@ class _SlotField:
 class BivectorLagrangian(_SlotField):
     """Scalar field ``L(x, w)`` on the velocity bivector bundle."""
 
-    fiber_scale = 0.5
+    degree = 2
 
     def momentum(self, x, w: Bivector) -> MomentumBivector:
         return MomentumBivector(self.momentum_slots(*_arrays(x, w)), self.dim)
@@ -290,7 +293,7 @@ class CurveLagrangian(_SlotField):
     """Scalar field ``L(x, v)`` on the tangent bundle, for curve problems;
     the slots of a velocity vector are its components."""
 
-    fiber_scale = 1.0
+    degree = 1
 
     def momentum(self, x, v) -> np.ndarray:
         return self.momentum_slots(*_arrays(x, v))

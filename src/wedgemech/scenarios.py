@@ -487,6 +487,9 @@ def _spec_classical(spec, lines):
     if system not in ("free", "oscillator"):
         raise SpecError("system", f"expected one of free, oscillator; got {system!r}")
     omega = spec.get_float("omega", 1.0 if system == "oscillator" else 0.0)
+    if (system == "free") != (omega == 0.0):
+        need = "omega 0" if system == "free" else "a nonzero omega"
+        raise SpecError("omega", f"line {spec.lines['omega']}: system {system} needs {need}, got {omega!r}")
     L = quadratic_curve_lagrangian(grid.dim, omega=omega, mass=spec.get_float("mass", 1.0))
     lines += [f"system: {system}", f"shape: {grid.points.shape[0]}"]
     return _curve_residual(lines, L, grid, _f(spec.get_tol("tol", 1e-10)))

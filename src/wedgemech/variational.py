@@ -200,11 +200,18 @@ class CovectorField:
         return float(np.abs(self.values).max())
 
 
+def _require_fit(item, grid, kind: str):
+    """Refuse a field or a constraint (``kind``) whose dimension, then degree, is not the grid's."""
+    if item.dim != grid.dim:
+        raise ValueError(f"{kind} dimension {item.dim} does not match grid ({grid.dim})")
+    if item.degree != len(grid.steps):
+        raise ValueError(f"a degree-{item.degree} {kind} does not apply to a degree-{len(grid.steps)} grid")
+
+
 def _prolonged_momentum(L, grid):
     """Points, tangents, velocity element and momentum slots of ``L`` along
-    a grid, once the dimension and the derivative domain are checked."""
-    if L.dim != grid.dim:
-        raise ValueError(f"field dimension {L.dim} does not match grid ({grid.dim})")
+    a grid, once `_require_fit` accepts ``L`` and the derivative domain is checked."""
+    _require_fit(L, grid, "field")
     x = grid.points
     tangents, w = _prolongation(grid)
     mask = L.derivative_mask(x, w)

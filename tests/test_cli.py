@@ -515,13 +515,19 @@ def test_spec_nonholonomic_refuses_the_other_degrees_keys(tmp_path, capsys, grid
          "system: expected one of free, oscillator; got 'oscillator extra'"),
         ("classical-el", "kind classical-el\ncurve cos.grid\nsystem free oscillator\n",
          "system: expected one of free, oscillator; got 'free oscillator'"),
+        # cos t is the omega-1 oscillator's: a free system would pass on it
+        ("classical-el", "kind classical-el\ncurve cos.grid\nsystem free\nomega 1\ntol 1e-3\n",
+         "omega: line 4: system free needs omega 0, got 1.0"),
+        ("classical-el", "kind classical-el\ncurve cos.grid\nsystem oscillator\nomega 0\n",
+         "omega: line 4: system oscillator needs a nonzero omega, got 0.0"),
     ],
     ids=["phase-quadratic", "check-quadratic", "phase-nambu-goto-trailing",
          "check-plateau-trailing", "custom-table-trailing", "system-trailing",
-         "system-two-names"],
+         "system-two-names", "free-system-with-omega", "oscillator-without-omega"],
 )
 def test_spec_name_line_with_other_words_is_refused(tmp_path, capsys, command, body, message):
-    # one name per Lagrangian and per system, and nothing after a name that takes no argument
+    # one name per Lagrangian and per system, nothing after a name that takes no argument,
+    # and a system that agrees with its omega
     _plane_grid(tmp_path)
     write_grid(tmp_path / "cos.grid",
                CurveGrid.sample(lambda t: (np.cos(t),), 0.0, 2.0 * np.pi, 1001))

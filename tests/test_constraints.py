@@ -269,20 +269,40 @@ def test_callable_values_are_validated(degree, section, generator, message):
         constraint._fields_at(points)
 
 
-@pytest.mark.parametrize("method", ["at", "annihilator_at"])
-@pytest.mark.parametrize("case", ["curve-constant", "curve-point-dependent",
-                                  "surface-constant", "surface-point-dependent"])
-def test_an_empty_stack_of_base_points_is_refused_by_name(case, method):
+def _recording_constraint(case, calls):
+    """The constraint of a `FIELD_CASES` case whose callables append their base points to calls."""
     degree, dim, section, generators = FIELD_CASES[case]
-    calls = []
 
     def recorded(field):
         return (lambda x: calls.append(x) or field(x)) if callable(field) else field
 
-    constraint = (AffineConstraint1, AffineConstraint2)[degree - 1](
+    return (AffineConstraint1, AffineConstraint2)[degree - 1](
         dim, recorded(section), [recorded(u) for u in generators])
+
+
+_REFUSAL_CASES = ["curve-constant", "curve-point-dependent", "surface-constant",
+                  "surface-point-dependent"]
+
+
+@pytest.mark.parametrize("method", ["at", "annihilator_at"])
+@pytest.mark.parametrize("case", _REFUSAL_CASES)
+def test_an_empty_stack_of_base_points_is_refused_by_name(case, method):
+    calls, dim = [], FIELD_CASES[case][1]
+    constraint = _recording_constraint(case, calls)
     with pytest.raises(ValueError, match=rf"^no base point .*: shape \(0, {dim}\)$"):
         getattr(constraint, method)(np.zeros((0, dim)))
+    assert calls == []  # refused before any callable is called
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("method", ["at", "annihilator_at"])
+@pytest.mark.parametrize("case", _REFUSAL_CASES)
+def test_base_points_of_another_width_are_refused_by_name(case, method, offset):
+    calls, dim = [], FIELD_CASES[case][1]
+    constraint = _recording_constraint(case, calls)
+    with pytest.raises(ValueError, match=rf"^no base point of dimension {dim} .*: "
+                                         rf"shape \(3, {dim + offset}\)$"):
+        getattr(constraint, method)(np.zeros((3, dim + offset)))
     assert calls == []  # refused before any callable is called
 
 

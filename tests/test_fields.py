@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_fiber_metric, four_index_sum, random_bivector, random_phase_element2
+from wedgemech import fields
 from wedgemech.geometry import (
     Bivector,
     Metric,
@@ -279,6 +280,18 @@ def test_phase_residuals_detect_defects():
     e2 = PhaseElement2(x, MomentumBivector([1.0, 0.0, 0.0], 3), w, y, np.zeros((k, k)))
     force2, _ = lagrangian_phase_residual(L, e2)
     np.testing.assert_allclose(force2, [0.0, 0.0, 0.25], atol=1e-13)
+
+
+def test_every_lagrangian_declares_its_degree_and_no_fiber_scale_is_left():
+    # the 1/n! of the fiber derivative follows from the degree alone
+    classes = [c for c in vars(fields).values() if isinstance(c, type)]
+    lagrangians = [c for c in classes if issubclass(c, fields._SlotField)]
+    assert {c.degree for c in lagrangians if c is not fields._SlotField} == {1, 2}
+    assert [c for c in classes if hasattr(c, "fiber_scale")] == []
+    x, w = np.array([0.2, -0.1, 0.4]), np.array([0.3, -0.5, 0.8])
+    surface = CallableBivectorLagrangian(3, lambda x, w: float(np.sum(w.slots**3)))
+    unscaled = fields._fd_gradient(lambda ws: surface.value_slots(x, ws), w)
+    assert np.array_equal(surface.momentum_slots(x, w), 0.5 * unscaled)
 
 
 def test_finite_difference_fallback_matches_closed_forms():

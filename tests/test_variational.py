@@ -12,10 +12,19 @@ to the boundary mixes one-sided and central values and converges at
 first order, which the order checks deliberately step around.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from wedgemech import variational
+from wedgemech.constraints import (
+    AffineConstraint2,
+    constraint_residual,
+    first_axis_drift_constraint,
+    nonholonomic_check,
+    nonholonomic_check_curve,
+)
 from wedgemech.fields import (
     CallableBivectorLagrangian,
     CurveLagrangian,
@@ -393,6 +402,80 @@ def test_dimension_mismatch():
     C = CurveGrid.sample(lambda t: np.array([t, t]), 0.0, 1.0, 9)
     with pytest.raises(ValueError):
         delta_L_curve(quadratic_curve_lagrangian(3), C)
+
+
+def _surface(dim):
+    return SurfaceGrid.sample(lambda t, s: (t, s, t * s, t - s)[:dim], (0.0, 1.0, 7), (0.0, 1.0, 7))
+
+
+def _curve(dim):
+    return CurveGrid.sample(lambda t: (t, t * t, 0.5, -t)[:dim], 0.0, 1.0, 9)
+
+
+def _surface_constraint(dim):
+    e = np.eye(dim)
+    return AffineConstraint2(dim, wedge(e[0], e[1]), [])
+
+
+_FIELD = "a degree-{0} field does not apply to a degree-{1} grid"
+_CONSTRAINT = "a degree-{0} constraint does not apply to a degree-{1} grid"
+
+# (entry point, pairing) -> a call on dimension d and the refusal it must raise; a curve field
+# on a surface grid and back, a constraint of the other degree, then of the other dimension
+_MISFITS = {
+    "delta_L_surface-curve-field": (
+        lambda d: delta_L_surface(quadratic_curve_lagrangian(d), _surface(d)), _FIELD.format(1, 2)),
+    "delta_L_curve-bivector-field": (
+        lambda d: delta_L_curve(plateau_lagrangian(d), _curve(d)), _FIELD.format(2, 1)),
+    "via_maps-curve-field": (
+        lambda d: delta_L_surface_via_maps(quadratic_curve_lagrangian(d), _surface(d)),
+        _FIELD.format(1, 2)),
+    "check-curve-field": (
+        lambda d: nonholonomic_check(quadratic_curve_lagrangian(d), _surface(d),
+                                     _surface_constraint(d), 1e-6), _FIELD.format(1, 2)),
+    "check-bivector-field": (
+        lambda d: nonholonomic_check(plateau_lagrangian(d), _curve(d),
+                                     first_axis_drift_constraint(d), 1e-6), _FIELD.format(2, 1)),
+    "check_curve-bivector-field": (
+        lambda d: nonholonomic_check_curve(plateau_lagrangian(d), _curve(d),
+                                           first_axis_drift_constraint(d), 1e-6),
+        _FIELD.format(2, 1)),
+    "residual-curve-constraint": (
+        lambda d: constraint_residual(_surface(d), first_axis_drift_constraint(d)),
+        _CONSTRAINT.format(1, 2)),
+    "residual-surface-constraint": (
+        lambda d: constraint_residual(_curve(d), _surface_constraint(d)), _CONSTRAINT.format(2, 1)),
+    "check-curve-constraint": (
+        lambda d: nonholonomic_check(plateau_lagrangian(d), _surface(d),
+                                     first_axis_drift_constraint(d), 1e-6),
+        _CONSTRAINT.format(1, 2)),
+    "check_curve-surface-constraint": (
+        lambda d: nonholonomic_check_curve(quadratic_curve_lagrangian(d), _curve(d),
+                                           _surface_constraint(d), 1e-6),
+        _CONSTRAINT.format(2, 1)),
+    "delta_L_surface-field-dimension": (
+        lambda d: delta_L_surface(plateau_lagrangian(d + 1), _surface(d)),
+        "field dimension {1} does not match grid ({0})"),
+    "delta_L_curve-field-dimension": (
+        lambda d: delta_L_curve(quadratic_curve_lagrangian(d + 1), _curve(d)),
+        "field dimension {1} does not match grid ({0})"),
+    "residual-constraint-dimension": (
+        lambda d: constraint_residual(_surface(d), _surface_constraint(d + 1)),
+        "constraint dimension {1} does not match grid ({0})"),
+    "check-constraint-dimension": (
+        lambda d: nonholonomic_check(quadratic_curve_lagrangian(d), _curve(d),
+                                     first_axis_drift_constraint(d + 1), 1e-6),
+        "constraint dimension {1} does not match grid ({0})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISFITS))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_a_field_or_constraint_that_does_not_fit_the_grid_is_refused_by_name(dim, case):
+    # in dimension 3 a bivector has as many slots as a vector: only the degree tells them apart
+    call, message = _MISFITS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(dim, dim + 1))}$"):
+        call(dim)
 
 
 def test_covector_field_indexing():
