@@ -98,10 +98,10 @@ def _option_fault(args):
 
 
 def _finish(args, outcome) -> int:
-    """Write the report and any solved surface; a scenario's report must equal its golden."""
-    sys.stdout.write(outcome.report)
+    """Write any solved surface first, then the report; a scenario's must equal its golden."""
     if outcome.grid is not None and args.out:  # only plateau-solve solves a surface and has --out
         write_grid(args.out, outcome.grid.surface_grid())
+    sys.stdout.write(outcome.report)
     if args.scenario:
         golden = os.path.join(_GOLDEN_DIR, f"{args.scenario}.txt")
         if args.golden_regen:

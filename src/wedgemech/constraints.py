@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Bivector, antisymmetric_from_slots, pair_count, wedge
-from .variational import (CurveGrid, _require_fit, delta_L_curve, delta_L_surface,
+from .variational import (CurveGrid, _interior, _require_fit, delta_L_curve, delta_L_surface,
                           velocity_prolongation, worst_node)
 
 __all__ = [
@@ -355,12 +355,10 @@ def constraint_residual(grid, constraint: AffineConstraint):
     (..., r, dim) per node otherwise, once `variational`'s fit rule accepts the constraint.
     """
     _require_fit(constraint, grid, "constraint")
-    degree = len(grid.steps)
-    interior = (slice(1, -1),) * degree
-    x, w = grid.points[interior], velocity_prolongation(grid)[interior]
+    x, w = grid.points[_interior(grid)], velocity_prolongation(grid)[_interior(grid)]
     section, generators, inverse = constraint._fields_at(x)
-    ann = _annihilator(generators, inverse, degree, grid.dim, x)
-    defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, degree, grid.dim))
+    ann = _annihilator(generators, inverse, grid.degree, grid.dim, x)
+    defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, grid.degree, grid.dim))
     return np.abs(defect).max(axis=-1), ann
 
 
@@ -376,7 +374,7 @@ def _check(L, grid, constraint, constraint_tol, force_tol):
     if not (constraint_tol > 0.0 and force_tol > 0.0):
         raise ValueError("tolerances must be positive")
     residuals, ann = constraint_residual(grid, constraint)
-    delta = (delta_L_surface if len(grid.steps) == 2 else delta_L_curve)(L, grid).values
+    delta = (delta_L_surface if grid.degree == 2 else delta_L_curve)(L, grid).values
     multipliers, orthogonal = dalembert_decompose(delta, ann)
     node_residuals = residuals.max(axis=-1, initial=0.0)  # vacuous with no annihilator
     orth_norms = np.abs(orthogonal).max(axis=-1)

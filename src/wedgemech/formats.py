@@ -66,8 +66,9 @@ class SpecError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-# index columns that open each grid kind's table, one per parameter axis
-_GRID_INDEX_COLUMNS = {"surface": ("i", "j"), "curve": ("i",)}
+# the grid class of each file kind; its table opens with one index column per degree
+_GRID_KINDS = {"surface": SurfaceGrid, "curve": CurveGrid}
+_INDEX_COLUMNS = ("i", "j")
 
 
 def format_float(value) -> str:
@@ -88,16 +89,15 @@ def _content_lines(path):
 
 def write_grid(path, grid) -> None:
     """Write a surface or curve sample table."""
-    if not isinstance(grid, (SurfaceGrid, CurveGrid)):
+    kind = next((k for k, cls in _GRID_KINDS.items() if type(grid) is cls), None)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(grid).__name__} as a grid file")
-    steps = grid.steps
-    kind = "surface" if len(steps) == 2 else "curve"
     shape, m = grid.points.shape[:-1], grid.points.shape[-1]
     head = [
         f"# kind {kind}",
         "# shape " + " ".join(str(n) for n in shape),
-        "# step " + " ".join(format_float(h) for h in steps),
-        " ".join(_GRID_INDEX_COLUMNS[kind] + tuple(f"x{k + 1}" for k in range(m))),
+        "# step " + " ".join(format_float(h) for h in grid.steps),
+        " ".join(_INDEX_COLUMNS[:grid.degree] + tuple(f"x{k + 1}" for k in range(m))),
     ]
     # one %-format per row: "%.17g" renders a double exactly as format_float does
     row = " ".join(["%d"] * len(shape) + ["%.17g"] * m)
@@ -224,22 +224,20 @@ def read_grid(path):
         if key not in meta:
             raise SpecError(key, "missing metadata line")
     kind = " ".join(meta["kind"])
-    if kind not in _GRID_INDEX_COLUMNS:
+    if kind not in _GRID_KINDS:
         raise SpecError("kind", f"unknown grid kind {kind!r}")
-    names = list(_GRID_INDEX_COLUMNS[kind])
-    k = len(names)
+    cls = _GRID_KINDS[kind]
+    k = cls.degree
+    names = list(_INDEX_COLUMNS[:k])
     shape = _parse_counts("shape", meta["shape"], k)
     steps = _parse_floats("step", meta["step"], k)
     if not (steps > 0.0).all():
         raise SpecError("step", f"grid steps must be positive, got {meta['step']}")
-    # a surface spans at least 2 coordinates, a curve at least 1
+    # a grid spans at least as many coordinates as its degree
     if header is None or header[:k] != names or len(header) < 2 * k:
         raise SpecError("header", f"{kind} tables start with columns {' '.join(names)!r}, "
                                   f"then at least {k} coordinate(s)")
-    points = _read_table(numbers, lines, shape, len(header) - k)
-    if kind == "surface":
-        return SurfaceGrid(float(steps[0]), float(steps[1]), points)
-    return CurveGrid(float(steps[0]), points)
+    return cls(*steps.tolist(), _read_table(numbers, lines, shape, len(header) - k))
 
 
 def builtin_constraint(name: str, dim: int):

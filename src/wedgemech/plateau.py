@@ -45,7 +45,7 @@ import numpy as np
 
 from .constraints import ConstraintCheckReport, nonholonomic_check, symmetric_slope_constraint
 from .fields import plateau_lagrangian
-from .variational import NodeDomainError, SurfaceGrid
+from .variational import SurfaceGrid, _require_finite
 
 __all__ = [
     "ConstrainedPlateauResult",
@@ -245,11 +245,8 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
 
 def _finite_start(interior: np.ndarray, what: str) -> np.ndarray:
     """``interior`` (the interior block of a start), or `NodeDomainError` where it is not finite."""
-    finite = np.isfinite(interior)
-    if finite.all():
-        return interior
-    node = np.unravel_index(finite.argmin(), finite.shape)  # the first node that is not
-    raise NodeDomainError(f"plateau start is not finite ({what})", tuple(int(k) + 1 for k in node))
+    _require_finite(np.isfinite(interior), f"plateau start is not finite ({what})", 1)
+    return interior
 
 
 def initial_guess(grid: GraphGrid) -> GraphGrid:

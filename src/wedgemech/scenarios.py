@@ -60,7 +60,7 @@ from .formats import (
 from .geometry import Bivector, Metric, MomentumBivector, pair_count
 from .plateau import GraphGrid, SolveOptions, solve_constrained_plateau, solve_plateau
 from .tulczyjew import PhaseElement2, alpha, beta, cotangent_flip
-from .variational import CurveGrid, SurfaceGrid, delta_L_curve
+from .variational import CurveGrid, delta_L_curve
 
 __all__ = ["ScenarioOutcome", "run_scenario", "run_spec", "scenario_names"]
 
@@ -336,7 +336,7 @@ def run_scenario(name: str) -> ScenarioOutcome:
 def _graph_grid(spec) -> GraphGrid:
     if spec.has("grid"):
         grid = read_grid(spec.get_path("grid"))
-        if not isinstance(grid, SurfaceGrid):
+        if grid.degree != 2:
             raise SpecError("grid", "plateau problems need a surface grid")
         pts = grid.points
         if pts.shape[-1] != 3:
@@ -383,8 +383,8 @@ def _constraint(spec, grid):
         constraint = builtin_constraint(tokens[1], grid.dim)
     else:
         constraint = read_constraint_spec(spec.get_path("constraint"))
-    kind = "surface" if len(grid.steps) == 2 else "curve"
-    if constraint.degree != len(grid.steps):
+    if constraint.degree != grid.degree:
+        kind = ("curve", "surface")[grid.degree - 1]
         raise SpecError("constraint", f"{kind} grids need a {kind} constraint")
     if constraint.dim != grid.dim:
         raise SpecError("constraint", f"dimension {constraint.dim}, grid dimension {grid.dim}")
@@ -452,15 +452,14 @@ def _spec_plateau(spec, lines):
 
 def _spec_nonholonomic(spec, lines):
     grid = read_grid(spec.get_path("grid"))
-    degree = len(grid.steps)
     for key, number in spec.lines.items():  # the Lagrangian keys of the other degree
-        if key in (("lagrangian", "metric"), ("omega", "mass"))[degree - 1]:
+        if key in (("lagrangian", "metric"), ("omega", "mass"))[grid.degree - 1]:
             raise SpecError(key, f"line {number}: a nonholonomic-check spec does not read "
-                                 f"this key on a degree-{degree} grid")
+                                 f"this key on a degree-{grid.degree} grid")
     constraint = _constraint(spec, grid)
     constraint_tol = spec.get_tol("constraint-tol")
     force_tol = spec.get_tol("force-tol", constraint_tol)
-    if degree == 2:
+    if grid.degree == 2:
         _, L = _lagrangian(spec, grid.dim, "grid")
     else:
         L = quadratic_curve_lagrangian(grid.dim, omega=spec.get_float("omega", 0.0),
@@ -481,7 +480,7 @@ def _spec_phase(spec, lines):
 
 def _spec_classical(spec, lines):
     grid = read_grid(spec.get_path("curve"))
-    if not isinstance(grid, CurveGrid):
+    if grid.degree != 1:
         raise SpecError("curve", "classical-el needs a curve grid")
     system = " ".join(spec.tokens("system")) if spec.has("system") else "free"
     if system not in ("free", "oscillator"):

@@ -1,10 +1,11 @@
 """Sampled curves and surfaces, and discrete Euler-Lagrange residuals.
 
-Curves (n = 1) and surfaces (n = 2) share one pipeline: a grid gives one
-parameter step per axis, one prolongation forms the tangents and the
-velocity element (a curve's tangent, the wedge of a surface's two), and
-one residual body takes the momentum ``P`` (the 1/n! of `fields`) and
-keeps the interior nodes.  Only the transport term depends on n:
+Curves (n = 1) and surfaces (n = 2) share one pipeline: a grid declares
+its ``degree`` n and one parameter step per axis, one prolongation forms
+the tangents and the velocity element (a curve's tangent, the wedge of a
+surface's two), and one residual body takes the momentum ``P`` (the 1/n!
+of `fields`) and keeps the interior nodes.  Only the transport term
+depends on n:
 
     delta_nu = dL/dx^nu - d_t P_nu                                 (n = 1)
     delta_nu = dL/dx^nu - d_t S^mu d_s P_{mu nu} + d_s S^mu d_t P_{mu nu}
@@ -12,7 +13,8 @@ keeps the interior nodes.  Only the transport term depends on n:
 Parameter derivatives are second-order central differences in the
 interior and second-order one-sided on the boundary rows (`numpy.gradient`
 with ``edge_order=2``); residuals are reported on interior nodes only,
-where the outer derivative of the momentum field is itself central.
+where the outer derivative of the momentum field is itself central.  A
+tangent or residual that overflows raises `NodeDomainError` at its node.
 
 `delta_L_surface_via_maps` assembles the same surface covector from the
 phase elements of the momentum surface, stacked over the interior nodes,
@@ -62,39 +64,42 @@ class NodeDomainError(ValueError):
         self.node = node
 
 
-def _validated_points(points, min_samples, name):
-    pts = np.array(points, dtype=float)
-    if pts.ndim != len(min_samples) + 1:
-        raise ValueError(f"{name}: expected {len(min_samples) + 1}-d sample array, got shape {pts.shape}")
-    for axis, need in enumerate(min_samples):
-        if pts.shape[axis] < need:
-            raise ValueError(
-                f"{name}: need at least {need} samples along axis {axis}, got {pts.shape[axis]}"
-            )
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{name}: sample coordinates must be finite")
-    pts.flags.writeable = False
-    return pts
+class _Grid:
+    """A sampled curve or surface: its ``degree`` of parameter axes, a positive step and at
+    least 5 finite samples per axis, read-only points and ``dim`` >= ``degree`` coordinates."""
 
-
-@dataclass(frozen=True)
-class SurfaceGrid:
-    """Uniformly sampled parameterized surface: points (nt, ns, m)."""
-
-    dt: float
-    ds: float
-    points: np.ndarray
+    degree: int
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and self.ds > 0.0):
+        name = type(self).__name__
+        if not all(h > 0.0 for h in self.steps):
             raise ValueError("grid steps must be positive")
-        object.__setattr__(self, "points", _validated_points(self.points, (5, 5), "SurfaceGrid"))
-        if self.dim < 2:
-            raise ValueError("surface ambient dimension must be at least 2")
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != self.degree + 1:
+            raise ValueError(f"{name}: expected {self.degree + 1}-d sample array, got shape {pts.shape}")
+        for axis, count in enumerate(pts.shape[:-1]):
+            if count < 5:
+                raise ValueError(f"{name}: need at least 5 samples along axis {axis}, got {count}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"{name}: sample coordinates must be finite")
+        if pts.shape[-1] < self.degree:
+            raise ValueError(f"{name}: ambient dimension must be at least {self.degree}")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @property
     def dim(self) -> int:
         return self.points.shape[-1]
+
+
+@dataclass(frozen=True)
+class SurfaceGrid(_Grid):
+    """Uniformly sampled parameterized surface (degree 2): points (nt, ns, m)."""
+
+    dt: float
+    ds: float
+    points: np.ndarray
+    degree = 2
 
     @property
     def shape(self) -> tuple:
@@ -135,20 +140,12 @@ class SurfaceGrid:
 
 
 @dataclass(frozen=True)
-class CurveGrid:
-    """Uniformly sampled parameterized curve: points (n, m)."""
+class CurveGrid(_Grid):
+    """Uniformly sampled parameterized curve (degree 1): points (n, m)."""
 
     dt: float
     points: np.ndarray
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("grid step must be positive")
-        object.__setattr__(self, "points", _validated_points(self.points, (5,), "CurveGrid"))
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[-1]
+    degree = 1
 
     @property
     def steps(self) -> tuple:
@@ -166,11 +163,28 @@ def _along_axes(values: np.ndarray, grid) -> list:
     return [np.gradient(values, h, axis=k, edge_order=2) for k, h in enumerate(grid.steps)]
 
 
+def _interior(grid) -> tuple:
+    """Index of the interior nodes of ``grid``: all but the first and last along each axis."""
+    return (slice(1, -1),) * grid.degree
+
+
+def _require_finite(finite: np.ndarray, message: str, offset: int = 0):
+    """`NodeDomainError` at the first node, in C order, where ``finite`` is false, numbered
+    from ``offset`` (1 for the nodes of an interior block)."""
+    if not finite.all():
+        node = np.unravel_index(finite.argmin(), finite.shape)
+        raise NodeDomainError(message, tuple(int(k) + offset for k in node))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # differences past the range are refused below
 def _prolongation(grid):
     """Tangents along each axis, and the velocity element: a curve's tangent,
     the wedge slots of a surface's two tangents."""
     tangents = _along_axes(grid.points, grid)
-    return tangents, tangents[0] if len(tangents) == 1 else wedge_slots(*tangents)
+    w = tangents[0] if grid.degree == 1 else wedge_slots(*tangents)
+    # a tangent that is not finite makes a slot of its wedge not finite too (dim >= 2)
+    _require_finite(np.isfinite(w).all(axis=-1), "tangent or velocity element not finite")
+    return tangents, w
 
 
 def velocity_prolongation(grid) -> np.ndarray:
@@ -204,8 +218,8 @@ def _require_fit(item, grid, kind: str):
     """Refuse a field or a constraint (``kind``) whose dimension, then degree, is not the grid's."""
     if item.dim != grid.dim:
         raise ValueError(f"{kind} dimension {item.dim} does not match grid ({grid.dim})")
-    if item.degree != len(grid.steps):
-        raise ValueError(f"a degree-{item.degree} {kind} does not apply to a degree-{len(grid.steps)} grid")
+    if item.degree != grid.degree:
+        raise ValueError(f"a degree-{item.degree} {kind} does not apply to a degree-{grid.degree} grid")
 
 
 def _prolonged_momentum(L, grid):
@@ -221,11 +235,12 @@ def _prolonged_momentum(L, grid):
     return x, tangents, w, L.momentum_slots(x, w)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a residual past the range is refused below
 def _delta_L(L, grid) -> CovectorField:
     """First-variation defect along a curve or a surface; only the
     transport term differs between the degrees."""
     x, tangents, w, p = _prolonged_momentum(L, grid)
-    if len(tangents) == 1:
+    if grid.degree == 1:
         delta = L.gradient_x_slots(x, w) - _along_axes(p, grid)[0]
     else:
         # differentiate the slots, then expand: negation commutes with the stencils
@@ -236,7 +251,9 @@ def _delta_L(L, grid) -> CovectorField:
             - np.einsum("ijm,ijmn->ijn", tt, dps)
             + np.einsum("ijm,ijmn->ijn", ts, dpt)
         )
-    return CovectorField(delta[(slice(1, -1),) * len(tangents)])
+    delta = delta[_interior(grid)]
+    _require_finite(np.isfinite(delta).all(axis=-1), "Euler-Lagrange residual not finite", 1)
+    return CovectorField(delta)
 
 
 # two functions, not one under two names: perfbench/tracing.py wraps each name
@@ -250,6 +267,7 @@ def delta_L_curve(L, grid: CurveGrid) -> CovectorField:
     return _delta_L(L, grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a residual past the range is refused below
 def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     """Same defect, assembled through phase elements and the canonical map.
 
@@ -257,17 +275,18 @@ def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     deviation between the stored momentum block and its recomputation,
     which is zero up to rounding by construction and kept as a guard.
     """
-    if len(grid.steps) != 2:
+    if grid.degree != 2:
         raise ValueError(f"delta_L_surface_via_maps needs a degree-2 grid, "
-                         f"got a degree-{len(grid.steps)} grid")
+                         f"got a degree-{grid.degree} grid")
     x, (tt, ts), w, p = _prolonged_momentum(L, grid)
     dpt, dps = _along_axes(p, grid)
-    x, tt, ts, w, p, dpt, dps = (a[1:-1, 1:-1] for a in (x, tt, ts, w, p, dpt, dps))
+    x, tt, ts, w, p, dpt, dps = (a[_interior(grid)] for a in (x, tt, ts, w, p, dpt, dps))
     # holonomic blocks of the prolonged momentum surface, one per interior node
     y = tt[..., :, None] * dps[..., None, :] - ts[..., :, None] * dpt[..., None, :]
     pdot = dpt[..., :, None] * dps[..., None, :] - dps[..., :, None] * dpt[..., None, :]
     element = PhaseElement2(x, MomentumBivector(p, grid.dim), Bivector(w, grid.dim), y, pdot)
     x, xdot, force, p = alpha2(element)
     field = L.gradient_x(x, xdot) - force
+    _require_finite(np.isfinite(field).all(axis=-1), "Euler-Lagrange residual not finite", 1)
     defect = L.momentum(x, xdot) - p
     return CovectorField(field), float(np.abs(defect.slots).max())

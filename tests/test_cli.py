@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ def test_out_is_not_written_without_a_surface(tmp_path, capsys):
         assert main(["plateau-solve", *run, "--out", str(out)]) == 2
         assert "feasible: no" in capsys.readouterr().out
         assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["spec", "scenario"])
+def test_out_that_cannot_be_written_leaves_stdout_empty(tmp_path, capsys, source):
+    # the solved grid is written before the report, so no PASS report precedes the i/o error
+    spec = _spec(tmp_path, "p.spec", "kind plateau\ndomain 0 1 0 1\nshape 9 9\n"
+                                     "boundary constant 1\n")
+    run = ["--spec", spec] if source == "spec" else ["--scenario", "plane"]
+    out = tmp_path / "missing" / "x.grid"
+    assert main(["plateau-solve", *run, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wedgemech: i/o error: [Errno 2] ")
+    assert not out.parent.exists()
 
 
 def _spec(tmp_path, name, text):
@@ -879,6 +894,36 @@ def test_spec_plateau_start_overflow_is_a_numeric_failure(tmp_path, capsys, boun
     captured = capsys.readouterr()
     assert captured.err == (f"wedgemech: numeric failure: plateau start is not finite ({what}) "
                             "at node (1, 1)\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, body, node",
+    [
+        ("classical-el", "curve c.grid\n", "(0,)"),
+        ("nonholonomic-check", "grid c.grid\nconstraint builtin first-axis-drift\n"
+                               "constraint-tol 1e-6\n", "(0,)"),
+        ("nonholonomic-check", "grid s.grid\nconstraint builtin example7\n"
+                               "constraint-tol 1e-6\n", "(0, 0)"),
+    ],
+    ids=["classical-curve", "check-curve", "check-surface"],
+)
+def test_spec_overflowing_differences_are_a_numeric_failure(tmp_path, capsys, command, body,
+                                                            node):
+    # a step of 1e-320 overflows every difference quotient of the nodes (k, k) or (i, j, i + j)
+    (tmp_path / "c.grid").write_text("# kind curve\n# shape 5\n# step 1e-320\ni x1 x2\n"
+                                     + "".join(f"{k} {k} {k}\n" for k in range(5)))
+    (tmp_path / "s.grid").write_text(
+        "# kind surface\n# shape 5 5\n# step 1e-320 1e-320\ni j x1 x2 x3\n"
+        + "".join(f"{i} {j} {i} {j} {i + j}\n" for i in range(5) for j in range(5)))
+    spec = _spec(tmp_path, "t.spec", f"kind {command}\n{body}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--spec", spec]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ("wedgemech: numeric failure: tangent or velocity element not finite "
+                            f"at node {node}\n")
     assert captured.out == ""
 
 

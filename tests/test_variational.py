@@ -13,6 +13,7 @@ first order, which the order checks deliberately step around.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from wedgemech.fields import (
     plateau_lagrangian,
     quadratic_curve_lagrangian,
 )
+from wedgemech.formats import read_grid, write_grid
 from wedgemech.geometry import (
     Bivector,
     Metric,
@@ -84,6 +86,92 @@ def test_grid_validation():
         pts = np.zeros((6, 6, 3))
         pts[0, 0, 0] = np.nan
         SurfaceGrid(0.1, 0.1, pts)
+
+
+@pytest.mark.parametrize("cls, degree", [(CurveGrid, 1), (SurfaceGrid, 2)])
+def test_a_grid_declares_its_degree_and_both_degrees_share_one_set_of_rules(tmp_path, cls,
+                                                                             degree):
+    rng = np.random.default_rng(degree)
+    name, steps = cls.__name__, (0.25, 1.0 / 3.0)[:degree]
+    points = rng.standard_normal((7,) * degree + (3,))
+    grid = cls(*steps, points)
+    assert grid.degree == cls.degree == degree and grid.dim == 3
+    assert not grid.points.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[(0,) * degree] = 1.0
+    # each shared rule, and the input it refuses
+    refused = [
+        ((-0.25,) + steps[1:], points, "grid steps must be positive"),
+        (steps[:-1] + (float("nan"),), points, "grid steps must be positive"),
+        (steps, points[..., 0], f"{name}: expected {degree + 1}-d sample array"),
+        (steps, points[..., :4, :],
+         f"{name}: need at least 5 samples along axis {degree - 1}, got 4"),
+        (steps, points + [0.0, np.inf, 0.0], f"{name}: sample coordinates must be finite"),
+        # below its degree: a curve in no coordinates, a surface in one
+        (steps, points[..., : degree - 1], f"{name}: ambient dimension must be at least {degree}"),
+    ]
+    for bad_steps, bad_points, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            cls(*bad_steps, bad_points)
+    # a grid file reads back as the same class, with the same bits
+    write_grid(tmp_path / "g.grid", grid)
+    back = read_grid(tmp_path / "g.grid")
+    assert type(back) is cls and back.steps == grid.steps
+    assert back.points.tobytes() == grid.points.tobytes()
+    # the fit rule compares dimensions, then the declared degrees
+    for item, message in [
+        (SimpleNamespace(dim=4, degree=degree), "field dimension 4 does not match grid (3)"),
+        (SimpleNamespace(dim=3, degree=3 - degree),
+         f"a degree-{3 - degree} field does not apply to a degree-{degree} grid"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            variational._require_fit(item, grid, "field")
+
+
+@pytest.mark.parametrize("cls, degree", [(CurveGrid, 1), (SurfaceGrid, 2)])
+def test_a_step_too_small_for_the_data_is_refused_at_its_node(cls, degree):
+    # nodes (k, k) or (i, j, i + j) 1e-320 apart: every difference quotient overflows,
+    # and the stencil's edge weights too
+    index = np.indices((5,) * degree, dtype=float)
+    grid = cls(*(1e-320,) * degree, np.stack([*index, index.sum(axis=0)], -1))
+    L = quadratic_curve_lagrangian(2) if degree == 1 else plateau_lagrangian(3)
+    calls = [velocity_prolongation, lambda g: variational._delta_L(L, g)]
+    calls += [lambda g: delta_L_surface_via_maps(L, g)] if degree == 2 else []
+    for call in calls:
+        with pytest.raises(NodeDomainError, match="^tangent or velocity element not finite") as err:
+            call(grid)
+        assert err.value.node == (0,) * degree
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_residual_past_the_double_range_is_refused_at_its_node(degree):
+    # finite tangents of size 2e9 k, whose momentum differs by 4e9 per step of 1e-300
+    index = np.indices((7,) * degree, dtype=float)
+    heights = 1e-291 * (index**2).sum(axis=0)
+    if degree == 1:
+        grid = CurveGrid(1e-300, heights[:, None])
+        L, route = quadratic_curve_lagrangian(1), delta_L_curve
+    else:
+        grid = SurfaceGrid(1e-300, 1e-300, np.stack([1e-300 * index[0], 1e-300 * index[1],
+                                                      heights], -1))
+        L, route = plateau_lagrangian(3), delta_L_surface
+        # the canonical-map route refuses the overflowing block of its phase elements first
+        with pytest.raises(ValueError, match="^y: entries must be finite$"):
+            delta_L_surface_via_maps(L, grid)
+    assert np.isfinite(velocity_prolongation(grid)).all()
+    with pytest.raises(NodeDomainError, match="^Euler-Lagrange residual not finite") as err:
+        route(L, grid)
+    assert err.value.node == (1,) * degree
+
+
+def test_a_field_gradient_past_the_double_range_is_refused_at_its_node():
+    # finite values, but the x-derivative on the column t = 0.25 overflows in both routes
+    S = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (0.0, 1.0, 9), (0.0, 1.0, 9))
+    L = CallableBivectorLagrangian(3, lambda x, w: 1e308 * np.tanh(1e10 * (x[0] - 0.25)))
+    for route in (delta_L_surface, delta_L_surface_via_maps):
+        with pytest.raises(NodeDomainError, match="^Euler-Lagrange residual not finite") as err:
+            route(L, S)
+        assert err.value.node == (2, 1)
 
 
 @pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
