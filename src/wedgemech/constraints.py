@@ -218,7 +218,8 @@ class AffineConstraint:
 
         Base points (..., dim), checked first, are flattened to rows once.  A constant field is
         written to every node by one broadcast; a callable is called once
-        per row and its values are checked and stacked in one pass.  The
+        per row and its values are checked and stacked in one pass, and a
+        callable serving as more than one field reuses that stack.  The
         generator stacks are grouped by their bytes, so that each distinct
         one is tested for linear independence once, by `at` or `_annihilator`.
         """
@@ -235,6 +236,10 @@ class AffineConstraint:
         for k, field in enumerate(self._fields):
             if not callable(field):
                 values[:, k] = field.slots if self.degree == 2 else field
+                continue
+            first = next(j for j, f in enumerate(self._fields) if f is field)
+            if first < k:
+                values[:, k] = values[:, first]
                 continue
             column = [field(point) for point in points]
             stacked = self._stacked(column, size)

@@ -9,18 +9,17 @@ differences, cross term from the four corners).  Newton's method uses the
 exact nine-point Jacobian of that stencil, damped by halving the step
 until the residual max-norm decreases.  The starting interior is the
 harmonic fill of the boundary ring, solved by a type-I DST fast Poisson
-solver.  The Newton steps are solved matrix-free: the Jacobian is kept as
-nine coefficient arrays, applied to a vector through shifted slices, and
-a small in-house GMRES preconditioned by that Laplacian inverse solves
-each step.  A step GMRES cannot finish in one restart cycle (steep
-slopes) falls back to a sparse LU factorization of the assembled
-Jacobian for the rest of the solve.  There a pivot falling below 1e-12
-of the largest Jacobian entry aborts the solve rather than returning
-garbage; being relative, the guard does not depend on the units of the
-domain.  scipy is imported inside the functions that use it, so only a
-solve pays its import, not every command that loads this module; a solve
-that stays on GMRES loads only ``scipy.fft``, the direct fallback adds
-the sparse matrices and LU.
+solver.  Each iterate's differences are taken once, for its residual and,
+once it is accepted, its Jacobian: nine coefficient arrays that GMRES
+applies matrix-free through shifted slices, preconditioned by the
+Laplacian inverse.  A step GMRES cannot finish in one restart cycle (steep
+slopes) falls back, for the rest of the solve, to a sparse LU
+factorization of the same stencil laid out as a CSR matrix.  There a pivot
+falling below 1e-12 of the largest Jacobian entry aborts the solve rather
+than returning garbage; being relative, the guard does not depend on the
+units of the domain.  scipy is imported inside the functions that use it,
+so only a solve pays its import; a solve that stays on GMRES loads only
+``scipy.fft``, the direct fallback adds the sparse matrices and LU.
 
 The quasilinear form is W^3 times the divergence form div(grad z / W),
 W^2 = 1 + z_x^2 + z_y^2, and the graph-area Euler-Lagrange defect of the
@@ -189,14 +188,15 @@ def _stencil_pieces(z: np.ndarray, hx: float, hy: float):
     return zx, zy, zxx, zyy, zxy
 
 
-def _quasilinear(z: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    zx, zy, zxx, zyy, zxy = _stencil_pieces(z, hx, hy)
+def _quasilinear(pieces: tuple) -> np.ndarray:
+    """Quasilinear operator from the differences ``pieces`` of `_stencil_pieces`."""
+    zx, zy, zxx, zyy, zxy = pieces
     return (1.0 + zx**2) * zyy - 2.0 * zx * zy * zxy + (1.0 + zy**2) * zxx
 
 
 def minimal_surface_residual(grid: GraphGrid) -> np.ndarray:
     """Quasilinear minimal-surface operator at the interior nodes."""
-    return _quasilinear(grid.z, grid.hx, grid.hy)
+    return _quasilinear(_stencil_pieces(grid.z, grid.hx, grid.hy))
 
 
 def _factorize(matrix, context: str):
@@ -269,13 +269,14 @@ def initial_guess(grid: GraphGrid) -> GraphGrid:
 _OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
 
 
-def _jacobian_stencil(z: np.ndarray, hx: float, hy: float) -> tuple:
+def _jacobian_stencil(pieces: tuple, hx: float, hy: float) -> tuple:
     """Exact nine-point Jacobian of the quasilinear stencil as coefficient arrays.
 
     Entry ``k`` is the interior-block array of d(residual[i, j]) /
-    d(z[i + di, j + dj]) for the ``k``-th offset of ``_OFFSETS``.
+    d(z[i + di, j + dj]) for the ``k``-th offset of ``_OFFSETS``, at the
+    heights whose differences `_stencil_pieces` gave as ``pieces``.
     """
-    zx, zy, zxx, zyy, zxy = _stencil_pieces(z, hx, hy)
+    zx, zy, zxx, zyy, zxy = pieces
     ax, ay = 1.0 / hx**2, 1.0 / hy**2
     cross = 2.0 * zx * zy / (4.0 * hx * hy)
     # slope sensitivities feed through the coefficients of the stencil
@@ -309,27 +310,21 @@ def _apply_stencil(coeffs: tuple, padded: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_matrix(z: np.ndarray, hx: float, hy: float):
-    """The stencil Jacobian assembled as a sparse matrix over the interior unknowns."""
-    from scipy.sparse import coo_matrix
+def _newton_matrix(coeffs: tuple):
+    """The stencil ``coeffs`` as a CSR matrix over the interior unknowns.
 
-    nx, ny = z.shape
-    mi, mj = nx - 2, ny - 2
-    idx = np.arange(mi * mj).reshape(mi, mj)
-    rows, cols, vals = [], [], []
-    for value, (di, dj) in zip(_jacobian_stencil(z, hx, hy), _OFFSETS):
-        # clip to neighbor nodes that are themselves unknowns
-        ri = slice(max(0, -di), mi - max(0, di))
-        rj = slice(max(0, -dj), mj - max(0, dj))
-        ci = slice(max(0, di), mi - max(0, -di))
-        cj = slice(max(0, dj), mj - max(0, -dj))
-        rows.append(idx[ri, rj].ravel())
-        cols.append(idx[ci, cj].ravel())
-        vals.append(value[ri, rj].ravel())
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj),
-    )
+    Row k holds node k's nine entries in ``_OFFSETS`` order, less those
+    whose neighbor is a ring node; the columns of a row then ascend, so
+    the arrays are already in canonical CSR form.
+    """
+    from scipy.sparse import csr_matrix
+
+    mi, mj = coeffs[0].shape
+    inside = np.pad(np.ones((mi, mj), dtype=bool), 1)
+    keep = np.stack([inside[1 + di : 1 + di + mi, 1 + dj : 1 + dj + mj] for di, dj in _OFFSETS], -1)
+    columns = np.arange(mi * mj).reshape(mi, mj, 1) + [di * mj + dj for di, dj in _OFFSETS]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1))])
+    return csr_matrix((np.stack(coeffs, -1)[keep], columns[keep], indptr), shape=(mi * mj, mi * mj))
 
 
 def _krylov_step(coeffs: tuple, residual: np.ndarray, precond):
@@ -442,59 +437,56 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
     The linear solves are preconditioned GMRES (Newton-Krylov; Knoll &
     Keyes, JCP 193, 2004) to a near-exact tolerance, so convergence stays
     quadratic.  The first step GMRES misses is solved by the pivot-guarded
-    direct factorization, and so is every later step of that solve: the
+    factorization of the same Jacobian, and so is every later step: the
     iteration count grows with the slope of the surface, and a steep patch
     would otherwise pay a failed Krylov cycle on every step.
     """
     opts = options or SolveOptions()
     current = initial_guess(grid)
     hx, hy = grid.hx, grid.hy
-    nx, ny = grid.shape
-    precond = _poisson_solver(nx - 2, ny - 2, hx, hy)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _finite_start(_quasilinear(current.z, hx, hy), "minimal-surface residual")
+        pieces = _stencil_pieces(current.z, hx, hy)
+        residual = _finite_start(_quasilinear(pieces), "minimal-surface residual")
+    precond = _poisson_solver(*residual.shape, hx, hy)
     trace = [float(np.abs(residual).max())]
-    steps = []
-    linear_iters = []
-    direct = False
-    iterations = 0
+    steps, linear_iters = [], []
     stop = "max-iter"
-    while trace[-1] > opts.tol and iterations < opts.max_iter:
-        update, krylov_iters = None, 0
-        if not direct:
-            coeffs = _jacobian_stencil(current.z, hx, hy)
-            update, krylov_iters = _krylov_step(coeffs, residual, precond)
+    while True:
+        # one Jacobian per accepted iterate; its differences are dropped before the solve
+        jacobian = _jacobian_stencil(pieces, hx, hy)
+        del pieces
+        if trace[-1] <= opts.tol or len(steps) >= opts.max_iter:
+            break
+        update, krylov_iters = None, 0  # free the last update before GMRES allocates its basis
+        if 0 not in linear_iters:  # no step went direct yet (0 GMRES iterations marks one)
+            update, krylov_iters = _krylov_step(jacobian, residual, precond)
         if update is None:  # GMRES missed: this step and every later one go direct
-            direct = True
-            lu = _factorize(_newton_matrix(current.z, hx, hy).tocsr(), "plateau newton")
+            lu = _factorize(_newton_matrix(jacobian), "plateau newton")
             update = lu.solve(-residual.ravel()).reshape(residual.shape)
         step = opts.damping
-        accepted = None
         while step > 2.0**-30:
             z_try = np.array(current.z)
             z_try[1:-1, 1:-1] += step * update
-            r_try = _quasilinear(z_try, hx, hy)
-            norm = float(np.abs(r_try).max())
+            pieces = _stencil_pieces(z_try, hx, hy)
+            residual = _quasilinear(pieces)
+            norm = float(np.abs(residual).max())
             if norm < trace[-1]:
-                accepted = (z_try, r_try, norm)
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             stop = "no-descent"  # keep the best iterate at this resolution
             break
-        current = current.with_heights(accepted[0])
-        residual = accepted[1]
-        trace.append(accepted[2])
+        current = current.with_heights(z_try)
+        trace.append(norm)
         steps.append(step)
         linear_iters.append(krylov_iters)
-        iterations += 1
     converged = bool(trace[-1] <= opts.tol)
     unknowns = np.pad(np.abs(current.z[1:-1, 1:-1]), 1)
-    floor = _apply_stencil([np.abs(c) for c in _jacobian_stencil(current.z, hx, hy)], unknowns)
+    floor = _apply_stencil([np.abs(c) for c in jacobian], unknowns)
     return PlateauResult(
         grid=current,
         converged=converged,
-        iterations=iterations,
+        iterations=len(steps),
         trace=np.asarray(trace),
         steps=np.asarray(steps),
         linear_iters=np.asarray(linear_iters, dtype=int),

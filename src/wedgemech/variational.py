@@ -284,6 +284,8 @@ def delta_L_surface_via_maps(L, grid: SurfaceGrid):
     # holonomic blocks of the prolonged momentum surface, one per interior node
     y = tt[..., :, None] * dps[..., None, :] - ts[..., :, None] * dpt[..., None, :]
     pdot = dpt[..., :, None] * dps[..., None, :] - dps[..., :, None] * dpt[..., None, :]
+    _require_finite(np.isfinite(y).all(axis=(-2, -1)) & np.isfinite(pdot).all(axis=(-2, -1)),
+                    "holonomic block not finite", 1)
     element = PhaseElement2(x, MomentumBivector(p, grid.dim), Bivector(w, grid.dim), y, pdot)
     x, xdot, force, p = alpha2(element)
     field = L.gradient_x(x, xdot) - force

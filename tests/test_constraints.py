@@ -15,6 +15,8 @@ symmetric-slope constraint (section e1^e2, generator (e1-e2)^e3):
   discretization, measured 4.9e-3 at 65^2) but has z_x = tan x != z_y.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -495,6 +497,30 @@ def test_callables_are_called_once_per_interior_node():
     line = CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 21)
     nonholonomic_check_curve(quadratic_curve_lagrangian(2), line, curve, 1e-10)
     assert calls == {"section": 19, "generator": 19}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_callable_serving_as_two_fields_is_called_once_per_node(degree):
+    # the drift form a(x) + span{a(x)}: one callable is the section and the generator
+    if degree == 1:
+        L, grid = quadratic_curve_lagrangian(2), CurveGrid.sample(lambda t: (t, 0.3 * t * t),
+                                                                  0.0, 1.0, 21)
+        kind, dim, field, interior = AffineConstraint1, 2, _drift, 19
+    else:
+        L, grid = plateau_lagrangian(), graph_grid(lambda x, y: x * x + y, n=9)
+        kind, dim, field, interior = AffineConstraint2, 3, _turning_generator, 49
+    calls = []
+
+    def shared(x):
+        calls.append(x)
+        return field(x)
+
+    report = nonholonomic_check(L, grid, kind(dim, shared, [shared]), 1e-6)
+    assert len(calls) == interior
+    twin = nonholonomic_check(L, grid, kind(dim, lambda x: field(x), [lambda x: field(x)]), 1e-6)
+    for part in dataclasses.fields(report):
+        have, want = (np.asarray(getattr(r, part.name)) for r in (report, twin))
+        assert (have.dtype, have.shape, have.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_dalembert_decompose_symmetric_slope_defect():

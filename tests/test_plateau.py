@@ -36,6 +36,7 @@ from wedgemech.plateau import (
     _newton_matrix,
     _poisson_solver,
     _quasilinear,
+    _stencil_pieces,
 )
 from wedgemech.variational import delta_L_surface
 
@@ -135,13 +136,14 @@ def test_newton_matrix_against_directional_fd():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((7, 9)) * 0.4
     hx, hy = 0.11, 0.07
-    jac = _newton_matrix(z, hx, hy)
+    jac = _newton_matrix(_jacobian_stencil(_stencil_pieces(z, hx, hy), hx, hy))
     v = rng.standard_normal((5, 7))
     eps = 1e-7
     zp, zm = np.array(z), np.array(z)
     zp[1:-1, 1:-1] += eps * v
     zm[1:-1, 1:-1] -= eps * v
-    fd = (_quasilinear(zp, hx, hy) - _quasilinear(zm, hx, hy)) / (2.0 * eps)
+    fd = (_quasilinear(_stencil_pieces(zp, hx, hy))
+          - _quasilinear(_stencil_pieces(zm, hx, hy))) / (2.0 * eps)
     jv = (jac @ v.ravel()).reshape(5, 7)
     assert np.abs(jv - fd).max() < 1e-7 * np.abs(fd).max()
 
@@ -153,22 +155,92 @@ def test_stencil_product_is_bitwise_the_assembled_jacobian(shape, hx, hy):
     v = rng.standard_normal((shape[0] - 2, shape[1] - 2))
     padded = np.zeros(shape)
     padded[1:-1, 1:-1] = v
-    product = _apply_stencil(_jacobian_stencil(z, hx, hy), padded)
-    assert np.array_equal(product.ravel(), _newton_matrix(z, hx, hy).tocsr() @ v.ravel())
+    coeffs = _jacobian_stencil(_stencil_pieces(z, hx, hy), hx, hy)
+    product = _apply_stencil(coeffs, padded)
+    assert np.array_equal(product.ravel(), _newton_matrix(coeffs) @ v.ravel())
+
+
+def _coo_assembly(coeffs):
+    """The stencil as triplets clipped to interior neighbors, one offset at a
+    time, converted to CSR by scipy: the reference layout for `_newton_matrix`."""
+    mi, mj = coeffs[0].shape
+    idx = np.arange(mi * mj).reshape(mi, mj)
+    rows, cols, vals = [], [], []
+    for value, (di, dj) in zip(coeffs, plateau._OFFSETS):
+        ri = slice(max(0, -di), mi - max(0, di))
+        rj = slice(max(0, -dj), mj - max(0, dj))
+        ci = slice(max(0, di), mi - max(0, -di))
+        cj = slice(max(0, dj), mj - max(0, -dj))
+        rows.append(idx[ri, rj].ravel())
+        cols.append(idx[ci, cj].ravel())
+        vals.append(value[ri, rj].ravel())
+    triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.coo_matrix(triplets, shape=(mi * mj, mi * mj)).tocsr()
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 9), (9, 5), (17, 33), (65, 65)])
+def test_newton_matrix_lays_out_the_stencil_as_the_coo_assembly(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    hx, hy = 0.11, 0.07
+    # a flat surface has exact zeros in its cross terms: both layouts keep them
+    for z in (rng.standard_normal(shape), np.zeros(shape)):
+        coeffs = _jacobian_stencil(_stencil_pieces(z, hx, hy), hx, hy)
+        matrix, reference = _newton_matrix(coeffs), _coo_assembly(coeffs)
+        assert matrix.format == "csr" and matrix.shape == reference.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, part), getattr(reference, part))
+
+
+@pytest.mark.parametrize("half_width, n, tol, paths", [
+    (1.45, 17, 1e-10, {"gmres", "direct"}),
+    (1.54, 33, 1e-10, {"direct", "halving"}),
+    (0.7, 17, 1e-300, {"gmres", "no-descent"}),  # tol below the residual floor
+])
+def test_each_iterate_is_differenced_once_and_given_one_jacobian(monkeypatch, half_width, n, tol,
+                                                                  paths):
+    differenced, jacobians = [], []
+
+    def pieces(z, hx, hy):
+        differenced.append(np.array(z))
+        return _stencil_pieces(z, hx, hy)
+
+    def jacobian(p, hx, hy):
+        jacobians.append(p)
+        return _jacobian_stencil(p, hx, hy)
+
+    monkeypatch.setattr(plateau, "_stencil_pieces", pieces)
+    monkeypatch.setattr(plateau, "_jacobian_stencil", jacobian)
+    domain = (-half_width, half_width, -half_width, half_width)
+    options = SolveOptions(tol=tol)
+    result = solve_plateau(GraphGrid.from_boundary(domain, n, n, scherk), options)
+    seen = {"gmres": (result.linear_iters > 0).any(), "direct": (result.linear_iters == 0).any(),
+            "halving": (result.steps < options.damping).any(),
+            "no-descent": result.stop == "no-descent"}
+    assert {path for path, taken in seen.items() if taken} == paths
+    # the start and every line-search trial are evaluated iterates, each differenced once
+    trials = sum(round(np.log2(options.damping / step)) + 1 for step in result.steps)
+    if result.stop == "no-descent":
+        trials += sum(options.damping * 0.5**k > 2.0**-30 for k in range(64))
+    assert len(differenced) == 1 + trials
+    assert len({z.tobytes() for z in differenced}) == len(differenced)
+    # the start and each accepted iterate get one Jacobian: the next step solves
+    # with it, and the last one's gives the residual floor
+    assert len(jacobians) == result.iterations + 1
 
 
 def test_krylov_step_matches_dense_solve():
     g = initial_guess(GraphGrid.from_boundary(SCHERK_DOMAIN, 17, 17, scherk))
-    r = _quasilinear(g.z, g.hx, g.hy)
+    pieces = _stencil_pieces(g.z, g.hx, g.hy)
+    r = _quasilinear(pieces)
     precond = _poisson_solver(15, 15, g.hx, g.hy)
-    coeffs = _jacobian_stencil(g.z, g.hx, g.hy)
+    coeffs = _jacobian_stencil(pieces, g.hx, g.hy)
     step, iterations = _krylov_step(coeffs, r, precond)
     assert step.shape == r.shape and 0 < iterations <= 30
     padded = np.zeros(g.shape)
     padded[1:-1, 1:-1] = step
     miss = np.linalg.norm(precond(_apply_stencil(coeffs, padded) + r))
     assert miss <= 1e-10 * np.linalg.norm(precond(r))
-    dense = np.linalg.solve(_newton_matrix(g.z, g.hx, g.hy).toarray(), -r.ravel())
+    dense = np.linalg.solve(_newton_matrix(coeffs).toarray(), -r.ravel())
     assert np.linalg.norm(step.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
 

@@ -156,8 +156,9 @@ def test_a_residual_past_the_double_range_is_refused_at_its_node(degree):
                                                       heights], -1))
         L, route = plateau_lagrangian(3), delta_L_surface
         # the canonical-map route refuses the overflowing block of its phase elements first
-        with pytest.raises(ValueError, match="^y: entries must be finite$"):
+        with pytest.raises(NodeDomainError, match="^holonomic block not finite") as err:
             delta_L_surface_via_maps(L, grid)
+        assert err.value.node == (1, 1)
     assert np.isfinite(velocity_prolongation(grid)).all()
     with pytest.raises(NodeDomainError, match="^Euler-Lagrange residual not finite") as err:
         route(L, grid)
