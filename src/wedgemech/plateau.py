@@ -18,8 +18,10 @@ factorization of the same stencil laid out as a CSR matrix.  There a pivot
 falling below 1e-12 of the largest Jacobian entry aborts the solve rather
 than returning garbage; being relative, the guard does not depend on the
 units of the domain.  scipy is imported inside the functions that use it,
-so only a solve pays its import; a solve that stays on GMRES loads only
-``scipy.fft``, the direct fallback adds the sparse matrices and LU.
+so only a solve pays its import.  The sine transforms run on numpy.fft,
+bitwise as on ``scipy.fft``, until the process has spent about one import
+of ``scipy.fft`` (0.2 s, 7 M element-pairs) on their slower route; the next
+solve imports it.  The direct fallback loads the sparse matrices and LU.
 
 The quasilinear form is W^3 times the divergence form div(grad z / W),
 W^2 = 1 + z_x^2 + z_y^2, and the graph-area Euler-Lagrange defect of the
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +220,59 @@ def _factorize(matrix, context: str):
     return lu
 
 
+# A fresh `import scipy.fft` takes about 0.2 s, a pair on numpy.fft 12-33 ns more per element
+# (255^2 to 31^2 interiors; scipy 1.17.1, numpy 2.4.6, 2-core host): at 28 ns, 0.2 s buys 7 M
+# element-pairs.  Rent numpy.fft that long, then buy the import (rent-or-buy: Karlin et al. 1988).
+_SCIPY_FFT_WORTH = 7_000_000
+_numpy_dst_work = 0  # element-pairs this process has transformed on numpy.fft
+_DST_BLOCK = 32  # lines per numpy.fft call: bounds the extensions' memory
+
+
+def _dst_route(size: int):
+    """DST-I for the next pair (``size`` entries): numpy.fft, counted, until scipy.fft is loaded."""
+    global _numpy_dst_work
+    if "scipy.fft" in sys.modules:
+        return _scipy_dst1
+    _numpy_dst_work += size
+    return _numpy_dst1
+
+
+def _scipy_dst1(x: np.ndarray, inverse: bool) -> np.ndarray:
+    from scipy.fft import dstn, idstn
+    return idstn(x, type=1, overwrite_x=True) if inverse else dstn(x, type=1)
+
+
+def _numpy_dst1(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """`_scipy_dst1` on numpy.fft, bitwise, by pocketfft's steps; the inverse overwrites ``x``.
+
+    A line c of m entries becomes minus the imaginary parts 1..m of the real FFT of
+    (c0 * 0, c, c0 * 0, -c reversed) times the factor: 1 / (4 (m0 + 1) (m1 + 1)) from
+    a long double for the inverse, applied on axis 0, which goes first."""
+    m0, m1 = x.shape
+    out = x if inverse else np.empty_like(x)
+    _dst1_rows(x.T, out.T, float(1 / np.longdouble(4 * (m0 + 1) * (m1 + 1))) if inverse else 1.0)
+    _dst1_rows(out, out, 1.0)
+    return out
+
+
+def _dst1_rows(src: np.ndarray, dst: np.ndarray, fct: float) -> None:
+    """Row-wise DST-I of ``src`` times ``fct`` into ``dst``, which may be ``src``."""
+    n, m = src.shape
+    ext = np.empty((min(n, _DST_BLOCK), 2 * m + 2))
+    spectrum = np.empty((len(ext), m + 2), dtype=complex)
+    for start in range(0, n, _DST_BLOCK):
+        lines = src[start : start + _DST_BLOCK]
+        e = ext[: len(lines)]
+        e[:, m + 2 :] = lines[:, ::-1]
+        np.negative(e, out=e)  # ufuncs on whole blocks: numpy adds no iteration buffers
+        e[:, 1 : m + 1] = lines
+        np.multiply(lines[:, 0], 0.0, out=e[:, 0])
+        e[:, m + 1] = e[:, 0]
+        f = np.fft.rfft(e, out=spectrum[: len(lines)])
+        np.multiply(f.view(float), -fct, out=f.view(float))
+        dst[start : start + len(lines)] = f.imag[:, 1 : m + 1]
+
+
 @functools.lru_cache(maxsize=1)
 def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     """Inverse of the 5-point Dirichlet Laplacian on an ``(mi, mj)`` interior block.
@@ -227,9 +283,8 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     SIAM J. Numer. Anal. 7, 1970).  Returns a function of a right-hand side
     with ``mi * mj`` entries that gives the flat solution.  The last block's
     operator is cached, so the harmonic fill and the Newton preconditioner
-    of one solve share it.
+    of one solve share it.  Each application takes the DST `_dst_route` gives.
     """
-    from scipy.fft import dstn, idstn  # scipy is imported by solves only
 
     def axis(m, h):
         return (2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 2.0) / h**2
@@ -237,8 +292,9 @@ def _poisson_solver(mi: int, mj: int, hx: float, hy: float):
     eig = axis(mi, hx)[:, None] + axis(mj, hy)[None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        spectrum = dstn(rhs.reshape(mi, mj), type=1) / eig
-        return idstn(spectrum, type=1, overwrite_x=True).ravel()
+        dst1 = _dst_route(mi * mj)
+        spectrum = dst1(rhs.reshape(mi, mj), False)
+        return dst1(np.divide(spectrum, eig, out=spectrum), True).ravel()
 
     return solve
 
@@ -251,6 +307,10 @@ def _finite_start(interior: np.ndarray, what: str) -> np.ndarray:
 
 def initial_guess(grid: GraphGrid) -> GraphGrid:
     """Replace the interior by the discrete harmonic fill of the ring data."""
+    # a solve starts here: past the budget, buy scipy.fft before its arrays exist, since
+    # an import among them fragments the heap (a long run's peak RSS rose 1-5 MB)
+    if _numpy_dst_work >= _SCIPY_FFT_WORTH:
+        import scipy.fft  # noqa: F401
     nx, ny = grid.shape
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fill is refused below

@@ -1100,12 +1100,13 @@ def test_commands_and_their_help_come_from_the_command_table():
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():
-    # the Poisson solver imports scipy.fft on first use; loading it with the
-    # command line would add 0.22-0.37 s (median 0.26 s) to every run, solve or
-    # not: `import scipy.fft` timed after `import numpy` in 7 fresh interpreters,
-    # scipy 1.17.1 and numpy 2.4.6 on a 2-core host.  `python -X importtime`
-    # puts about half of it in scipy._lib.array_api_compat.numpy, whose
-    # `from numpy import *` loads numpy.f2py, numpy.ma and numpy.testing
+    # `import scipy.fft` after `import numpy` takes 0.17-0.25 s (7 fresh
+    # interpreters, scipy 1.17.1 and numpy 2.4.6 on a 2-core host), more than a
+    # 65^2 solve; `python -X importtime` puts about half of it in
+    # scipy._lib.array_api_compat.numpy, whose `from numpy import *` loads
+    # numpy.f2py, numpy.ma and numpy.testing.  The command line does not load
+    # it, and a solve imports it only once its process has spent about that
+    # much (7 M element-pairs) on the slower numpy.fft sine transforms
     src = os.path.dirname(os.path.dirname(wedgemech.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, wedgemech.cli; print('scipy.fft' in sys.modules)"
@@ -1138,5 +1139,76 @@ def test_scipy_loads_only_for_solves():
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    # a solve that stays on GMRES needs the DST only: no sparse matrices, no LAPACK wrappers
-    assert out.split("\n")[:4] == ["False", "0 False", "0 True", "0 True []"]
+    # a solve that stays on GMRES needs the DST only, and under the transform
+    # budget it runs on numpy.fft: no scipy.fft, no sparse matrices, no LAPACK wrappers
+    assert out.split("\n")[:4] == ["False", "0 False", "0 False", "0 False []"]
+
+
+def _fresh_stdout(probe):
+    """Standard output of ``python -c probe`` in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wedgemech.__file__)))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_no_builtin_scenario_loads_scipy(name):
+    command = next(c for c in cli.COMMANDS if name in scenario_names(c))
+    probe = (
+        "import contextlib, io, sys\n"
+        "import wedgemech.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main([{command!r}, '--scenario', {name!r}])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_stdout(probe) == "[]\n"
+
+
+def test_a_process_past_the_transform_budget_imports_scipy_fft_once():
+    # 257^2 Scherk solves until scipy.fft is loaded: the first solve to start with
+    # the budget spent imports it, before its own arrays, and runs on it throughout
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wedgemech import plateau\n"
+        "searched = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        searched.append(name)\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "grid = plateau.GraphGrid.from_boundary((-0.6, 0.6, -0.6, 0.6), 257, 257,\n"
+        "                                       lambda X, Y: np.log(np.cos(Y) / np.cos(X)))\n"
+        "solves, tallies = [], []\n"
+        "while 'scipy.fft' not in sys.modules:\n"
+        "    solves.append(plateau.solve_plateau(grid))\n"
+        "    tallies.append(plateau._numpy_dst_work)\n"
+        "print(plateau._SCIPY_FFT_WORTH, searched.count('scipy.fft'), *tallies)\n"
+        "print(len({(r.grid.z.tobytes(), r.trace.tobytes()) for r in solves}))\n"
+        "print(sorted({name for name in sys.modules\n"
+        "              if name.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'linalg'])}))\n"
+    )
+    counts, distinct, heavy = _fresh_stdout(probe).splitlines()
+    budget, imports, *tallies = (int(v) for v in counts.split())
+    assert imports == 1
+    per_solve = tallies[0]
+    # every solve that started under the budget ran on numpy.fft; the last one counted nothing
+    assert tallies[:-1] == [per_solve * (k + 1) for k in range(len(tallies) - 1)]
+    assert tallies[-3] < budget <= tallies[-2] == tallies[-1]
+    assert distinct == "1"  # the solves on numpy.fft and the one on scipy.fft agree bitwise
+    assert heavy == "[]"
+
+
+def test_a_process_with_scipy_fft_imported_never_takes_the_numpy_route():
+    probe = (
+        "import contextlib, io\n"
+        "import scipy.fft\n"
+        "import wedgemech.cli as cli\n"
+        "from wedgemech import plateau\n"
+        "def refuse(x, inverse):\n"
+        "    raise AssertionError('numpy.fft route taken')\n"
+        "plateau._numpy_dst1 = refuse\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['plateau-solve', '--scenario', 'scherk-65'])\n"
+        "print(code, plateau._numpy_dst_work)\n"
+    )
+    assert _fresh_stdout(probe) == "0 0\n"

@@ -14,6 +14,8 @@ finite difference of the residual in a random direction; its matrix-free
 stencil form against the assembled matrix, bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -290,6 +292,81 @@ def test_harmonic_fill_matches_sparse_direct_solve():
     reference = scipy.sparse.linalg.spsolve(laplacian.tocsc(), rhs.ravel()).reshape(mi, mj)
     fill = initial_guess(g).z[1:-1, 1:-1]
     assert np.abs(fill - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+# Which route a transform pair takes depends on what the process did before
+# (`plateau._dst_route`), so the routes must agree bit for bit.  Interiors from
+# 3x3 to 255x255, square and not; m + 1 = 127 and 251 are primes, whose
+# 2(m + 1)-point FFTs pocketfft runs by Bluestein's algorithm, and at 66x68
+# the inverse's factor 1/18492 rounded from a long double is not 1.0 / 18492.
+_DST_SHAPES = [(3, 3), (3, 8), (9, 4), (15, 15), (31, 33), (63, 63), (64, 17), (66, 68),
+               (126, 126), (127, 127), (250, 61), (200, 255), (255, 255)]
+
+
+def _dst_inputs(shape, rng):
+    """Normal entries; signed magnitudes 1e-323 to 1e150 (subnormal to large, short of
+    overflowing the transform's sums), a fifth of them signed zeros; signed zeros only."""
+    wide = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-323.0, 150.0, shape)
+    wide[rng.random(shape) < 0.2] *= 0.0
+    wide.flat[:4] = -0.0, 4e-320, -1e150, 1e150  # one line starts with -0.0
+    zeros = rng.choice([-1.0, 1.0], shape) * 0.0
+    return rng.standard_normal(shape), wide, zeros
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("shape", _DST_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_numpy_dst_is_bitwise_scipys(shape, inverse):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for x in _dst_inputs(shape, rng):
+        ours = plateau._numpy_dst1(x.copy(), inverse)
+        theirs = plateau._scipy_dst1(x.copy(), inverse)
+        np.testing.assert_array_equal(_bits(ours), _bits(theirs))
+
+
+# Scherk patches (grid size, half-width): GMRES only up to the half-width 1.2 at
+# 65^2, GMRES then direct at 129^2/1.2, all direct at the half-width 1.45
+_SCHERK_PATCHES = [(33, 0.3), (65, 0.7), (129, 0.45), (129, 0.9), (257, 0.6), (65, 1.2),
+                   (129, 1.2), (65, 1.45), (129, 1.45)]
+
+
+@pytest.mark.parametrize("n, half_width", _SCHERK_PATCHES, ids=lambda v: str(v))
+def test_solves_are_bitwise_equal_on_either_dst_route(monkeypatch, n, half_width):
+    grid = GraphGrid.from_boundary((-half_width, half_width) * 2, n, n, scherk)
+    results = []
+    for dst1 in (plateau._numpy_dst1, plateau._scipy_dst1):
+        monkeypatch.setattr(plateau, "_dst_route", lambda size, dst1=dst1: dst1)
+        results.append(solve_plateau(grid))
+    ours, theirs = results
+    for name in ("trace", "steps", "residual_floor"):
+        np.testing.assert_array_equal(_bits(getattr(ours, name)), _bits(getattr(theirs, name)))
+    np.testing.assert_array_equal(ours.linear_iters, theirs.linear_iters)
+    assert ours.stop == theirs.stop
+    np.testing.assert_array_equal(_bits(ours.grid.z), _bits(theirs.grid.z))
+
+
+def test_numpy_dst_pair_holds_one_block_of_lines_more_than_scipys():
+    # a whole-array numpy route held 3 MB more at the peak of a 257^2 solve;
+    # blocks of lines bound the extensions and their spectra instead
+    m = 255
+    x = np.random.default_rng(5).standard_normal((m, m))
+    peaks = []
+    for dst1 in (plateau._scipy_dst1, plateau._numpy_dst1):
+        dst1(x.copy(), False)  # warm-up: scipy's import and the FFT plans belong to no pair
+        rhs = x.copy()
+        tracemalloc.start()
+        try:
+            spectrum = dst1(rhs, False)
+            spectrum /= 3.0
+            dst1(spectrum, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 32 * ((2 * m + 2) * 8 + (m + 2) * 16)  # 32 lines' extensions and spectra
+    assert peaks[1] <= peaks[0] + block + 4096  # and a few views' Python objects
 
 
 def test_solve_plane_recovers_exactly():
