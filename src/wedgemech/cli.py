@@ -4,11 +4,11 @@ The four subcommands (``plateau-solve``, ``nonholonomic-check``,
 ``phase-check``, ``classical-el``) and their help lines come from the
 command table of `scenarios`.  A run is driven either by ``--scenario
 NAME`` (builtin, fully determined, compared byte-for-byte against a
-stored golden report) or by ``--spec PATH`` (a problem spec file; the
-kind table of `scenarios` names the keys that ``--tol`` and ``--max-iter``
-replace, and only a ``plateau`` spec has an iteration budget).  Only
-``plateau-solve`` takes ``--out``, which receives the solved surface as a
-grid table; a run that solves no surface writes no file.
+stored golden report) or by ``--spec PATH`` (a problem spec file, the one
+source of a spec run's numbers; the kind table of `scenarios` names the
+keys each kind reads).  Only ``plateau-solve`` takes ``--out``, which
+receives the solved surface as a grid table; a run that solves no surface
+writes no file.
 
 Every report is built in `scenarios`, by ``run_scenario`` or ``run_spec``
 through the same bodies.  This module parses the arguments, and one path
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -65,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", metavar="PATH", help="problem spec file")
         if command == "plateau-solve":  # the one command whose runs solve a surface
             p.add_argument("--out", metavar="PATH", help="write the solved grid table")
-        p.add_argument("--tol", type=float, metavar="REAL",
-                       help="override the spec tolerance (spec runs only)")
-        p.add_argument("--max-iter", type=int, metavar="INT", dest="max_iter",
-                       help="override the iteration budget (plateau specs only)")
         p.add_argument("--golden-regen", action="store_true", dest="golden_regen",
                        help="rewrite the scenario's stored golden report")
     return parser
@@ -82,18 +77,12 @@ def _usage(message: str) -> int:
 def _option_fault(args):
     """The usage error in the options of a run, or None."""
     if args.scenario:
-        if args.tol is not None or args.max_iter is not None:
-            return "--tol/--max-iter apply to --spec runs; scenarios are fixed"
         names = scenario_names(args.command)
         if args.scenario not in names:
             return (f"unknown scenario {args.scenario!r} for {args.command}; "
                     f"known: {', '.join(names)}")
     elif args.golden_regen:
         return "--golden-regen applies to builtin scenarios only"
-    elif args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
-        return f"--tol must be positive and finite, got {args.tol!r}"
-    elif args.max_iter is not None and args.max_iter < 1:
-        return f"--max-iter must be at least 1, got {args.max_iter}"
     return None
 
 
@@ -131,7 +120,7 @@ def main(argv=None) -> int:
     try:
         if args.scenario:
             return _finish(args, run_scenario(args.scenario))
-        return _finish(args, run_spec(args.command, args.spec, args.tol, args.max_iter))
+        return _finish(args, run_spec(args.command, args.spec))
     except SpecError as err:
         print(f"wedgemech: spec error: {err}", file=sys.stderr)
         return EXIT_USAGE

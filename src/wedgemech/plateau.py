@@ -6,8 +6,9 @@ The unconstrained problem is posed in quasilinear form,
 
 discretized with the classic central stencils (three-point second
 differences, cross term from the four corners).  Newton's method uses the
-exact nine-point Jacobian of that stencil, damped by halving the step
-until the residual max-norm decreases.  The starting interior is the
+exact nine-point Jacobian of that stencil, damped by halving the full
+step until the residual max-norm decreases; a solve's only settings are
+its residual target and its iteration budget.  The starting interior is the
 harmonic fill of the boundary ring, solved by a type-I DST fast Poisson
 solver.  Each iterate's differences are taken once, for its residual and,
 once it is accepted, its Jacobian: nine coefficient arrays that GMRES
@@ -42,6 +43,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -165,19 +167,23 @@ def _ring(nx: int, ny: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Newton iteration knobs: residual target, budget, initial step factor."""
+    """Newton iteration settings: residual target and iteration budget.
+
+    ``damping`` is no setting but the constant 1.0, the step each line search
+    starts from; it stays readable because the benchmark tracer counts step
+    halvings from it, until that tracer reads the package's own recorder
+    (ROADMAP item 3b).
+    """
 
     tol: float = 1e-10
     max_iter: int = 25
-    damping: float = 1.0
+    damping: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 def _stencil_pieces(z: np.ndarray, hx: float, hy: float):
@@ -202,19 +208,19 @@ def minimal_surface_residual(grid: GraphGrid) -> np.ndarray:
     return _quasilinear(_stencil_pieces(grid.z, grid.hx, grid.hy))
 
 
-def _factorize(matrix, context: str):
+def _factorize(matrix):
     from scipy.sparse.linalg import splu
 
     matrix = matrix.tocsc()
     try:
         lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # exactly singular
-        raise SingularJacobianError(f"{context}: {err}") from err
+        raise SingularJacobianError(f"plateau newton: {err}") from err
     pivot = float(np.abs(lu.U.diagonal()).min())
     scale = float(np.abs(matrix.data).max())
     if pivot < _MIN_PIVOT * scale:
         raise SingularJacobianError(
-            f"{context}: pivot {pivot:.3e} below {_MIN_PIVOT:.0e} of the largest entry "
+            f"plateau newton: pivot {pivot:.3e} below {_MIN_PIVOT:.0e} of the largest entry "
             f"{scale:.3e}; the linearized system is numerically singular"
         )
     return lu
@@ -454,7 +460,7 @@ def _krylov_step(coeffs: tuple, residual: np.ndarray, precond):
 
 @dataclass(frozen=True)
 class PlateauResult:
-    """Solve outcome: final iterate, convergence flag, residual history.
+    """Solve outcome: final iterate, residual history, why the iteration ended.
 
     ``trace[k]`` is the residual max-norm after k iterations (entry 0 is
     the harmonic-fill start); ``steps[k]`` is the damping factor the
@@ -467,17 +473,24 @@ class PlateauResult:
     step halving lowered the residual).  ``residual_floor`` is
     ``eps * max_i sum_k |J_ik| |z_k|`` over the interior unknowns at the
     final iterate: the residual that rounding the heights alone can
-    leave, so a ``tol`` below it is out of float64's reach.
+    leave, so a ``tol`` below it is out of float64's reach.  ``converged``
+    and ``iterations`` are read off ``stop`` and ``steps``.
     """
 
     grid: GraphGrid
-    converged: bool
-    iterations: int
     trace: np.ndarray = field(repr=False)
     steps: np.ndarray = field(repr=False)
     linear_iters: np.ndarray = field(repr=False)
     stop: str
     residual_floor: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
     @property
     def final_residual(self) -> float:
@@ -521,7 +534,7 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
         if 0 not in linear_iters:  # no step went direct yet (0 GMRES iterations marks one)
             update, krylov_iters = _krylov_step(jacobian, residual, precond)
         if update is None:  # GMRES missed: this step and every later one go direct
-            lu = _factorize(_newton_matrix(jacobian), "plateau newton")
+            lu = _factorize(_newton_matrix(jacobian))
             update = lu.solve(-residual.ravel()).reshape(residual.shape)
         step = opts.damping
         while step > 2.0**-30:
@@ -540,17 +553,14 @@ def solve_plateau(grid: GraphGrid, options: SolveOptions | None = None) -> Plate
         trace.append(norm)
         steps.append(step)
         linear_iters.append(krylov_iters)
-    converged = bool(trace[-1] <= opts.tol)
     unknowns = np.pad(np.abs(current.z[1:-1, 1:-1]), 1)
     floor = _apply_stencil([np.abs(c) for c in jacobian], unknowns)
     return PlateauResult(
         grid=current,
-        converged=converged,
-        iterations=len(steps),
         trace=np.asarray(trace),
         steps=np.asarray(steps),
         linear_iters=np.asarray(linear_iters, dtype=int),
-        stop="converged" if converged else stop,
+        stop="converged" if trace[-1] <= opts.tol else stop,
         residual_floor=float(np.finfo(float).eps * floor.max()),
     )
 
@@ -567,13 +577,16 @@ class ConstrainedPlateauResult:
     b: float
     fit_residual: float
     fit_tol: float
-    feasible: bool
     plane: GraphGrid | None
     check: ConstraintCheckReport | None
 
     @property
+    def feasible(self) -> bool:
+        return self.plane is not None
+
+    @property
     def passed(self) -> bool:
-        return self.feasible and self.check is not None and self.check.passed
+        return self.feasible and self.check.passed
 
 
 def solve_constrained_plateau(
@@ -598,21 +611,18 @@ def solve_constrained_plateau(
     design = np.column_stack([bx + by, np.ones_like(bz)])
     (a, b), *_ = np.linalg.lstsq(design, bz, rcond=None)
     fit_residual = float(np.abs(design @ (a, b) - bz).max())
-    if fit_residual > fit_tol:
-        return ConstrainedPlateauResult(
-            a=float(a), b=float(b), fit_residual=fit_residual, fit_tol=float(fit_tol),
-            feasible=False, plane=None, check=None,
+    plane = report = None
+    if not fit_residual > fit_tol:
+        nx, ny = grid.shape
+        plane = GraphGrid.sample(grid.domain, nx, ny, lambda X, Y: a * (X + Y) + b)
+        report = nonholonomic_check(
+            plateau_lagrangian(),
+            plane.surface_grid(),
+            symmetric_slope_constraint(),
+            constraint_tol,
+            force_tol,
         )
-    nx, ny = grid.shape
-    plane = GraphGrid.sample(grid.domain, nx, ny, lambda X, Y: a * (X + Y) + b)
-    report = nonholonomic_check(
-        plateau_lagrangian(),
-        plane.surface_grid(),
-        symmetric_slope_constraint(),
-        constraint_tol,
-        force_tol,
-    )
     return ConstrainedPlateauResult(
         a=float(a), b=float(b), fit_residual=fit_residual, fit_tol=float(fit_tol),
-        feasible=True, plane=plane, check=report,
+        plane=plane, check=report,
     )

@@ -10,10 +10,10 @@ spec parses its file and writes its ``kind:``/``shape:``/``system:``
 lines; both then call the same body.  Each builtin scenario is one row of
 a table: its command, the function that reports it and that function's
 fixed arguments.  Each spec kind is one row of another: the command and
-the function that run it, the keys it reads, and the keys that ``--tol``
-and ``--max-iter`` replace.  A curve or a surface meets its constraint
-through the one ``nonholonomic-check``; ``classical-el`` is the
-unconstrained curve residual alone.
+the function that run it and the keys it reads.  A spec's numbers come
+from its file alone.  A curve or a surface meets its constraint through
+the one ``nonholonomic-check``; ``classical-el`` is the unconstrained
+curve residual alone.
 
 Every scenario fixes all of its numbers — domain, resolution, tolerances,
 random seed where randomness is part of the point — so a report is a pure
@@ -60,7 +60,7 @@ from .formats import (
 from .geometry import Bivector, Metric, MomentumBivector, pair_count
 from .plateau import GraphGrid, SolveOptions, solve_constrained_plateau, solve_plateau
 from .tulczyjew import PhaseElement2, alpha, beta, cotangent_flip
-from .variational import CurveGrid, delta_L_curve
+from .variational import CurveGrid, _require_fit, delta_L_curve
 
 __all__ = ["ScenarioOutcome", "run_scenario", "run_spec", "scenario_names"]
 
@@ -383,11 +383,10 @@ def _constraint(spec, grid):
         constraint = builtin_constraint(tokens[1], grid.dim)
     else:
         constraint = read_constraint_spec(spec.get_path("constraint"))
-    if constraint.degree != grid.degree:
-        kind = ("curve", "surface")[grid.degree - 1]
-        raise SpecError("constraint", f"{kind} grids need a {kind} constraint")
-    if constraint.dim != grid.dim:
-        raise SpecError("constraint", f"dimension {constraint.dim}, grid dimension {grid.dim}")
+    try:
+        _require_fit(constraint, grid, "constraint")
+    except ValueError as err:
+        raise SpecError("constraint", str(err)) from err
     return constraint
 
 
@@ -441,11 +440,10 @@ def _spec_plateau(spec, lines):
     lines += [f"kind: {spec.kind}", f"shape: {grid.shape[0]} {grid.shape[1]}"]
     # read before the try, so that only SolveOptions' own ValueError is mapped
     tol, max_iter = spec.get_tol("tol", 1e-10), spec.get_int("max-iter", 25)
-    damping = spec.get_float("damping", 1.0)
     try:
-        opts = SolveOptions(tol=tol, max_iter=max_iter, damping=damping)
-    except ValueError as err:  # the message leads with the option: "tol must be positive"
-        raise SpecError(str(err).split()[0].replace("_", "-"), str(err)) from err
+        opts = SolveOptions(tol=tol, max_iter=max_iter)
+    except ValueError as err:  # get_tol passed only a positive tol: max_iter is below 1
+        raise SpecError("max-iter", str(err)) from err
     result = _solve(lines, grid, opts)
     return result.converged, result.grid
 
@@ -502,43 +500,32 @@ _COMMANDS = {
     "classical-el": "curve Euler-Lagrange residuals",
 }
 
-# each spec kind: the command and the function that run it, the keys it reads
-# besides ``kind``, then the keys --tol replaces and those --max-iter replaces
+# each spec kind: the command and the function that run it, the keys it reads besides ``kind``
 _GRAPH = "grid domain shape boundary"
 _KINDS = {
-    "plateau": ("plateau-solve", _spec_plateau, f"{_GRAPH} tol max-iter damping",
-                "tol", "max-iter"),
+    "plateau": ("plateau-solve", _spec_plateau, f"{_GRAPH} tol max-iter"),
     "constrained-plateau": ("plateau-solve", _spec_constrained_plateau,
-                            f"{_GRAPH} fit-tol constraint-tol force-tol", "constraint-tol", ""),
+                            f"{_GRAPH} fit-tol constraint-tol force-tol"),
     "nonholonomic-check": ("nonholonomic-check", _spec_nonholonomic,
-                           "grid constraint lagrangian metric omega mass constraint-tol force-tol",
-                           "constraint-tol force-tol", ""),
-    "phase-check": ("phase-check", _spec_phase, "metric lagrangian x w tol", "tol", ""),
-    "classical-el": ("classical-el", _spec_classical, "curve system omega mass tol", "tol", ""),
+                           "grid constraint lagrangian metric omega mass constraint-tol force-tol"),
+    "phase-check": ("phase-check", _spec_phase, "metric lagrangian x w tol"),
+    "classical-el": ("classical-el", _spec_classical, "curve system omega mass tol"),
 }
 
 
-def run_spec(command: str, path, tol: float | None = None,
-             max_iter: int | None = None) -> ScenarioOutcome:
+def run_spec(command: str, path) -> ScenarioOutcome:
     """Run the problem spec file at ``path`` through ``command``.
 
-    A key the spec's kind does not read is refused; ``tol`` and ``max_iter``, when
-    given, replace the keys that the kind's row names for them.  Input faults raise
-    `SpecError`; an unreadable file raises `OSError`.
+    A key the spec's kind does not read is refused.  Input faults raise `SpecError`;
+    an unreadable file raises `OSError`.
     """
     spec = read_problem_spec(path)
     kinds = [kind for kind, row in _KINDS.items() if row[0] == command]
     if spec.kind not in kinds:
         raise SpecError("kind", f"{spec.kind!r} is not handled by {command}, which runs "
                                 f"{', '.join(kinds)}")
-    _, run, keys, *replaced = _KINDS[spec.kind]
+    _, run, keys = _KINDS[spec.kind]
     for key, number in spec.lines.items():
         if key not in ("kind", *keys.split()):
             raise SpecError(key, f"line {number}: a {spec.kind} spec does not read this key")
-    for (option, cast), value, targets in zip((("--tol", float), ("--max-iter", int)),
-                                               (tol, max_iter), replaced):
-        if value is not None and not targets:
-            raise SpecError("kind", f"a {spec.kind} spec has no key that {option} replaces")
-        if value is not None:  # numpy scalars too, whose repr is not a number
-            spec.entries.update(dict.fromkeys(targets.split(), [repr(cast(value))]))
     return _report(command, f"spec: {os.path.basename(path)}", lambda lines: run(spec, lines))

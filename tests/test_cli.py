@@ -84,7 +84,6 @@ def test_golden_regen_then_compare(monkeypatch, tmp_path, capsys):
         (["plateau-solve", "--scenario", "nope"], "unknown scenario"),
         (["plateau-solve"], "exactly one of --scenario or --spec"),
         (["plateau-solve", "--scenario", "plane", "--spec", "x.spec"], "exactly one"),
-        (["plateau-solve", "--scenario", "plane", "--tol", "1e-3"], "scenarios are fixed"),
         (["plateau-solve", "--spec", "x.spec", "--golden-regen"], "builtin scenarios only"),
         (["classical-el", "--spec", "no-such-file.spec"], "cannot read spec"),
         # the curve checks run as nonholonomic-check, like the surface checks
@@ -103,6 +102,23 @@ def test_argparse_rejections_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+
+
+# a spec file is the one source of a run's numbers: no option overrides them
+@pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--max-iter", "3"]],
+                         ids=["tol", "max-iter"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_no_option_overrides_a_spec_number(tmp_path, capsys, command, option):
+    spec = _spec(tmp_path, "s.spec",
+                 "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n")
+    for run in (["--spec", spec], ["--scenario", scenario_names(command)[0]]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *run, *option])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wedgemech ")
+        assert f"error: unrecognized arguments: {' '.join(option)}\n" in err
 
 
 def test_out_writes_solved_grid(tmp_path, capsys):
@@ -164,76 +180,49 @@ def test_spec_plateau_solves_and_writes(tmp_path, capsys):
     assert np.abs(z - (x + 2.0 * y + 0.5)).max() < 1e-9
 
 
-def test_spec_tol_and_max_iter_override(tmp_path, capsys):
+def test_spec_tol_decides_the_verdict(tmp_path, capsys):
     curve = CurveGrid.sample(lambda t: (np.cos(t),), 0.0, 2.0 * np.pi, 1001)
     write_grid(tmp_path / "cos.grid", curve)
-    spec = _spec(
-        tmp_path,
-        "osc.spec",
-        "kind classical-el\nsystem oscillator\ncurve cos.grid\ntol 1e-3\n",
-    )
-    assert main(["classical-el", "--spec", spec]) == 0
+    head = "kind classical-el\nsystem oscillator\ncurve cos.grid\n"
+    assert main(["classical-el", "--spec", _spec(tmp_path, "osc.spec", head + "tol 1e-3\n")]) == 0
     capsys.readouterr()
-    # the discretization residual is ~2e-5, so a tightened override must fail
-    assert main(["classical-el", "--spec", spec, "--tol", "1e-12"]) == 2
+    # the discretization residual is ~2e-5, so a tightened tol line must fail
+    assert main(["classical-el", "--spec", _spec(tmp_path, "osc.spec", head + "tol 1e-12\n")]) == 2
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
 # a spec of each kind that sets every tolerance key the kind reads, and the
-# values its report shows under --tol 0.25: which keys --tol replaces
-_TOL_OVERRIDES = {
+# values its report shows: each tolerance line is the number the report states
+_TOLERANCE_SPECS = {
     "plateau": ("plateau-solve", "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 9 9\n"
-                "boundary scherk\ntol 1e-9\nmax-iter 7\n", {"tol": 0.25}),
+                "boundary scherk\ntol 0.25\nmax-iter 3\n", {"tol": 0.25, "max-iter": 3}),
     "constrained-plateau": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
                             "shape 9 9\nboundary diagonal-plane 2 -1\nfit-tol 1e-9\n"
-                            "constraint-tol 1e-5\nforce-tol 1e-4\n",
+                            "constraint-tol 0.25\nforce-tol 1e-4\n",
                             {"fit-tol": 1e-9, "constraint-tol": 0.25, "force-tol": 1e-4}),
     "nonholonomic-check": ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
-                           "constraint builtin example7\nconstraint-tol 1e-5\nforce-tol 1e-4\n",
-                           {"constraint-tol": 0.25, "force-tol": 0.25}),
-    "phase-check": ("phase-check", "kind phase-check\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\ntol 1e-9\n",
+                           "constraint builtin example7\nconstraint-tol 0.25\nforce-tol 0.5\n",
+                           {"constraint-tol": 0.25, "force-tol": 0.5}),
+    "phase-check": ("phase-check", "kind phase-check\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\ntol 0.25\n",
                     {"tol": 0.25}),
-    "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-9\n",
+    "classical-el": ("classical-el", "kind classical-el\ncurve line.grid\ntol 0.25\n",
                      {"tol": 0.25}),
     "nonholonomic-check-curve": ("nonholonomic-check", "kind nonholonomic-check\n"
                                  "grid line.grid\nconstraint builtin first-axis-drift\n"
-                                 "constraint-tol 1e-9\nforce-tol 1e-4\n",
-                                 {"constraint-tol": 0.25, "force-tol": 0.25}),
+                                 "constraint-tol 0.25\nforce-tol 0.5\n",
+                                 {"constraint-tol": 0.25, "force-tol": 0.5}),
 }
 
 
-def _override_spec(tmp_path, body):
+@pytest.mark.parametrize("case", list(_TOLERANCE_SPECS))
+def test_spec_tolerance_lines_are_the_numbers_its_report_states(tmp_path, capsys, case):
+    command, body, shown = _TOLERANCE_SPECS[case]
     xs = np.linspace(0.0, 1.0, 9)
     write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
     write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
-    return _spec(tmp_path, "t.spec", body)
-
-
-@pytest.mark.parametrize("case", list(_TOL_OVERRIDES))
-def test_spec_tol_replaces_these_keys_and_max_iter_only_plateaus(tmp_path, capsys, case):
-    command, body, shown = _TOL_OVERRIDES[case]
-    spec = _override_spec(tmp_path, body)
-    assert main([command, "--spec", spec, "--tol", "0.25"]) in (0, 2)
+    assert main([command, "--spec", _spec(tmp_path, "t.spec", body)]) in (0, 2)
     fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
     assert {key: float(fields[key]) for key in shown} == shown
-    code = main([command, "--spec", spec, "--tol", "0.25", "--max-iter", "3"])
-    out, err = capsys.readouterr()
-    if case == "plateau":
-        assert code in (0, 2) and fields["max-iter"] == "7" and "\nmax-iter: 3\n" in out
-    else:  # no other kind has an iteration budget, so the option is refused, not ignored
-        kind = body.split("\n")[0].split()[1]
-        assert (code, out) == (1, "")
-        assert "--max-iter" in err and kind in err
-
-
-@pytest.mark.parametrize("case", list(_TOL_OVERRIDES))
-def test_run_spec_takes_numpy_scalars_as_overrides(tmp_path, case):
-    command, body, _ = _TOL_OVERRIDES[case]
-    spec = _override_spec(tmp_path, body)
-    budgets = (3, np.int64(3)) if case == "plateau" else (None, None)
-    python = run_spec(command, spec, 0.25, budgets[0])
-    numpy = run_spec(command, spec, np.float64(0.25), budgets[1])
-    assert (numpy.report, numpy.passed) == (python.report, python.passed)
 
 
 def test_spec_constrained_plateau_feasible(tmp_path, capsys):
@@ -293,33 +282,23 @@ def test_spec_phase_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, body, argv, message",
+    "command, body, message",
     [
         ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
-         "constraint builtin example7\nconstraint-tol -1\n", [], "spec error: constraint-tol:"),
+         "constraint builtin example7\nconstraint-tol -1\n", "spec error: constraint-tol:"),
         ("nonholonomic-check", "kind nonholonomic-check\ngrid plane.grid\n"
-         "constraint builtin example7\nconstraint-tol 1e-6\nforce-tol nan\n", [],
+         "constraint builtin example7\nconstraint-tol 1e-6\nforce-tol nan\n",
          "spec error: force-tol:"),
         ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\n"
-         "boundary diagonal-plane 1 0\nfit-tol 0\n", [], "spec error: fit-tol:"),
-        ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-8\n", ["--tol", "-1"],
-         "error: --tol must be positive"),
-        ("classical-el", "kind classical-el\ncurve line.grid\ntol 1e-8\n", ["--tol", "inf"],
-         "error: --tol must be positive and finite, got inf"),
-        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n",
-         ["--tol", "1e400"], "error: --tol must be positive and finite, got inf"),
-        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n",
-         ["--max-iter", "0"], "error: --max-iter must be at least 1"),
+         "boundary diagonal-plane 1 0\nfit-tol 0\n", "spec error: fit-tol:"),
     ],
-    ids=["constraint-tol-negative", "force-tol-nan", "fit-tol-zero", "option-tol", "option-tol-inf",
-         "option-tol-1e400", "option-max-iter"],
+    ids=["constraint-tol-negative", "force-tol-nan", "fit-tol-zero"],
 )
-def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, argv, message):
+def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, message):
     xs = np.linspace(0.0, 1.0, 9)
     write_grid(tmp_path / "plane.grid", SurfaceGrid.from_graph(xs, xs, xs[:, None] + xs[None, :]))
-    write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 11))
     spec = _spec(tmp_path, "t.spec", body)
-    assert main([command, "--spec", spec, *argv]) == 1
+    assert main([command, "--spec", spec]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -371,11 +350,13 @@ def test_spec_builtin_constraint_takes_the_curve_dimension(tmp_path, capsys):
         ("plane.grid", "# slots\ndimension 1000000000\nsection 1 2 1\n",
          ("dimension:", "line 2:", "do not fit in memory")),
         ("plane.grid", "kind curve\ndimension 3\nsection 1 1\n",
-         ("constraint:", "surface grids need a surface constraint")),
+         ("constraint:", "a degree-1 constraint does not apply to a degree-2 grid")),
+        ("plane.grid", "dimension 4\nsection 1 2 1\n",
+         ("constraint:", "constraint dimension 4 does not match grid (3)")),
     ],
     ids=["surface-section-nan", "surface-section-inf", "surface-generator-inf",
          "curve-dimension-negative", "curve-section-inf", "dimension-past-intp",
-         "dimension-past-memory", "curve-constraint-on-surface"],
+         "dimension-past-memory", "curve-constraint-on-surface", "constraint-dimension-4"],
 )
 def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, grid, constraint,
                                                     fragments):
@@ -386,7 +367,8 @@ def test_spec_constraint_file_rejection_names_field(tmp_path, capsys, grid, cons
     spec = _spec(tmp_path, "c.spec", "kind nonholonomic-check\nconstraint c.constraint\n"
                  f"grid {grid}\nconstraint-tol 1e-6\n")
     assert main(["nonholonomic-check", "--spec", spec]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("wedgemech: spec error: ")
     assert all(fragment in err for fragment in fragments)
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -457,6 +439,8 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
          "boundary diagonal-plane 2 -1\nmax-iter 3\n", "max-iter", 5),
         ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\n"
          "boundary diagonal-plane 2 -1\ndamping 0.5\n", "damping", 5),
+        ("plateau-solve", "kind plateau\ndomain 0 1 0 1\nshape 9 9\nboundary constant 0\n"
+         "damping 0.5\n", "damping", 5),
         ("phase-check", "kind phase-check\nshape 9 9\nx 0.1 -0.2 0.3\nw 1 0.25 -0.5\n",
          "shape", 2),
         ("nonholonomic-check", "kind nonholonomic-check\ngrid line.grid\n"
@@ -467,20 +451,20 @@ def test_spec_unknown_key_names_field(tmp_path, capsys):
         ("classical-el", "kind classical-el\n# a comment\ncurve line.grid\nlagrangian plateau\n",
          "lagrangian", 4),
     ],
-    ids=["plateau-r", "constrained-max-iter", "constrained-damping", "phase-shape",
-         "check-tol", "classical-constraint", "classical-force-tol", "classical-lagrangian"],
+    ids=["plateau-r", "constrained-max-iter", "constrained-damping", "plateau-damping",
+         "phase-shape", "check-tol", "classical-constraint", "classical-force-tol",
+         "classical-lagrangian"],
 )
 def test_spec_key_its_kind_does_not_read_is_refused(tmp_path, capsys, command, body, key,
                                                      number):
     write_grid(tmp_path / "line.grid", CurveGrid.sample(lambda t: (t, 0.7), 0.0, 1.0, 101))
     kind = body.split("\n")[0].split()[1]
     spec = _spec(tmp_path, "k.spec", body)
-    for options in ([], ["--tol", "1e-3"]):
-        assert main([command, "--spec", spec, *options]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"wedgemech: spec error: {key}: line {number}: a {kind} spec does "
-                       "not read this key\n")
+    assert main([command, "--spec", spec]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"wedgemech: spec error: {key}: line {number}: a {kind} spec does "
+                   "not read this key\n")
 
 
 # a nonholonomic-check spec reads the Lagrangian keys of its grid's degree only:
@@ -499,12 +483,11 @@ def test_spec_nonholonomic_refuses_the_other_degrees_keys(tmp_path, capsys, grid
             f"{('first-axis-drift', 'example7')[degree - 1]}\n")
     spec = _spec(tmp_path, "n.spec", head + f"{line}\nconstraint-tol 1e-6\n")
     key = line.split()[0]
-    for options in ([], ["--tol", "1e-3"]):
-        assert main(["nonholonomic-check", "--spec", spec, *options]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"wedgemech: spec error: {key}: line 4: a nonholonomic-check spec does "
-                       f"not read this key on a degree-{degree} grid\n")
+    assert main(["nonholonomic-check", "--spec", spec]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"wedgemech: spec error: {key}: line 4: a nonholonomic-check spec does "
+                   f"not read this key on a degree-{degree} grid\n")
     # the same spec without that line passes
     spec = _spec(tmp_path, "n.spec", head + "constraint-tol 1e-6\n")
     assert main(["nonholonomic-check", "--spec", spec]) == 0
@@ -585,7 +568,6 @@ def test_spec_curve_check_reproduces_the_constrained_line_scenarios(tmp_path, ca
          ("shape:", "more than an array can index")),
         ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ntol -1\n", ("tol:", "positive")),
         ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\nmax-iter 0\n", ("max-iter:",)),
-        ("domain 0 1 0 1\nshape 9 9\nboundary constant 0\ndamping nan\n", ("damping:",)),
         ("domain 0 1 0 1\nshape 9 9\nboundary\n", ("boundary:", "missing value")),
         # steps whose squares leave the normal doubles: the stencils divide by them
         ("domain 0 1e200 0 1\nshape 7 7\nboundary affine 1 1 0\n", ("domain:", "normal floats")),
@@ -595,7 +577,7 @@ def test_spec_curve_check_reproduces_the_constrained_line_scenarios(tmp_path, ca
     ],
     ids=["shape", "scherk-past-pi-half", "degenerate-domain", "constant-non-numeric",
          "affine-non-numeric", "diagonal-plane-non-numeric", "affine-too-few", "shape-nan",
-         "shape-past-int64", "tol-negative", "max-iter-zero", "damping-nan", "boundary-empty",
+         "shape-past-int64", "tol-negative", "max-iter-zero", "boundary-empty",
          "step-squared-overflows", "both-steps-overflow", "steps-squared-underflow"],
 )
 def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragments):
@@ -612,11 +594,9 @@ def test_spec_plateau_grid_rejection_names_field(tmp_path, capsys, body, fragmen
     [
         ("tol abc", "tol", "tol: expected numbers"),
         ("max-iter 2.5", "max-iter", "max-iter: expected integers"),
-        ("damping x", "damping", "damping: expected numbers"),
         ("tol -1", "tol", "tol: tolerance must be positive"),
         # the solver options' own refusals, mapped to the spec field once
         ("max-iter 0", "max-iter", "max-iter: max_iter must be at least 1"),
-        ("damping 2", "damping", "damping: damping must lie in (0, 1]"),
     ],
 )
 def test_spec_plateau_option_error_names_its_field_once(tmp_path, line, field, prefix):
@@ -931,7 +911,7 @@ def test_spec_overflowing_differences_are_a_numeric_failure(tmp_path, capsys, co
 # kind reads; each line whose last token is a number is a case below
 _NUMBER_SPECS = {
     "plateau": ("plateau-solve", "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\n"
-                "boundary affine 0.5 -0.25 1\ntol 1e-10\nmax-iter 25\ndamping 1\n"),
+                "boundary affine 0.5 -0.25 1\ntol 1e-10\nmax-iter 25\n"),
     "constrained-plateau": ("plateau-solve", "kind constrained-plateau\ndomain 0 1 0 1\n"
                             "shape 9 9\nboundary diagonal-plane 2 -1\nfit-tol 1e-9\n"
                             "constraint-tol 1e-5\nforce-tol 1e-4\n"),
@@ -989,7 +969,7 @@ def test_number_specs_run_and_cover_every_number_field(tmp_path, capsys):
         assert main([command, "--spec", _spec(tmp_path, "n.spec", text)]) in (0, 2)
         assert "error" not in capsys.readouterr().err
     assert {field for _, _, field in _NUMBER_LINES} == {
-        "domain", "shape", "boundary", "tol", "max-iter", "damping", "fit-tol",
+        "domain", "shape", "boundary", "tol", "max-iter", "fit-tol",
         "constraint-tol", "force-tol", "metric", "omega", "mass", "x", "w"}
 
 
@@ -1014,14 +994,14 @@ def test_spec_curve_omega_overflow_is_a_numeric_failure(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
-    "argv, code, stop",
-    [([], 0, None), (["--tol", "1e-15"], 2, "no-descent"), (["--max-iter", "1"], 2, "max-iter")],
+    "lines, code, stop",
+    [("", 0, None), ("tol 1e-15\n", 2, "no-descent"), ("max-iter 1\n", 2, "max-iter")],
     ids=["converged", "below-floor", "budget"],
 )
-def test_spec_solve_says_why_it_stopped(tmp_path, capsys, argv, code, stop):
+def test_spec_solve_says_why_it_stopped(tmp_path, capsys, lines, code, stop):
     spec = _spec(tmp_path, "s.spec",
-                 "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 17 17\nboundary scherk\n")
-    assert main(["plateau-solve", "--spec", spec, *argv]) == code
+                 "kind plateau\ndomain -0.7 0.7 -0.7 0.7\nshape 17 17\nboundary scherk\n" + lines)
+    assert main(["plateau-solve", "--spec", spec]) == code
     fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
     if stop is None:  # converged reports carry neither line
         assert fields["converged"] == "yes"

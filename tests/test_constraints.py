@@ -499,6 +499,13 @@ def test_callables_are_called_once_per_interior_node():
     assert calls == {"section": 19, "generator": 19}
 
 
+def test_curve_check_refuses_a_surface_grid():
+    # the surface check would run: the grid's degree would pick it
+    surface = SurfaceGrid.sample(lambda t, s: (t, s, t + s), (0.0, 1.0, 9), (0.0, 1.0, 9))
+    with pytest.raises(ValueError, match="^nonholonomic_check_curve needs a CurveGrid$"):
+        nonholonomic_check_curve(plateau_lagrangian(), surface, symmetric_slope_constraint(), 1e-6)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_callable_serving_as_two_fields_is_called_once_per_node(degree):
     # the drift form a(x) + span{a(x)}: one callable is the section and the generator

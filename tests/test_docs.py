@@ -1,8 +1,9 @@
-"""The README's tables against the code's: the spec kinds and the builtin scenarios.
+"""The README against the code: the spec kinds, the builtin scenarios and the options.
 
-Each table row is parsed into the backquoted names of its cells, so the
-prose around them may change freely; a kind, key, option target or
-scenario that the code and the README do not both list fails here.
+Each table row is parsed into the backquoted names of its cells, and the
+options are the backquoted ``--`` names of the "Command line" section, so
+the prose around them may change freely; a kind, key, scenario or option
+that the code and the README do not both list fails here.
 """
 
 import os
@@ -14,11 +15,15 @@ from wedgemech.scenarios import _KINDS, scenario_names
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
+def _readme() -> str:
+    with open(_README, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _table(header: str) -> list:
     """The rows under the README table whose header line starts with ``header``, each
     as the list of its cells' backquoted names."""
-    with open(_README, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = _readme().splitlines()
     start = next(k for k, line in enumerate(lines) if line.startswith(header))
     rows = []
     for line in lines[start + 2:]:  # past the header and its --- row
@@ -31,10 +36,18 @@ def _table(header: str) -> list:
 
 def test_readme_kind_table_is_the_code_kind_table():
     rows = _table("| kind | command | keys it reads |")
-    readme = {kind[0]: (command[0], keys, tol, max_iter)
-              for kind, command, keys, tol, max_iter in rows}
-    code = {kind: (command, keys.split(), tol.split(), max_iter.split())
-            for kind, (command, _, keys, tol, max_iter) in _KINDS.items()}
+    readme = {kind[0]: (command[0], keys) for kind, command, keys in rows}
+    code = {kind: (command, keys.split()) for kind, (command, _, keys) in _KINDS.items()}
+    assert readme == code
+
+
+def test_readme_command_line_options_are_the_parsers():
+    # a new option needs its README line, so it shows in the diff of this section
+    section = _readme().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    readme = set(re.findall(r"`(--[a-z-]+)[^`]*`", re.sub(r"```.*?```", "", section, flags=re.S)))
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    code = {option for parser in sub.choices.values() for action in parser._actions
+            if action.dest != "help" for option in action.option_strings}
     assert readme == code
 
 

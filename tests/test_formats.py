@@ -108,6 +108,14 @@ def _grid_9x9_lines(tmp_path):
     return (tmp_path / "ok.grid").read_text().splitlines()
 
 
+def test_read_grid_skips_a_bare_comment_line(tmp_path):
+    lines = _grid_9x9_lines(tmp_path)
+    lines[1:1] = ["#", "#   "]  # among the metadata lines, and another before the rows
+    lines.insert(8, "#")
+    back = read_grid(_write(tmp_path / "bare.grid", "\n".join(lines) + "\n"))
+    assert np.array_equal(back.points, read_grid(tmp_path / "ok.grid").points)
+
+
 def test_read_grid_names_the_row_of_a_non_finite_node(tmp_path):
     lines = _grid_9x9_lines(tmp_path)
     number = 5 + 9 * 3 + 4

@@ -71,6 +71,19 @@ def test_bivector_validation():
         u.slots[0] = 2.0
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_bivector_needs_dimension_two(dim):
+    # pair_count is 0 there, so no slots would pass the shape test
+    with pytest.raises(ValueError, match=f"^need dimension >= 2, got {dim}$"):
+        Bivector([], dim)
+
+
+def test_bivector_sum_needs_one_dimension():
+    # one slot broadcasts against three: only the dimension test names the fault
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        Bivector([1.0], 2) + Bivector([1.0, 0.0, 0.0], 3)
+
+
 def test_momentum_is_a_distinct_type():
     u = Bivector([1.0, 0.0, 0.0], 3)
     p = MomentumBivector([1.0, 0.0, 0.0], 3)
@@ -221,6 +234,21 @@ def test_metric_validation():
     with pytest.raises(ValueError, match="2 negative eigenvalues"):
         Metric(np.diag([-1.0, -1.0, 1.0]))
     assert Metric(np.diag([-1.0, 1.0, 1.0])).signature == "lorentz"
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.ones((2, 3)), r"^metric must be a square matrix, got shape \(2, 3\)$"),
+        (np.ones(3), r"^metric must be a square matrix, got shape \(3,\)$"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "^metric entries must be finite$"),
+        (np.diag([1.0, np.inf]), "^metric entries must be finite$"),
+    ],
+    ids=["rectangular", "vector", "nan", "inf"],
+)
+def test_metric_must_be_a_finite_square_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        Metric(matrix)
 
 
 def test_metric_degeneracy_is_relative_to_scale():

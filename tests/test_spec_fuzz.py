@@ -29,7 +29,7 @@ _SPECS = {
     )),
     "plateau-solve": ("plateau-solve", (
         "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary affine 0.5 -0.25 1\n"
-        "tol 1e-10\nmax-iter 25\ndamping 1\n"
+        "tol 1e-10\nmax-iter 25\n"
     )),
     "constrained-plateau": ("plateau-solve", (
         "kind constrained-plateau\ndomain 0 1 0 1\nshape 9 9\nboundary diagonal-plane 2 -1\n"
@@ -85,7 +85,7 @@ _EXPLICIT = "metric explicit 1 0 0 0 1 0 0 0 1\n"
 _EXTREME_SPECS = {
     "plateau-solve": ("plateau-solve", (
         "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\nboundary affine 0.5 -0.25 1\n"
-        "tol 1e-10\nmax-iter 25\ndamping 1\n"
+        "tol 1e-10\nmax-iter 25\n"
     )),
     "nonholonomic-check": ("nonholonomic-check", (
         "kind nonholonomic-check\ngrid plane.grid\nconstraint builtin example7\n"

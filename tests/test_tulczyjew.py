@@ -153,6 +153,18 @@ def test_phase_element2_validation():
     assert np.all(zero.y == 0.0)
 
 
+def test_phase_element2_xdot_must_be_a_bivector_of_its_dimension():
+    rng = np.random.default_rng(5)
+    dim, k = 3, 3
+    p = random_momentum(rng, dim)
+    w = random_bivector(rng, dim)
+    with pytest.raises(TypeError, match="^xdot must be a Bivector$"):
+        PhaseElement2(np.zeros(dim), p, w.slots, np.zeros((dim, k)), np.zeros((k, k)))
+    with pytest.raises(ValueError, match=r"^xdot dimension 4 does not match p \(3\)$"):
+        PhaseElement2(np.zeros(dim), p, random_bivector(rng, 4), np.zeros((dim, k)),
+                      np.zeros((k, k)))
+
+
 @pytest.mark.parametrize("nodes", [(), (7,), (4, 5)])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_trace_y_equals_the_expanded_trace_bitwise(dim, nodes):
@@ -274,3 +286,10 @@ def test_degree1_validation():
         PhaseElement1(x=[1.0, 2.0], p=[1.0], xdot=[0.0], pdot=[0.0])
     with pytest.raises(ValueError):
         PhaseElement1(x=[np.nan], p=[1.0], xdot=[0.0], pdot=[0.0])
+
+
+@pytest.mark.parametrize("x", [[], 1.0, np.zeros((2, 2))], ids=["empty", "scalar", "matrix"])
+def test_degree1_x_must_be_a_nonempty_vector(x):
+    # an empty x would give dimension 0 and pass the blocks' shape tests
+    with pytest.raises(ValueError, match="^x must be a nonempty vector$"):
+        PhaseElement1(x, [], [], [])

@@ -175,6 +175,14 @@ def test_a_field_gradient_past_the_double_range_is_refused_at_its_node():
         assert err.value.node == (2, 1)
 
 
+def test_from_graph_heights_must_match_its_axes():
+    xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 6)
+    for z in (np.zeros((5, 5)), np.zeros((6, 5)), np.zeros(30)):
+        message = f"height samples {z.shape} do not match axes (5, 6)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SurfaceGrid.from_graph(xs, ys, z)
+
+
 @pytest.mark.parametrize("k", [-50, -20, 0, 10, 30])
 def test_from_graph_spacing_verdict_does_not_depend_on_units(k):
     # scaling the axes by 2**k is exact, so it must not move the uniform-spacing verdict
