@@ -54,11 +54,12 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=None)  # built once: the command table is fixed
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wedgemech", description=__doc__.splitlines()[0])
+    # no prefix spellings: "--scen" is a usage error, not "--scenario"
+    parser = _Parser(prog="wedgemech", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
     for command, help_line in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         p.add_argument("--scenario", metavar="NAME",
                        help=f"builtin scenario ({', '.join(scenario_names(command))})")
         p.add_argument("--spec", metavar="PATH", help="problem spec file")

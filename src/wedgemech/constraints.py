@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Bivector, antisymmetric_from_slots, pair_count, wedge
+from .geometry import Bivector, antisymmetric_from_slots, contract_slots, pair_count, wedge
 from .variational import (CurveGrid, _interior, _require_fit, delta_L_curve, delta_L_surface,
                           velocity_prolongation, worst_node)
 
@@ -363,7 +363,10 @@ def constraint_residual(grid, constraint: AffineConstraint):
     x, w = grid.points[_interior(grid)], velocity_prolongation(grid)[_interior(grid)]
     section, generators, inverse = constraint._fields_at(x)
     ann = _annihilator(generators, inverse, grid.degree, grid.dim, x)
-    defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, grid.degree, grid.dim))
+    if grid.degree == 1:
+        defect = np.einsum("...rm,...km->...rk", ann, _maps(w - section, 1, grid.dim))
+    else:  # on the slots: no (dim, dim) map per node
+        defect = contract_slots(ann, (w - section)[..., None, :])
     return np.abs(defect).max(axis=-1), ann
 
 

@@ -16,6 +16,13 @@ row naming the index and coordinate columns, then one row per node::
     0 0 0 0 1
     ...
 
+Grid I/O holds no Python object per row: `write_grid` formats a block of
+rows at a time, and `read_grid` hands the rows after the head, straight
+from the open file, to one `np.loadtxt`.  Only a file that this bulk
+parse does not take as it stands (metadata among the rows, or any fault)
+is walked line by line, which reads it as before and names the line of
+its first fault.
+
 Constraint spec files list the dimension, then the section and each
 linear generator as 1-based ``mu nu value`` component triples (``mu
 value`` pairs for curve constraints); a packaged constraint is named on
@@ -32,6 +39,7 @@ kind reads is its row of the kind table in `scenarios`, which runs specs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -75,20 +83,29 @@ def format_float(value) -> str:
     return format(float(value), ".17g")
 
 
+def _stripped(handle):
+    """``(number, line)`` of each line of an open file that is not blank, stripped."""
+    for number, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if line:
+            yield number, line
+
+
 def _content_lines(path):
     with open(path, "r", encoding="ascii") as handle:
         try:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if line:
-                    yield number, line
+            yield from _stripped(handle)
         except UnicodeDecodeError as err:
             raise SpecError("encoding", f"{os.path.basename(path)} is not ASCII text "
                                         f"(byte {err.object[err.start]:#04x})") from err
 
 
+# rows per write in `write_grid`: a block's text and values stay far below a large grid's array
+_WRITE_BLOCK = 1024
+
+
 def write_grid(path, grid) -> None:
-    """Write a surface or curve sample table."""
+    """Write a surface or curve sample table, `_WRITE_BLOCK` rows at a time."""
     kind = next((k for k, cls in _GRID_KINDS.items() if type(grid) is cls), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(grid).__name__} as a grid file")
@@ -99,12 +116,19 @@ def write_grid(path, grid) -> None:
         "# step " + " ".join(format_float(h) for h in grid.steps),
         " ".join(_INDEX_COLUMNS[:grid.degree] + tuple(f"x{k + 1}" for k in range(m))),
     ]
-    # one %-format per row: "%.17g" renders a double exactly as format_float does
-    row = " ".join(["%d"] * len(shape) + ["%.17g"] * m)
-    columns = [*np.indices(shape).reshape(len(shape), -1), *grid.points.reshape(-1, m).T]
-    rows = map(row.__mod__, zip(*(column.tolist() for column in columns)))
+    # one %-format per block: "%.17g" renders a double exactly as format_float does, and
+    # "%d" a whole float as its integer; indices and coordinates share one float array
+    row = " ".join(["%d"] * len(shape) + ["%.17g"] * m) + "\n"
+    points = grid.points.reshape(-1, m)
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join([*head, *rows]) + "\n")
+        handle.write("\n".join(head) + "\n")
+        for start in range(0, len(points), _WRITE_BLOCK):
+            block = points[start:start + _WRITE_BLOCK]
+            values = np.empty((len(block), len(shape) + m))
+            values[:, :len(shape)] = np.transpose(np.unravel_index(
+                np.arange(start, start + len(block)), shape))
+            values[:, len(shape):] = block
+            handle.write(row * len(block) % tuple(values.ravel().tolist()))
 
 
 def _parse_floats(field: str, tokens, count: int | None = None,
@@ -180,7 +204,7 @@ def _read_table(numbers, lines, shape: tuple, m: int) -> np.ndarray:
     k = len(shape)
     if len(lines) != math.prod(shape):
         raise SpecError("shape", f"declares {math.prod(shape)} rows, table has {len(lines)}")
-    dtype = [("index", np.int64, (k,)), ("values", float, (m,))]
+    dtype = _row_dtype(k, m)
     try:  # ndmin: a one-row table is still a table
         table = np.loadtxt(lines, dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
     except ValueError:
@@ -194,20 +218,33 @@ def _read_table(numbers, lines, shape: tuple, m: int) -> np.ndarray:
         raise SpecError("shape", f"need at least 5 nodes per axis, got {' '.join(map(str, shape))}")
     if not np.isfinite(table["values"]).all():
         raise _row_fault(numbers, lines, shape, m)
-    points = np.full(shape + (m,), np.nan)
-    points[tuple(index.T)] = table["values"]
+    points = _place(table, shape)
     missing = np.isnan(points[..., 0])
     if missing.any():  # some other node is written twice
         raise SpecError("rows", f"node {_node(np.argwhere(missing)[0].tolist())} is missing")
     return points
 
 
-def read_grid(path):
-    """Read a grid file back into a `SurfaceGrid` or `CurveGrid`."""
-    meta = {}
-    header = None
-    numbers, lines = [], []
-    for number, line in _content_lines(path):
+def _row_dtype(k: int, m: int) -> np.dtype:
+    """One table row: ``k`` indices, then ``m`` coordinates."""
+    return np.dtype([("index", np.int64, (k,)), ("values", float, (m,))])
+
+
+def _place(table, shape: tuple) -> np.ndarray:
+    """The coordinates of rows whose indices lie in ``shape`` at their nodes; nan where none is."""
+    points = np.full(shape + table["values"].shape[1:], np.nan)
+    points[tuple(table["index"].T)] = table["values"]
+    return points
+
+
+def _sort_lines(content, meta: dict, header: list):
+    """Yield the table rows ``(number, line)`` among numbered content lines.
+
+    A ``# key values`` line goes into ``meta`` (a second one of a key is an
+    error, a bare ``#`` is skipped); the first other line is the header,
+    whose tokens go into ``header``.
+    """
+    for number, line in content:
         if line.startswith("#"):
             tokens = line[1:].split()
             if not tokens:
@@ -215,11 +252,14 @@ def read_grid(path):
             if tokens[0] in meta:
                 raise SpecError(tokens[0], "duplicate metadata line")
             meta[tokens[0]] = tokens[1:]
-        elif header is None:
-            header = line.split()
+        elif not header:
+            header.extend(line.split())
         else:
-            numbers.append(number)
-            lines.append(line)
+            yield number, line
+
+
+def _layout(meta: dict, header: list):
+    """The grid class, shape, steps and coordinate count a file's metadata and header declare."""
     for key in ("kind", "shape", "step"):
         if key not in meta:
             raise SpecError(key, "missing metadata line")
@@ -234,10 +274,59 @@ def read_grid(path):
     if not (steps > 0.0).all():
         raise SpecError("step", f"grid steps must be positive, got {meta['step']}")
     # a grid spans at least as many coordinates as its degree
-    if header is None or header[:k] != names or len(header) < 2 * k:
+    if header[:k] != names or len(header) < 2 * k:
         raise SpecError("header", f"{kind} tables start with columns {' '.join(names)!r}, "
                                   f"then at least {k} coordinate(s)")
-    return cls(*steps.tolist(), _read_table(numbers, lines, shape, len(header) - k))
+    return cls, shape, steps, len(header) - k
+
+
+def _read_grid_bulk(path):
+    """The grid of a file whose rows all follow its metadata and header, or None.
+
+    The head is read line by line; the open file then goes to one
+    `np.loadtxt`, so no Python object is kept per row.  Any other file, a
+    fault in the head included, gives None.
+    """
+    meta, header = {}, []
+    with open(path, "r", encoding="ascii") as handle:
+        try:
+            first = next(_sort_lines(_stripped(handle), meta, header), None)
+            cls, shape, steps, m = _layout(meta, header)
+        except (SpecError, UnicodeDecodeError):
+            return None
+        if first is None or min(shape) < 5:  # the walk names either as a shape error
+            return None
+        try:  # a "#" line among the rows is metadata to the line walk, a fault here
+            table = np.loadtxt(itertools.chain([first[1]], handle), _row_dtype(len(shape), m),
+                               comments=None, ndmin=1)
+        except ValueError:  # UnicodeDecodeError too
+            return None
+    index = table["index"]
+    if (len(table) != math.prod(shape) or ((index < 0) | (index >= shape)).any()
+            or not np.isfinite(table["values"]).all()):
+        return None
+    points = _place(table, shape)
+    del table, index  # the grid copies the points: not while the table is held too
+    return None if np.isnan(points[..., 0]).any() else cls(*steps.tolist(), points)
+
+
+def read_grid(path):
+    """Read a grid file back into a `SurfaceGrid` or `CurveGrid`.
+
+    A file laid out as `write_grid` writes it is parsed in bulk.  Any other
+    file is walked line by line: metadata may then stand anywhere, and a
+    fault is named by its field and, in the table, by its line.
+    """
+    grid = _read_grid_bulk(path)
+    if grid is not None:
+        return grid
+    meta, header = {}, []
+    numbers, lines = [], []
+    for number, line in _sort_lines(_content_lines(path), meta, header):
+        numbers.append(number)
+        lines.append(line)
+    cls, shape, steps, m = _layout(meta, header)
+    return cls(*steps.tolist(), _read_table(numbers, lines, shape, m))
 
 
 def builtin_constraint(name: str, dim: int):

@@ -13,6 +13,11 @@ Conventions used throughout the package:
   never only up to rounding.  Covariant bivectors (momenta ``p_{mu nu}``)
   use the same storage with lower indices.
 
+* A bivector acts on one-forms by the contraction ``eta -> eta_mu
+  u^{mu nu}``.  `contract_slots` takes it on the slots themselves, with
+  the sums of the expanded matrix product in the same order, so stacks of
+  nodes are contracted without a dense (dim, dim) array per node.
+
 * A `FiberMetric` is the slot matrix ``H`` of ``h_{mu nu kappa lambda}``.
   The scalar product of two bivectors sums over all four indices without
   restriction, ``(u|w) = h_{mu nu kappa lambda} u^{mu nu} w^{kappa lambda}
@@ -40,6 +45,7 @@ __all__ = [
     "Metric",
     "MomentumBivector",
     "antisymmetric_from_slots",
+    "contract_slots",
     "dual_fiber_metric",
     "exterior_square",
     "index_pairs",
@@ -194,13 +200,45 @@ def wedge_slots(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Slot components of ``v ^ u`` for arrays of vectors (..., m) -> (..., K).
 
     Each slot is the 2x2 minor ``v^mu u^nu - v^nu u^mu``; no factor 1/2.
+    The slots of one ``mu`` are contiguous, so each such run is taken from
+    basic slices of ``v`` and ``u``, not from gathered copies.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
     if v.shape != u.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {u.shape}")
-    a, b = _pair_columns(v.shape[-1])
-    return v[..., a] * u[..., b] - v[..., b] * u[..., a]
+    m = v.shape[-1]
+    slots = np.empty(v.shape[:-1] + (len(index_pairs(m)),))  # refuses m < 2
+    start = 0
+    for mu in range(m - 1):  # slots (mu, mu + 1) ... (mu, m - 1)
+        stop = start + m - 1 - mu
+        head, tail = slice(mu, mu + 1), slice(mu + 1, None)
+        slots[..., start:stop] = v[..., head] * u[..., tail] - v[..., tail] * u[..., head]
+        start = stop
+    return slots
+
+
+def contract_slots(eta: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """One-forms (..., dim) contracted into bivector slots (..., K): ``eta_mu u^{mu nu}``.
+
+    Leading axes broadcast.  Each sum starts from zero and runs over ascending
+    ``mu``, as ``einsum`` sums the product with `antisymmetric_from_slots`, so
+    for finite ``eta`` the result is that product bit for bit, signed zeros
+    included; but no (dim, dim) array is formed.
+    """
+    eta = np.asarray(eta, dtype=float)
+    slots = np.asarray(slots, dtype=float)
+    dim = eta.shape[-1]
+    if slots.shape[-1:] != (pair_count(dim),):
+        raise ValueError(f"expected {pair_count(dim)} slots for dimension {dim}, "
+                         f"got shape {slots.shape}")
+    out = np.zeros(np.broadcast_shapes(eta.shape[:-1], slots.shape[:-1]) + (dim,))
+    # lexicographic pairs reach each out[nu] in ascending mu: first (mu, nu), mu < nu,
+    # then (nu, mu), mu > nu, whose u^{mu nu} is the negated slot
+    for k, (a, b) in enumerate(index_pairs(dim)):
+        out[..., b] += eta[..., a] * slots[..., k]
+        out[..., a] -= eta[..., b] * slots[..., k]
+    return out
 
 
 def exterior_square(A: np.ndarray) -> np.ndarray:

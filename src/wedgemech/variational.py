@@ -10,6 +10,11 @@ depends on n:
     delta_nu = dL/dx^nu - d_t P_nu                                 (n = 1)
     delta_nu = dL/dx^nu - d_t S^mu d_s P_{mu nu} + d_s S^mu d_t P_{mu nu}
 
+The transport term contracts each tangent into the momentum's derivative
+on the slots themselves (`geometry.contract_slots`), one axis at a time,
+so a residual forms no (dim, dim) array per node and holds at most one
+momentum derivative.
+
 Parameter derivatives are second-order central differences in the
 interior and second-order one-sided on the boundary rows (`numpy.gradient`
 with ``edge_order=2``); residuals are reported on interior nodes only,
@@ -34,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Bivector,
-    MomentumBivector,
-    antisymmetric_from_slots,
-    wedge_slots,
-)
+from .geometry import Bivector, MomentumBivector, contract_slots, wedge_slots
 from .tulczyjew import PhaseElement2
 from .tulczyjew import alpha as alpha2  # perfbench/tracing.py counts calls under this name
 
@@ -158,9 +158,14 @@ class CurveGrid(_Grid):
         return cls(ts[1] - ts[0], pts)
 
 
+def _along_axis(values: np.ndarray, grid, k: int) -> np.ndarray:
+    """Derivative of node samples along parameter axis ``k`` of ``grid``."""
+    return np.gradient(values, grid.steps[k], axis=k, edge_order=2)
+
+
 def _along_axes(values: np.ndarray, grid) -> list:
     """Derivative of node samples along each parameter axis of ``grid``."""
-    return [np.gradient(values, h, axis=k, edge_order=2) for k, h in enumerate(grid.steps)]
+    return [_along_axis(values, grid, k) for k in range(grid.degree)]
 
 
 def _interior(grid) -> tuple:
@@ -238,20 +243,29 @@ def _prolonged_momentum(L, grid):
 @np.errstate(over="ignore", invalid="ignore")  # a residual past the range is refused below
 def _delta_L(L, grid) -> CovectorField:
     """First-variation defect along a curve or a surface; only the
-    transport term differs between the degrees."""
+    transport term differs between the degrees.
+
+    A surface check's peak memory is here, so each whole-grid array is
+    dropped once it is used and the transport term is taken one axis at a
+    time: at most one momentum derivative is held.
+    """
+    inner = _interior(grid)
     x, tangents, w, p = _prolonged_momentum(L, grid)
+    gradient = L.gradient_x_slots(x, w)[inner]
+    del w
     if grid.degree == 1:
-        delta = L.gradient_x_slots(x, w) - _along_axes(p, grid)[0]
+        delta = gradient - _along_axis(p, grid, 0)[inner]
     else:
-        # differentiate the slots, then expand: negation commutes with the stencils
-        (tt, ts), (dpt, dps) = tangents, (antisymmetric_from_slots(d, grid.dim)
-                                          for d in _along_axes(p, grid))
-        delta = (
-            L.gradient_x_slots(x, w)
-            - np.einsum("ijm,ijmn->ijn", tt, dps)
-            + np.einsum("ijm,ijmn->ijn", ts, dpt)
-        )
-    delta = delta[_interior(grid)]
+        # (gradient - tt . d_s p) + ts . d_t p: each tangent contracts, on the slots,
+        # into the momentum's derivative along the other axis
+        tt, ts = tangents
+        del tangents
+        delta = contract_slots(tt[inner], _along_axis(p, grid, 1)[inner])
+        np.subtract(gradient, delta, out=delta)
+        del tt, gradient
+        dpt = _along_axis(p, grid, 0)[inner]
+        del p
+        delta += contract_slots(ts[inner], dpt)
     _require_finite(np.isfinite(delta).all(axis=-1), "Euler-Lagrange residual not finite", 1)
     return CovectorField(delta)
 

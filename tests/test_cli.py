@@ -104,6 +104,22 @@ def test_argparse_rejections_exit_one(capsys, argv):
     assert exc.value.code == 1
 
 
+# an option is spelled out: a prefix of one is not that option
+@pytest.mark.parametrize("argv, rest", [
+    (["plateau-solve", "--scen", "plane"], "--scen plane"),
+    (["nonholonomic-check", "--sp", "x.spec"], "--sp x.spec"),
+    (["plateau-solve", "--scenario", "plane", "--golden"], "--golden"),
+])
+def test_option_prefixes_are_usage_errors(capsys, argv, rest):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: wedgemech ")
+    assert f"error: unrecognized arguments: {rest}\n" in err
+
+
 # a spec file is the one source of a run's numbers: no option overrides them
 @pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--max-iter", "3"]],
                          ids=["tol", "max-iter"])

@@ -16,6 +16,7 @@ symmetric-slope constraint (section e1^e2, generator (e1-e2)^e3):
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -628,6 +629,18 @@ def test_nonholonomic_scherk_fails_only_membership():
     assert report.dalembert_passed
     assert report.constraint_max > 1.0  # tan(0.7) + tan(0.7) over sqrt 2 ~ 1.19
     assert report.dalembert_max < 5e-3
+
+
+def test_example7_check_memory_is_a_few_copies_of_the_points():
+    # at 129^2 a dense (dim, dim) map per node alone is 3x the points; expanding them peaked at 13x
+    grid = graph_grid(lambda x, y: (x + y) ** 2 + 0.1 * np.sin(3.0 * x), n=129)
+    tracemalloc.start()
+    try:
+        nonholonomic_check(plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6, 5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.points.nbytes
 
 
 def test_nonholonomic_point_dependent_constraint():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_fiber_metric
+from wedgemech import formats
+from wedgemech.cli import main
 from wedgemech.formats import (
     SpecError,
     format_float,
@@ -173,10 +175,12 @@ def _node_by_node(kind, shape, steps, points):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["surface", "curve"])
-def test_write_grid_matches_node_by_node_formatting(tmp_path, kind):
+# the last two span several write blocks, the last of them only in part
+@pytest.mark.parametrize("kind, shape", [("surface", (6, 5)), ("curve", (7,)), ("surface", (45, 47)),
+                                         ("curve", (2 * formats._WRITE_BLOCK + 3,))],
+                         ids=["surface", "curve", "surface-blocks", "curve-blocks"])
+def test_write_grid_matches_node_by_node_formatting(tmp_path, kind, shape):
     rng = np.random.default_rng(17)
-    shape = (6, 5) if kind == "surface" else (7,)
     points = rng.standard_normal(shape + (3,)) * 10.0 ** rng.integers(-300, 300, shape + (3,))
     points.flat[:5] = [-0.0, 5e-324, 1e308, -1e308, 0.1]
     steps = (0.1, 1.0 / 3.0) if kind == "surface" else (1.0 / 3.0,)
@@ -185,6 +189,91 @@ def test_write_grid_matches_node_by_node_formatting(tmp_path, kind):
     write_grid(path, grid)
     assert path.read_bytes() == _node_by_node(kind, shape, steps, points).encode("ascii")
     assert np.array_equal(read_grid(path).points, points)
+
+
+def _case(lines, number, edit):
+    """``lines`` with file line ``number`` (1-based) replaced by ``edit`` of its tokens."""
+    return [" ".join(edit(line.split())) if n == number else line
+            for n, line in enumerate(lines, start=1)]
+
+
+# each file's exit code and message are those of the line-by-line reader the bulk parse
+# stands in for; "same" marks a file that reads as the grid it was written from
+_READER_CASES = {
+    "metadata-after-table": (lambda L: L[:2] + L[3:] + [L[2]], 0, "same"),
+    "comment-among-rows": (lambda L: L[:30] + ["# note written mid-table"] + L[30:], 0, "same"),
+    "bare-comments-among-rows": (lambda L: L[:30] + ["#", "  #  "] + L[30:], 0, "same"),
+    "metadata-repeated-among-rows": (lambda L: L[:30] + ["# kind surface"] + L[30:], 1,
+                                     "kind: duplicate metadata line"),
+    "blank-lines": (lambda L: L[:2] + [""] + L[2:4] + ["   ", "\t"] + L[4:40] + [""] + L[40:],
+                    0, "same"),
+    "blank-lines-then-fault": (lambda L: [""] + L[:40] + ["  "] + _case(L, 60, lambda t: t[:-1])[40:],
+                               1, "rows: line 62: expected 5 columns"),
+    "duplicate-node": (lambda L: _case(L, 36, lambda t: ["3", "3"] + t[2:]), 1,
+                       "rows: node (3, 4) is missing"),
+    "missing-node": (lambda L: L[:49] + L[50:], 1, "shape: declares 81 rows, table has 80"),
+    "index-out-of-range": (lambda L: _case(L, 30, lambda t: ["9"] + t[1:]), 1,
+                           "rows: line 30: index (9, 7) outside shape"),
+    "index-1.5": (lambda L: _case(L, 30, lambda t: ["1.5"] + t[1:]), 1,
+                  "rows: line 30: indices must be integers, got ['1.5', '7']"),
+    "column-count": (lambda L: _case(L, 60, lambda t: t[:-1]), 1,
+                     "rows: line 60: expected 5 columns"),
+    "empty-table": (lambda L: L[:4], 1, "shape: declares 81 rows, table has 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_CASES) + ["crlf", "non-ascii"])
+def test_read_grid_refuses_or_accepts_each_layout_as_the_line_reader(tmp_path, capsys, name):
+    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.5 * (t + s)), (0.0, 1.0, 9), (0.0, 1.0, 9))
+    write_grid(tmp_path / "ok.grid", grid)
+    lines = (tmp_path / "ok.grid").read_text().splitlines()  # node (i, j) is on line 5 + 9 i + j
+    if name == "crlf":
+        data, code, want = ("\r\n".join(lines) + "\r\n").encode("ascii"), 0, "same"
+    elif name == "non-ascii":
+        lines[20] = lines[20].replace(" ", " \xe9", 1)
+        data, code, want = ("\n".join(lines) + "\n").encode("latin-1"), 1, (
+            "encoding: case.grid is not ASCII text (byte 0xe9)")
+    else:
+        edit, code, want = _READER_CASES[name]
+        data = ("\n".join(edit(lines)) + "\n").encode("ascii")
+    (tmp_path / "case.grid").write_bytes(data)
+    spec = _write(tmp_path / "check.spec", "kind nonholonomic-check\ngrid case.grid\n"
+                                           "constraint builtin example7\nconstraint-tol 1e-6\n")
+    assert main(["nonholonomic-check", "--spec", str(spec)]) == code
+    err = capsys.readouterr().err
+    if want == "same":
+        assert err == ""
+        assert np.array_equal(read_grid(tmp_path / "case.grid").points, grid.points)
+    else:
+        assert err == f"wedgemech: spec error: {want}\n"
+
+
+def _surface_129():
+    t = np.linspace(0.0, 1.0, 129)
+    return SurfaceGrid.from_graph(t, t - 0.5, np.add.outer(t * t, np.sin(3.0 * t)))
+
+
+def test_write_grid_memory_is_one_block(tmp_path):
+    grid = _surface_129()
+    tracemalloc.start()
+    try:
+        write_grid(tmp_path / "g.grid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the text alone is 4.4 MB, the points 0.4 MB
+
+
+def test_read_grid_memory_is_its_table_and_points(tmp_path):
+    write_grid(tmp_path / "g.grid", _surface_129())
+    tracemalloc.start()
+    try:
+        grid = read_grid(tmp_path / "g.grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grid.points, _surface_129().points)
+    assert peak <= 3 * grid.points.nbytes
 
 
 @pytest.mark.parametrize(

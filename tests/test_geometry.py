@@ -15,6 +15,7 @@ from wedgemech.geometry import (
     Metric,
     MomentumBivector,
     antisymmetric_from_slots,
+    contract_slots,
     dual_fiber_metric,
     index_pairs,
     induced_fiber_metric,
@@ -196,13 +197,16 @@ def test_wedge_rejects_stacks_and_mismatched_vectors():
 def test_wedge_slots_matches_per_pair_reference_bitwise(dim, nodes):
     rng = np.random.default_rng(40 + dim)
     v, u = rng.normal(size=(2,) + nodes + (dim,))
+    v[rng.random(v.shape) < 0.3] = -0.0  # signed zeros in the minors too
+    u[rng.random(u.shape) < 0.3] = 0.0
     reference = np.stack(
         [v[..., a] * u[..., b] - v[..., b] * u[..., a] for a, b in index_pairs(dim)], axis=-1
     )
     got = wedge_slots(v, u)
     assert got.shape == nodes + (pair_count(dim),)
-    assert np.array_equal(got, reference)
+    assert got.tobytes() == reference.tobytes()
     a, b = np.array(index_pairs(dim)).T
+    assert got.tobytes() == (v[..., a] * u[..., b] - v[..., b] * u[..., a]).tobytes()  # gathered
     assert np.array_equal(antisymmetric_from_slots(got, dim)[..., a, b], got)
 
 
@@ -222,6 +226,36 @@ def test_contraction_sign_convention():
     u = wedge(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     eta = np.array([0.0, 1.0, 0.0])
     np.testing.assert_array_equal(eta @ antisymmetric_from_slots(u.slots, 3), [-1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(contract_slots(eta, u.slots), [-1.0, 0.0, 0.0])
+
+
+def _signed_zeros(rng, a, share=0.3):
+    """``a`` with about ``share`` of its entries set to -0.0 and as many to +0.0."""
+    a[rng.random(a.shape) < share] = -0.0
+    a[rng.random(a.shape) < share] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("nodes", [(), (6,), (7, 5)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_contract_slots_equals_einsum_over_the_expanded_map_bitwise(dim, nodes):
+    # tobytes: array_equal would take -0.0 for 0.0
+    rng = np.random.default_rng(70 + dim)
+    slots = _signed_zeros(rng, rng.normal(size=nodes + (pair_count(dim),)))
+    eta = _signed_zeros(rng, rng.normal(size=nodes + (dim,)) * 10.0 ** rng.integers(-3, 4, dim))
+    full = antisymmetric_from_slots(slots, dim)
+    got = contract_slots(eta, slots)
+    assert got.tobytes() == np.einsum("...m,...mn->...n", eta, full).tobytes()
+    # rows of one-forms per node, and one set of rows for every node (the membership form)
+    rows = _signed_zeros(rng, rng.normal(size=nodes + (3, dim)))
+    for r in (rows, rows[(0,) * len(nodes)]):
+        want = np.einsum("...rm,...km->...rk", r, np.swapaxes(full, -1, -2))
+        assert contract_slots(r, slots[..., None, :]).tobytes() == want.tobytes()
+
+
+def test_contract_slots_refuses_a_slot_count_of_another_dimension():
+    with pytest.raises(ValueError, match="expected 3 slots for dimension 3"):
+        contract_slots(np.ones(3), np.ones(6))
 
 
 def test_metric_validation():
