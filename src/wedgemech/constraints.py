@@ -430,6 +430,6 @@ def nonholonomic_check_curve(
     force_tol: float | None = None,
 ) -> ConstraintCheckReport:
     """`nonholonomic_check` with the degree fixed to 1 (curves)."""
-    if not isinstance(grid, CurveGrid):
+    if grid.degree != 1:
         raise ValueError("nonholonomic_check_curve needs a CurveGrid")
     return _check(L, grid, constraint, constraint_tol, force_tol)

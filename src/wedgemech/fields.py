@@ -185,10 +185,10 @@ class _SqrtQuadraticLagrangian(BivectorLagrangian):
             )
         return np.sqrt(np.maximum(q, 0.0))
 
-    def gradient_x_slots(self, x, w):  # no dependence on the base point
+    def gradient_x_slots(self, x, w):  # no dependence on the base point: read-only zeros
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], w.shape[:-1]) + x.shape[-1:])
+        return np.broadcast_to(0.0, np.broadcast_shapes(x.shape[:-1], w.shape[:-1]) + x.shape[-1:])
 
     def momentum_slots(self, x, w):
         return self._half_gradient(w, self.scale)

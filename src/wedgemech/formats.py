@@ -16,12 +16,13 @@ row naming the index and coordinate columns, then one row per node::
     0 0 0 0 1
     ...
 
-Grid I/O holds no Python object per row: `write_grid` formats a block of
-rows at a time, and `read_grid` hands the rows after the head, straight
-from the open file, to one `np.loadtxt`.  Only a file that this bulk
-parse does not take as it stands (metadata among the rows, or any fault)
-is walked line by line, which reads it as before and names the line of
-its first fault.
+Grid I/O holds no Python object per row of a file in `write_grid`'s
+layout: `write_grid` formats a block of rows at a time, and `read_grid`
+hands the rows after the head, straight from the open file, to one
+`np.loadtxt`.  Any other file (metadata among or after the rows, or a
+fault) is read whole and its rows go to that same table parse and
+checks; only a table they refuse is walked row by row, to name the
+first fault and its line.
 
 Constraint spec files list the dimension, then the section and each
 linear generator as 1-based ``mu nu value`` component triples (``mu
@@ -177,64 +178,48 @@ def _node(index) -> str:
     return f"({', '.join(map(str, index))})" if len(index) > 1 else str(index[0])
 
 
-def _outside_shape(number: int, index) -> SpecError:
-    return SpecError("rows", f"line {number}: index {_node(index)} outside shape")
+def _table_points(rows, shape: tuple, m: int):
+    """Node coordinates, ``shape + (m,)``, of table rows of ``len(shape)`` indices and ``m``
+    numbers in one `np.loadtxt`; None unless each axis has at least 5 nodes, the rows are
+    as many as the nodes, and each node is given once, inside the shape, by finite numbers."""
+    if min(shape) < 5:  # the grid classes need 5 samples per axis
+        return None
+    dtype = np.dtype([("index", np.int64, (len(shape),)), ("values", float, (m,))])
+    try:  # ndmin: a one-row table is still a table; comments: a "#" row is a fault here
+        table = np.loadtxt(rows, dtype, comments=None, ndmin=1)
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    index = table["index"]
+    if (len(table) != math.prod(shape) or ((index < 0) | (index >= shape)).any()
+            or not np.isfinite(table["values"]).all()):
+        return None
+    points = np.full(shape + (m,), np.nan)
+    points[tuple(index.T)] = table["values"]
+    del table, index  # the grid copies the points: not while the table is held too
+    return None if np.isnan(points[..., 0]).any() else points
 
 
-def _row_fault(numbers, lines, shape, m) -> SpecError:
-    """The error of the first row that does not parse, walking them one by one."""
+def _table_fault(numbers, lines, shape: tuple, m: int) -> SpecError:
+    """The first fault of table rows that `_table_points` refuses, walking them one by one."""
     k = len(shape)
+    if len(lines) != math.prod(shape):
+        return SpecError("shape", f"declares {math.prod(shape)} rows, table has {len(lines)}")
+    nodes = set()
     for number, line in zip(numbers, lines):
         tokens = line.split()
         if len(tokens) != k + m:
             return SpecError("rows", f"line {number}: expected {k + m} columns")
-        index = _parse_indices("rows", tokens[:k], number)
+        index = tuple(_parse_indices("rows", tokens[:k], number))
         if not all(0 <= i < n for i, n in zip(index, shape)):
-            return _outside_shape(number, index)
+            return SpecError("rows", f"line {number}: index {_node(index)} outside shape")
         _parse_floats("rows", tokens[k:], m, number)
+        nodes.add(index)
+    if min(shape) < 5:
+        return SpecError("shape", f"need at least 5 nodes per axis, got {' '.join(map(str, shape))}")
+    missing = next((node for node in np.ndindex(*shape) if node not in nodes), None)
+    if missing is not None:  # some other node is written twice
+        return SpecError("rows", f"node {_node(missing)} is missing")
     return SpecError("rows", f"table does not parse as {k} integer and {m} number columns")
-
-
-def _read_table(numbers, lines, shape: tuple, m: int) -> np.ndarray:
-    """Node coordinates, ``shape + (m,)``, from rows of ``len(shape)`` indices and ``m`` numbers.
-
-    The rows are parsed in one bulk call; only when that fails are they
-    walked again one by one, to name the line at fault.
-    """
-    k = len(shape)
-    if len(lines) != math.prod(shape):
-        raise SpecError("shape", f"declares {math.prod(shape)} rows, table has {len(lines)}")
-    dtype = _row_dtype(k, m)
-    try:  # ndmin: a one-row table is still a table
-        table = np.loadtxt(lines, dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
-    except ValueError:
-        raise _row_fault(numbers, lines, shape, m) from None
-    index = table["index"]
-    outside = ((index < 0) | (index >= shape)).any(axis=1)
-    if outside.any():
-        row = int(outside.argmax())
-        raise _outside_shape(numbers[row], index[row].tolist())
-    if min(shape) < 5:  # the grid classes need 5 samples per axis
-        raise SpecError("shape", f"need at least 5 nodes per axis, got {' '.join(map(str, shape))}")
-    if not np.isfinite(table["values"]).all():
-        raise _row_fault(numbers, lines, shape, m)
-    points = _place(table, shape)
-    missing = np.isnan(points[..., 0])
-    if missing.any():  # some other node is written twice
-        raise SpecError("rows", f"node {_node(np.argwhere(missing)[0].tolist())} is missing")
-    return points
-
-
-def _row_dtype(k: int, m: int) -> np.dtype:
-    """One table row: ``k`` indices, then ``m`` coordinates."""
-    return np.dtype([("index", np.int64, (k,)), ("values", float, (m,))])
-
-
-def _place(table, shape: tuple) -> np.ndarray:
-    """The coordinates of rows whose indices lie in ``shape`` at their nodes; nan where none is."""
-    points = np.full(shape + table["values"].shape[1:], np.nan)
-    points[tuple(table["index"].T)] = table["values"]
-    return points
 
 
 def _sort_lines(content, meta: dict, header: list):
@@ -280,12 +265,14 @@ def _layout(meta: dict, header: list):
     return cls, shape, steps, len(header) - k
 
 
-def _read_grid_bulk(path):
-    """The grid of a file whose rows all follow its metadata and header, or None.
+def read_grid(path):
+    """Read a grid file back into a `SurfaceGrid` or `CurveGrid`.
 
-    The head is read line by line; the open file then goes to one
-    `np.loadtxt`, so no Python object is kept per row.  Any other file, a
-    fault in the head included, gives None.
+    A file laid out as `write_grid` writes it goes, after its head, from
+    the open file to one table parse.  Any other file is read whole, so
+    metadata may stand anywhere, and its rows go to the same parse; only
+    a table that parse refuses is walked row by row, to name the fault by
+    its field and, in the table, by its line.
     """
     meta, header = {}, []
     with open(path, "r", encoding="ascii") as handle:
@@ -293,40 +280,20 @@ def _read_grid_bulk(path):
             first = next(_sort_lines(_stripped(handle), meta, header), None)
             cls, shape, steps, m = _layout(meta, header)
         except (SpecError, UnicodeDecodeError):
-            return None
-        if first is None or min(shape) < 5:  # the walk names either as a shape error
-            return None
-        try:  # a "#" line among the rows is metadata to the line walk, a fault here
-            table = np.loadtxt(itertools.chain([first[1]], handle), _row_dtype(len(shape), m),
-                               comments=None, ndmin=1)
-        except ValueError:  # UnicodeDecodeError too
-            return None
-    index = table["index"]
-    if (len(table) != math.prod(shape) or ((index < 0) | (index >= shape)).any()
-            or not np.isfinite(table["values"]).all()):
-        return None
-    points = _place(table, shape)
-    del table, index  # the grid copies the points: not while the table is held too
-    return None if np.isnan(points[..., 0]).any() else cls(*steps.tolist(), points)
-
-
-def read_grid(path):
-    """Read a grid file back into a `SurfaceGrid` or `CurveGrid`.
-
-    A file laid out as `write_grid` writes it is parsed in bulk.  Any other
-    file is walked line by line: metadata may then stand anywhere, and a
-    fault is named by its field and, in the table, by its line.
-    """
-    grid = _read_grid_bulk(path)
-    if grid is not None:
-        return grid
-    meta, header = {}, []
-    numbers, lines = [], []
-    for number, line in _sort_lines(_content_lines(path), meta, header):
-        numbers.append(number)
-        lines.append(line)
-    cls, shape, steps, m = _layout(meta, header)
-    return cls(*steps.tolist(), _read_table(numbers, lines, shape, m))
+            first = None
+        points = None if first is None else _table_points(
+            itertools.chain([first[1]], handle), shape, m)
+    if points is None:
+        meta, header = {}, []
+        numbers, lines = [], []
+        for number, line in _sort_lines(_content_lines(path), meta, header):
+            numbers.append(number)
+            lines.append(line)
+        cls, shape, steps, m = _layout(meta, header)
+        points = _table_points(lines, shape, m) if lines else None  # loadtxt warns on no rows
+        if points is None:
+            raise _table_fault(numbers, lines, shape, m)
+    return cls(*steps.tolist(), points)
 
 
 def builtin_constraint(name: str, dim: int):

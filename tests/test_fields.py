@@ -6,6 +6,8 @@ L_area = 2 with momentum p_12 = 1; graph-area field gives sqrt(2) and
 expansion and pin the normalization used everywhere else.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,23 @@ def test_finite_difference_fallback_with_base_dependence():
     np.testing.assert_allclose(field.gradient_x(x, w), expected, rtol=1e-6, atol=1e-8)
     expected_p = (1.0 + float(x @ x)) * base.momentum(x, w).slots
     np.testing.assert_allclose(field.momentum(x, w).slots, expected_p, rtol=1e-6)
+
+
+def test_area_gradient_x_allocates_nothing_per_node():
+    # the area fields do not depend on the base point: their gradient is zeros of the
+    # grid's shape, 0.4 MB at 129^2 as an array; what is left is np.broadcast_shapes's
+    # own bookkeeping, about 6 KB whatever the shape
+    rng = np.random.default_rng(27)
+    x, w = rng.normal(size=(129, 129, 3)), rng.normal(size=(129, 129, 3))
+    for L in (plateau_lagrangian(3), nambu_goto(Metric.euclidean(3))):
+        tracemalloc.start()
+        try:
+            gradient = L.gradient_x_slots(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gradient.shape == x.shape and not gradient.any()
+        assert peak < 16 * 1024
 
 
 def test_custom_fiber_metric_lagrangian_matches_induced():

@@ -248,6 +248,22 @@ def test_read_grid_refuses_or_accepts_each_layout_as_the_line_reader(tmp_path, c
         assert err == f"wedgemech: spec error: {want}\n"
 
 
+# files the open-file parse refuses but the whole-file read takes: its rows go to the same
+# table parse once the metadata is sorted out of them
+@pytest.mark.parametrize("grid, edit", [
+    (CurveGrid.sample(lambda t: (np.cos(t), np.sin(t), t), 0.0, 2.0, 17),
+     lambda L: L[3:] + L[:3]),  # every metadata line follows the table
+    (SurfaceGrid.sample(lambda t, s: (t, s, t * s), (0.0, 1.0, 9), (0.0, 1.0, 6)),
+     lambda L: L[:1] + L[2:30] + L[1:2] + L[30:]),  # "# shape" among the rows
+], ids=["curve-metadata-after-table", "surface-shape-among-rows"])
+def test_read_grid_takes_metadata_anywhere(tmp_path, grid, edit):
+    write_grid(tmp_path / "ok.grid", grid)
+    lines = (tmp_path / "ok.grid").read_text().splitlines()
+    back = read_grid(_write(tmp_path / "moved.grid", "\n".join(edit(lines)) + "\n"))
+    assert type(back) is type(grid) and back.steps == grid.steps
+    assert np.array_equal(back.points, grid.points)
+
+
 def _surface_129():
     t = np.linspace(0.0, 1.0, 129)
     return SurfaceGrid.from_graph(t, t - 0.5, np.add.outer(t * t, np.sin(3.0 * t)))
