@@ -41,6 +41,20 @@ of being silently resolved.  Values at or below the cutoff are already
 indistinguishable from zero at working precision (an exact kernel's
 computed singular value lands there), so no gradation below the cutoff is
 meaningful.
+
+A check streams over blocks of rows along parameter axis 0, about
+`_BLOCK_NODES` nodes each, so that besides the points it holds its
+per-node outputs and one block's working arrays, not whole-grid ones.
+Each block is a grid of its own rows with a halo, handed to the same
+`constraint_residual` and `delta_L_surface` / `delta_L_curve` a whole grid
+would go to: membership takes one halo row on each side, so its interior
+is exactly the block's rows and each callable still runs once per interior
+node; the defect takes two, clipped at the grid's ends, so every row it
+keeps sees the differences the whole grid would.  Results are the whole
+grid's bit for bit.  A block that raises, or whose annihilator dimension
+differs from the first block's, sends the whole grid through that step
+instead, which raises the whole grid's first fault, as a check without
+blocks would.
 """
 
 from __future__ import annotations
@@ -374,18 +388,85 @@ def constraint_residual(grid, constraint: AffineConstraint):
 constraint_residual_curve = constraint_residual
 
 
+# nodes per block of rows that a check streams over (about 0.2 MB of points in 3-space)
+_BLOCK_NODES = 8192
+
+
+def _row_blocks(grid) -> list:
+    """Interior rows ``[a, b)`` along parameter axis 0 of each block of a check: about
+    `_BLOCK_NODES` nodes and at least 3 rows each (5 with a membership halo, the fewest a
+    grid takes), the rows left over spread across the blocks."""
+    n = len(grid.points)
+    rows = max(3, _BLOCK_NODES // (grid.points[0].size // grid.dim))
+    count = max(1, (n - 2) // rows)
+    edges = [1 + (n - 2) * k // count for k in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _by_blocks(grid, blocks, halo: int, compute, cut):
+    """``cut(compute(sub), rows)`` for each block of rows, in order: ``sub`` is the grid of
+    the block's rows with ``halo`` more on each side, clipped at the grid's ends, and
+    ``rows`` picks the block's rows among ``sub``'s interior ones.
+
+    A grid of more than one block goes to ``compute`` whole once a block raises, or once the
+    leading part of a block differs in shape past its rows from the first block's.  That
+    raises the fault the whole grid meets first; only a fault of a halo row's one-sided
+    difference, which the whole grid does not take, lets it return, and the blocks left
+    are then cut from its result.
+    """
+    n, first = len(grid.points), None
+    for k, (a, b) in enumerate(blocks):
+        lo, hi = max(a - halo, 0), min(b + halo, n)
+        try:
+            sub = grid if hi - lo == n else type(grid)(*grid.steps, grid.points[lo:hi])
+            part = cut(compute(sub), slice(a - lo - 1, b - lo - 1))
+            agrees = first in (None, part[0].shape[1:])
+        except Exception:  # any fault, a callable's own too: the whole grid names it
+            if len(blocks) == 1:
+                raise
+            agrees = False
+        if not agrees:
+            whole = compute(grid)
+            yield from (cut(whole, slice(a - 1, b - 1)) for a, b in blocks[k:])
+            return
+        first = part[0].shape[1:]
+        yield part
+
+
 def _check(L, grid, constraint, constraint_tol, force_tol):
     """Body of both check spellings, which call it rather than each other so
-    that one call is one check (perfbench/tracing.py wraps both names)."""
+    that one call is one check (perfbench/tracing.py wraps both names).
+
+    It streams over blocks of rows (`_row_blocks`, `_by_blocks`): first
+    membership on each block with one halo row a side, then the defect and
+    its d'Alembert split on each block with two, so that only the reported
+    per-node arrays and a point-dependent annihilator span the whole grid.
+    A fault sends the whole grid through the step that met it, which names
+    the fault a check without blocks names.
+    """
     if force_tol is None:
         force_tol = constraint_tol
     if not (constraint_tol > 0.0 and force_tol > 0.0):
         raise ValueError("tolerances must be positive")
-    residuals, ann = constraint_residual(grid, constraint)
-    delta = (delta_L_surface if grid.degree == 2 else delta_L_curve)(L, grid).values
-    multipliers, orthogonal = dalembert_decompose(delta, ann)
+
+    def kept(result, rows):  # a constant constraint's annihilator has no node axes
+        residuals, ann = result
+        return residuals[rows], ann if constraint.constant else ann[rows]
+
+    blocks = _row_blocks(grid)
+    membership = list(_by_blocks(grid, blocks, 1, lambda g: constraint_residual(g, constraint),
+                                 kept))
+    delta_L = delta_L_surface if grid.degree == 2 else delta_L_curve
+    multipliers, orth_norms = [], []
+    for (_, ann), (delta,) in zip(membership, _by_blocks(
+            grid, blocks, 2, lambda g: (delta_L(L, g).values,), lambda result, rows: (result[0][rows],))):
+        block_multipliers, orthogonal = dalembert_decompose(delta, ann)
+        multipliers.append(block_multipliers)
+        orth_norms.append(np.abs(orthogonal).max(axis=-1))
+    residuals = np.concatenate([r for r, _ in membership])
+    del membership
+    multipliers, orth_norms = np.concatenate(multipliers), np.concatenate(orth_norms)
     node_residuals = residuals.max(axis=-1, initial=0.0)  # vacuous with no annihilator
-    orth_norms = np.abs(orthogonal).max(axis=-1)
     cmax = float(node_residuals.max())
     dmax = float(orth_norms.max())
     return ConstraintCheckReport(

@@ -132,11 +132,19 @@ def write_grid(path, grid) -> None:
             handle.write(row * len(block) % tuple(values.ravel().tolist()))
 
 
+def _number(kind, token: str):
+    """``kind(token)``, ``kind`` float or int, without the digit grouping (``1_0``) that
+    Python reads and the table parse of a grid file does not."""
+    if "_" in token:
+        raise ValueError(f"digit grouping in {token!r}")
+    return kind(token)
+
+
 def _parse_floats(field: str, tokens, count: int | None = None,
                   number: int | None = None) -> np.ndarray:
     where = "" if number is None else f"line {number}: "
     try:
-        values = np.array([float(t) for t in tokens])
+        values = np.array([_number(float, t) for t in tokens])
     except ValueError as err:
         raise SpecError(field, f"{where}expected numbers, got {tokens}") from err
     if not np.isfinite(values).all():  # nan, inf, and literals past the double range
@@ -169,7 +177,7 @@ def _parse_counts(field: str, tokens, count: int) -> tuple:
 
 def _parse_indices(field: str, tokens, number: int) -> list:
     try:
-        return [int(t) for t in tokens]
+        return [_number(int, t) for t in tokens]
     except ValueError as err:
         raise SpecError(field, f"line {number}: indices must be integers, got {tokens}") from err
 

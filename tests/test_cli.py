@@ -318,6 +318,15 @@ def test_spec_tolerance_must_be_positive(tmp_path, capsys, command, body, messag
     assert message in capsys.readouterr().err
 
 
+def test_a_grouped_number_in_a_spec_exits_1_naming_its_field(tmp_path, capsys):
+    # Python's float() reads "1_0e-6" as 1e-5; an input file does not
+    spec = _spec(tmp_path, "p.spec", "kind plateau\ndomain -0.5 0.5 -0.5 0.5\nshape 9 9\n"
+                                     "boundary affine 0.5 -0.25 1\ntol 1_0e-6\n")
+    assert main(["plateau-solve", "--spec", spec]) == 1
+    assert capsys.readouterr().err == ("wedgemech: spec error: tol: expected numbers, "
+                                       "got ['1_0e-6']\n")
+
+
 def test_spec_nonholonomic_curve(tmp_path, capsys):
     for fname, fn, code in [
         ("ok.grid", lambda t: (t, 0.7), 0),

@@ -35,10 +35,13 @@ from wedgemech.constraints import (
     symmetric_slope_constraint,
     _maps,
 )
-from wedgemech.fields import plateau_lagrangian, quadratic_curve_lagrangian
-from wedgemech.geometry import Bivector, antisymmetric_from_slots, index_pairs, pair_count, wedge
-from wedgemech.variational import (CurveGrid, SurfaceGrid, delta_L_surface, velocity_prolongation,
-                                   wedge_prolongation)
+from wedgemech.fields import (CallableBivectorLagrangian, CurveLagrangian, nambu_goto,
+                              plateau_lagrangian, quadratic_curve_lagrangian)
+from wedgemech.geometry import (Bivector, Metric, antisymmetric_from_slots, index_pairs,
+                                pair_count, wedge)
+from wedgemech.variational import (CurveGrid, SurfaceGrid, delta_L_curve, delta_L_surface,
+                                   NodeDomainError, velocity_prolongation, wedge_prolongation,
+                                   worst_node)
 
 
 def contraction_matrix(generators, dim):
@@ -753,3 +756,205 @@ def test_annihilator_dimension_change_between_nodes_is_reported():
         constraint_residual(grid, constraint)
     with pytest.raises(RankDecisionError, match="annihilator dimension"):
         nonholonomic_check(plateau_lagrangian(4), grid, constraint, 1e-6)
+
+
+# --- blocks of rows: a check streams over them (constraints._BLOCK_NODES) ---------------
+
+def whole_grid_check(L, grid, constraint):
+    """The check on the whole grid at once, as it ran before blocks: kept as the
+    reference of the streamed check, outputs and raised faults alike."""
+    residuals, ann = constraint_residual(grid, constraint)
+    delta = (delta_L_surface if grid.degree == 2 else delta_L_curve)(L, grid).values
+    multipliers, orthogonal = dalembert_decompose(delta, ann)
+    return residuals, multipliers, np.abs(orthogonal).max(axis=-1)
+
+
+def _tilted_area(x, w):
+    # an FD-only field (value only) that depends on the base point
+    return (1.0 + 0.25 * x[2] ** 2) * np.sqrt(2.0 * float(w.slots @ w.slots))
+
+
+class _FDCurveField(CurveLagrangian):
+    """A curve field with a value only: both gradients by finite differences."""
+
+    def value_slots(self, x, v):
+        return 0.5 * np.sum(v * v, axis=-1) * (1.0 + 0.1 * x[..., 0]) - np.cos(x[..., 1])
+
+
+def _surface(n, m):
+    t, s = np.linspace(-0.6, 0.9, n), np.linspace(-0.4, 0.5, m)
+    return SurfaceGrid.from_graph(t, s, np.add.outer(0.3 * t * t, np.sin(2.0 * s))
+                                  + 0.2 * np.outer(t, s))
+
+
+def _curve(n):
+    return CurveGrid.sample(lambda t: (t, np.sin(t), 0.3 * t * t), 0.0, 2.0, n)
+
+
+_POINT_SURFACE = AffineConstraint2(3, _tilted_section, [_turning_generator])
+_POINT_CURVE = AffineConstraint1(
+    3, lambda x: np.array([1.0, 0.2 * x[1], 0.0]), [lambda x: np.array([1.0, 0.0, 0.1 * x[0]])])
+
+# (field, grid, constraint): both degrees, constant and point-dependent constraints,
+# closed-form and FD-only fields
+_BLOCK_CASES = {
+    "plateau-example7": (plateau_lagrangian(), _surface(41, 13), symmetric_slope_constraint()),
+    "plateau-point": (plateau_lagrangian(), _surface(41, 13), _POINT_SURFACE),
+    "nambu-goto-example7": (nambu_goto(Metric.euclidean(3)), _surface(29, 9),
+                            symmetric_slope_constraint()),
+    "nambu-goto-point": (nambu_goto(Metric.euclidean(3)), _surface(29, 9), _POINT_SURFACE),
+    "fd-callable-example7": (CallableBivectorLagrangian(3, _tilted_area), _surface(17, 7),
+                             symmetric_slope_constraint()),
+    "fd-callable-point": (CallableBivectorLagrangian(3, _tilted_area), _surface(17, 7),
+                          _POINT_SURFACE),
+    "curve-drift": (quadratic_curve_lagrangian(3, omega=0.5), _curve(101),
+                    first_axis_drift_constraint(3)),
+    "curve-point": (quadratic_curve_lagrangian(3, omega=0.5), _curve(101), _POINT_CURVE),
+    "fd-curve-point": (_FDCurveField(3), _curve(61), _POINT_CURVE),
+}
+
+
+@pytest.mark.parametrize("rows", [3, 4, 7])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocks_equal_the_whole_grid_bitwise(monkeypatch, case, rows):
+    L, grid, constraint = _BLOCK_CASES[case]
+    residuals, multipliers, orth_norms = whole_grid_check(L, grid, constraint)
+    monkeypatch.setattr(constraints, "_BLOCK_NODES", rows * (grid.points[0].size // grid.dim))
+    assert len(constraints._row_blocks(grid)) > 1
+    report = nonholonomic_check(L, grid, constraint, 1e-6, 1e-3)
+    for got, want in [(report.constraint_residuals, residuals),
+                      (report.multipliers, multipliers), (report.orthogonal_norms, orth_norms)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    node_residuals = residuals.max(axis=-1, initial=0.0)
+    assert report.constraint_max == node_residuals.max()
+    assert report.constraint_worst == worst_node(node_residuals)
+    assert report.dalembert_max == orth_norms.max()
+    assert report.dalembert_worst == worst_node(orth_norms)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 400), (40, 7), (9,), (25,), (16386,)])
+def test_row_blocks_cover_the_interior_rows_in_blocks_of_at_least_three(monkeypatch, shape):
+    grid = (SurfaceGrid(0.1, 0.1, np.zeros(shape + (3,))) if len(shape) == 2
+            else CurveGrid(0.1, np.zeros(shape + (2,))))
+    for block in (1, 20, constraints._BLOCK_NODES):
+        monkeypatch.setattr(constraints, "_BLOCK_NODES", block)
+        blocks = constraints._row_blocks(grid)
+        assert blocks[0][0] == 1 and blocks[-1][1] == shape[0] - 1
+        assert all(b - a >= 3 for a, b in blocks)
+        assert all(b == a for (_, b), (a, _) in zip(blocks, blocks[1:]))
+        nodes = int(np.prod(shape[1:]))
+        if len(blocks) > 1:  # no block is more than twice the nodes of a block
+            assert max(b - a for a, b in blocks) * nodes < 2 * max(block, 3 * nodes)
+
+
+def test_callables_are_called_once_per_interior_node_across_blocks(monkeypatch):
+    monkeypatch.setattr(constraints, "_BLOCK_NODES", 1)  # 3-row blocks
+    calls = {}
+
+    def counted(name, field):
+        calls[name] = 0
+
+        def call(x):
+            calls[name] += 1
+            return field(x)
+        return call
+
+    surface = AffineConstraint2(3, counted("section", _tilted_section),
+                                [counted("generator", _turning_generator)])
+    grid = graph_grid(lambda x, y: x * x + y, n=13)
+    assert len(constraints._row_blocks(grid)) == 3
+    nonholonomic_check(plateau_lagrangian(), grid, surface, 1e-6)
+    assert calls == {"section": 121, "generator": 121}
+
+    curve = AffineConstraint1(2, counted("section", _drift), [counted("generator", _drift)])
+    line = CurveGrid.sample(lambda t: (t, 0.3 * t * t), 0.0, 1.0, 21)
+    assert len(constraints._row_blocks(line)) == 6
+    nonholonomic_check_curve(quadratic_curve_lagrangian(2), line, curve, 1e-10)
+    assert calls == {"section": 19, "generator": 19}
+
+
+def _same_fault(monkeypatch, L, grid, constraint):
+    """The streamed check over 3-row blocks raises what the whole grid does."""
+    with pytest.raises(Exception) as whole:
+        whole_grid_check(L, grid, constraint)
+    monkeypatch.setattr(constraints, "_BLOCK_NODES", 1)
+    assert len(constraints._row_blocks(grid)) > 2
+    with pytest.raises(type(whole.value)) as streamed:
+        nonholonomic_check(L, grid, constraint, 1e-6, 1e-3)
+    assert str(streamed.value) == str(whole.value)
+    return str(whole.value)
+
+
+@pytest.mark.parametrize("row", range(1, 16))
+def test_a_callable_fault_in_any_block_keeps_its_message(monkeypatch, row):
+    grid = _surface(17, 7)
+
+    def section(x):  # not a bivector at one node of the row
+        return np.zeros(3) if np.array_equal(x, grid.points[row, 4]) else _tilted_section(x)
+
+    message = _same_fault(monkeypatch, plateau_lagrangian(), grid,
+                          AffineConstraint2(3, section, [_turning_generator]))
+    assert message.startswith(f"section at x = {grid.points[row, 4].tolist()} must be a Bivector")
+
+
+@pytest.mark.parametrize("row", range(0, 17))
+@pytest.mark.parametrize("column", [0, 3])
+def test_an_overflowing_tangent_in_any_block_keeps_its_node(monkeypatch, row, column):
+    # a point past half the range makes the differences across it overflow, and the
+    # one-sided difference of a block's halo row overflows where the whole grid's need not
+    points = _surface(17, 7).points.copy()
+    points[row, column, 2] = 1e308
+    message = _same_fault(monkeypatch, plateau_lagrangian(), SurfaceGrid(0.1, 0.1, points),
+                          symmetric_slope_constraint())
+    assert message.startswith("tangent or velocity element not finite at node (")
+
+
+@pytest.mark.parametrize("row", range(0, 41))
+def test_an_overflowing_curve_tangent_in_any_block_keeps_its_node(monkeypatch, row):
+    points = _curve(41).points.copy()
+    points[row, 1] = 1e308
+    message = _same_fault(monkeypatch, quadratic_curve_lagrangian(3), CurveGrid(0.05, points),
+                          first_axis_drift_constraint(3))
+    assert message.startswith("tangent or velocity element not finite at node (")
+
+
+@pytest.mark.parametrize("row", range(1, 16))
+def test_a_rank_change_in_any_block_keeps_its_message(monkeypatch, row):
+    # e1^e2 + x1 e3^e4 leaves an annihilator only where x1 = 0: on one row of the grid
+    e = np.eye(4)
+    constraint = AffineConstraint2(4, Bivector(np.zeros(6), 4),
+                                   [lambda x: wedge(e[0], e[1]) + x[0] * wedge(e[2], e[3])])
+    ts = np.linspace(0.0, 1.6, 17)
+    grid = SurfaceGrid.sample(lambda t, s: (t - ts[row], s, 0.1 * t * s, 0.0), (0.0, 1.6, 17),
+                              (0.0, 1.0, 7))
+    message = _same_fault(monkeypatch, plateau_lagrangian(4), grid, constraint)
+    assert message.startswith("annihilator dimension changes from ")
+
+
+def test_a_fault_of_a_halo_row_alone_leaves_the_whole_grid_result(monkeypatch):
+    # a plateau at 1e308 reached by 4-row ramps: every central difference is finite, but
+    # a one-sided difference inside the plateau (a block's halo row) overflows
+    ramp = np.clip(np.minimum(np.arange(41) - 10, 30 - np.arange(41)) / 4.0, 0.0, 1.0)
+    points = np.stack([np.arange(41.0), 1e308 * ramp, np.zeros(41)], axis=-1)
+    grid, L = CurveGrid(1.0, points), quadratic_curve_lagrangian(3)
+    residuals, multipliers, orth_norms = whole_grid_check(L, grid, first_axis_drift_constraint(3))
+    monkeypatch.setattr(constraints, "_BLOCK_NODES", 1)
+    with pytest.raises(NodeDomainError, match="tangent or velocity element not finite"):
+        constraint_residual(CurveGrid(1.0, points[16:21]), first_axis_drift_constraint(3))
+    report = nonholonomic_check(L, grid, first_axis_drift_constraint(3), 1e-6, 1e-3)
+    for got, want in [(report.constraint_residuals, residuals),
+                      (report.multipliers, multipliers), (report.orthogonal_norms, orth_norms)]:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_example7_check_memory_at_257_is_under_three_copies_of_the_points():
+    # whole-grid arrays took 6.1x the points at 257^2; blocks hold about 8,192 nodes each
+    grid = graph_grid(lambda x, y: (x + y) ** 2 + 0.1 * np.sin(3.0 * x), n=257)
+    assert len(constraints._row_blocks(grid)) > 4
+    tracemalloc.start()
+    try:
+        nonholonomic_check(plateau_lagrangian(), grid, symmetric_slope_constraint(), 1e-6, 5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * grid.points.nbytes

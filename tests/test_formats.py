@@ -218,6 +218,10 @@ _READER_CASES = {
                   "rows: line 30: indices must be integers, got ['1.5', '7']"),
     "column-count": (lambda L: _case(L, 60, lambda t: t[:-1]), 1,
                      "rows: line 60: expected 5 columns"),
+    "index-1_0": (lambda L: _case(L, 30, lambda t: ["1_0"] + t[1:]), 1,
+                  "rows: line 30: indices must be integers, got ['1_0', '7']"),
+    "coordinate-1_0": (lambda L: _case(L, 30, lambda t: t[:2] + ["1_0"] + t[3:]), 1,
+                       "rows: line 30: expected numbers, got ['1_0', '0.875', '0.5625']"),
     "empty-table": (lambda L: L[:4], 1, "shape: declares 81 rows, table has 0"),
 }
 
@@ -302,8 +306,11 @@ def test_read_grid_memory_is_its_table_and_points(tmp_path):
          "line 7: index (100000000000000000000000000000, 2) outside shape"),
         ("5 2 0 0 0", "line 7: index (5, 2) outside shape"),
         ("0 -1 0 0 0", "line 7: index (0, -1) outside shape"),
+        ("0 2 1_0 0 0", "line 7: expected numbers, got ['1_0', '0', '0']"),
+        ("0 1_0 0 0 0", "line 7: indices must be integers, got ['0', '1_0']"),
     ],
-    ids=["columns", "coordinate", "float-index", "index-past-int64", "outside", "negative"],
+    ids=["columns", "coordinate", "float-index", "index-past-int64", "outside", "negative",
+         "grouped-coordinate", "grouped-index"],
 )
 def test_read_grid_row_rejection_names_the_line(tmp_path, row, message):
     grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (0.0, 1.0, 5), (0.0, 1.0, 5))
@@ -316,14 +323,12 @@ def test_read_grid_row_rejection_names_the_line(tmp_path, row, message):
     assert str(err.value).startswith("rows: " + message)
 
 
-def test_read_grid_rows_that_only_the_bulk_parser_refuses(tmp_path):
-    # float() reads "1_0" but the table parser does not: the row walk finds
-    # no fault, and the table is still refused
-    grid = SurfaceGrid.sample(lambda t, s: (t, s, 0.0), (0.0, 1.0, 5), (0.0, 1.0, 5))
-    write_grid(tmp_path / "ok.grid", grid)
+def test_read_curve_grid_names_the_line_of_a_grouped_index(tmp_path):
+    # Python reads "1_0" as 10, which names node 6 missing; the table parse refuses it
+    write_grid(tmp_path / "ok.grid", CurveGrid.sample(lambda t: (t, t * t), 0.0, 1.0, 11))
     lines = (tmp_path / "ok.grid").read_text().splitlines()
-    lines[6] = "0 2 1_0 0 0"
-    with pytest.raises(SpecError, match="rows: table does not parse"):
+    lines[10] = "1_0 " + lines[10].split(maxsplit=1)[1]  # node 6, file line 11
+    with pytest.raises(SpecError, match=r"^rows: line 11: indices must be integers, got \['1_0'\]$"):
         read_grid(_write(tmp_path / "bad.grid", "\n".join(lines) + "\n"))
 
 
@@ -605,6 +610,7 @@ def test_problem_spec_metric_families(tmp_path):
         ("kind plateau\nmetric euclidean nan\n", "metric"),
         ("kind plateau\nmax-iter 2.5\n", "max-iter"),
         ("kind plateau\ntol fast\n", "tol"),
+        ("kind plateau\ntol 1_0e-6\n", "tol"),
         ("kind plateau\ngrid a b\n", "grid"),
         ("kind plateau\nmax-iter nan\n", "max-iter"),
         ("kind plateau\nmax-iter inf\n", "max-iter"),

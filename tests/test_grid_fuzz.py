@@ -14,9 +14,9 @@ from wedgemech.formats import SpecError, read_grid, write_grid
 from wedgemech.variational import SurfaceGrid
 
 # tokens that break a grid file in different ways: negative, not finite, not
-# a number, not an integer, past int64.  Hypothesis draws early entries of a
+# a number, not an integer, past int64, digit-grouped.  Hypothesis draws early entries of a
 # choice more often, so the quiet ones (a negative or NaN step) come first.
-_REPLACEMENTS = ("-1", "nan", "abc", "1.5", "123456789012345678901234567890")
+_REPLACEMENTS = ("-1", "nan", "abc", "1.5", "123456789012345678901234567890", "1_0")
 
 
 @pytest.fixture(scope="module")
